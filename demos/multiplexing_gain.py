@@ -23,7 +23,7 @@ print(f"{'m':>3} {'simulated':>12} {'exact':>12} {'linear':>10}")
 simulated = {}
 for m in range(1, config.m + 1):
     cfg = config.replace(m=m)
-    result = run_batch(RunPlan(cfg, config.tau_ref, (HV_PAIR,), TRIALS, SEED), n_threads=4)
+    result = run_batch(RunPlan(cfg, config.tau_ref, (HV_PAIR,), TRIALS, SEED))
     law = analytic_p_s(cfg)
     simulated[m] = result.p_s_hat
     print(f"{m:>3} {result.p_s_hat:>12.6f} {law.exact:>12.6f} {law.linear:>10.6f}")
@@ -34,7 +34,7 @@ print(f"\nsimulated gain P_S(19)/P_S(1) = {gain:.2f}")
 print(f"analytic gain                 = {exact_gain:.2f}")
 
 # the herald bin distribution is the truncated geometric law: early bins win
-result = run_batch(RunPlan(config, config.tau_ref, (HV_PAIR,), TRIALS, SEED), n_threads=4)
+result = run_batch(RunPlan(config, config.tau_ref, (HV_PAIR,), TRIALS, SEED))
 hist = np.asarray(result.herald_bin_histogram, dtype=float)
 hist /= hist.sum()
 bar = lambda f: "#" * int(round(f * 400))

@@ -5,8 +5,9 @@ The package is organized around a handful of layers:
 
 * :mod:`swpemux.config` - the experiment parameter set and its JSON format.
 * :mod:`swpemux.states` - polarization states, analyzer settings, projectors.
-* :mod:`swpemux.engine` - the discrete-trial simulation engine (counter-based
-  RNG, deterministic for a given seed regardless of thread count).
+* :mod:`swpemux.engine` - the exact per-trial outcome law, the aggregate
+  sampler built on it and the per-bin trial kernel (counter-based RNG,
+  deterministic for a given seed).
 * :mod:`swpemux.analysis` - CHSH statistics, tomography, decay fits and
   visibility-model calibration.
 * :mod:`swpemux.geometry` - write-beam fan geometry and phase matching
@@ -38,6 +39,7 @@ from .engine import (
     BatchResult,
     CoincidenceRow,
     CoincidenceTable,
+    OutcomeLaw,
     RunPlan,
     SettingPair,
     TrialRecord,
@@ -45,6 +47,7 @@ from .engine import (
     analytic_p_sas,
     derive_stream,
     effective_pair_state,
+    outcome_law,
     run_batch,
     run_coincidence_batch,
     run_trial,
@@ -99,6 +102,7 @@ __all__ = [
     "HV_PAIR",
     "LinkConfig",
     "MeasurementSetting",
+    "OutcomeLaw",
     "RunPlan",
     "ScanResult",
     "SettingPair",
@@ -125,6 +129,7 @@ __all__ = [
     "fidelity",
     "fit_decay",
     "joint_probabilities",
+    "outcome_law",
     "p_link_multiplexed",
     "pmc_residual",
     "project_physical",

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, bell, tomo, decay, pmc, link, calibrate, reproduce.
 Every output file is written atomically (temp file + rename) and is
-byte-for-byte reproducible for a given seed; --threads changes wall-clock
-time only. Exit codes: 0 success, 1 runtime or comparison failure, 2 usage
+byte-for-byte reproducible for a given seed; --threads is accepted but has
+no effect. Exit codes: 0 success, 1 runtime or comparison failure, 2 usage
 or configuration error.
 """
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _add_common(parser: argparse.ArgumentParser, *, trials: Optional[int] = None
         parser.add_argument("--trials", type=int, default=trials,
                             help=f"trials or samples per setting pair (default {trials})")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; affects speed, never results")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format")
 
@@ -335,8 +335,13 @@ def _simulated_s(config, tau, n_coincidences, seed) -> tuple:
 
 
 def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int], threads: int):
-    """Herald probability versus mode count; the multiplexing gain."""
-    endpoint_trials = trials or 10_000_000
+    """Herald probability versus mode count; the multiplexing gain.
+
+    The endpoints default to 10^9 trials, where the ratio's standard error
+    (below 0.02) is small against the [18.5, 19.0] window; run_batch's cost
+    does not grow with the trial count.
+    """
+    endpoint_trials = trials or 1_000_000_000
     sweep_trials = min(endpoint_trials, 1_000_000)
     rows = []
     estimates = {}

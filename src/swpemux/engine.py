@@ -7,32 +7,32 @@ storage time tau the surviving spin wave is read out and the anti-Stokes
 polarization is sampled from the effective pair state conditioned on which
 Stokes detector fired.
 
+Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
+gives the exact distribution of everything run_batch reports: the herald
+count is binomial, and the outcome cells and the herald-bin histogram are
+multinomial given it. run_batch draws those aggregates directly, at a cost
+that does not grow with the trial count. The per-bin kernel _simulate_chunk
+samples single trials from the same model for run_trial.
+
 Randomness comes from counter-mode Philox streams keyed by
-(seed, domain, setting index, chunk index). Chunk boundaries and the draw
-order inside a chunk are fixed, so a batch is bitwise reproducible for a given
-seed no matter how many worker threads execute the chunks.
+(seed, domain, setting index). Each setting pair draws from its own stream in
+a fixed order, so a batch is bitwise reproducible for a given seed.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .states import (
     MeasurementSetting,
-    TRANSMIT,
     joint_probabilities,
     werner_state,
 )
 from .util import first_success_probability
-
-# Trials per RNG chunk. Fixed: changing it reshuffles streams, so results are
-# reproducible per package version, and independent of thread count always.
-CHUNK_TRIALS = 1 << 16
 
 _DOMAIN_TRIALS = 0
 _DOMAIN_COINCIDENCE = 1
@@ -40,14 +40,15 @@ _DOMAIN_COINCIDENCE = 1
 _MAX_SEED = 1 << 64
 _MAX_SETTINGS = 1 << 20
 _MAX_CHUNKS = 1 << 40
+_MAX_TRIALS = 1 << 63  # the binomial draw takes a signed 64-bit trial count
 
 
 def derive_stream(seed: int, domain: int, setting_index: int, chunk_index: int) -> np.random.Generator:
     """Independent Philox stream for one (domain, setting, chunk) cell.
 
     The 128-bit Philox key is seed | domain<<64 | setting<<68 | chunk<<88.
-    Distinct keys give statistically independent counter-mode streams, which
-    is what makes scheduling-order-independent parallelism possible.
+    Distinct keys give statistically independent counter-mode streams. The
+    engine's samplers use chunk index 0 only: one stream per setting pair.
     """
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
@@ -120,21 +121,43 @@ class ProbabilityPair(NamedTuple):
     linear: float
 
 
+def _trial_law(config: ExperimentConfig, m: int) -> tuple:
+    """(a, p_herald, p_real, p_read, p_background) of an m-bin train.
+
+    A bin clicks with probability a = 1 - (1 - chi eta_d)(1 - d)^2, from a
+    real photon or a dark count on either detector (written so that
+    a = chi eta_d exactly when d = 0). The first clicking bin heralds, so
+    p_herald = 1 - (1 - a)^m, and a real click in it wins over a dark one,
+    so the herald is real with probability chi eta_d / a. The anti-Stokes
+    arm then clicks with p_read after a real herald and with p_background
+    (dark counts plus cross-mode background) after a dark one.
+    """
+    q = config.chi * config.eta_d
+    d = config.dark_rate
+    a = min(1.0, q + (1.0 - q) * d * (2.0 - d))
+    p_real = q / a if a > 0.0 else 1.0  # with a = 0 nothing ever heralds
+    p_read = config.gamma * config.eta_as
+    p_background = min(1.0, d + config.beta * (m - 1) * config.chi * p_read)
+    return a, first_success_probability(a, m), p_real, p_read, p_background
+
+
 def analytic_p_s(config: ExperimentConfig, m: Optional[int] = None) -> ProbabilityPair:
-    """Per-train herald probability 1 - (1 - chi eta_d)^m, with the linear
-    approximation m chi eta_d for reporting. Dark counts are not included."""
-    if m is None:
-        m = config.m
-    p_bin = config.chi * config.eta_d
-    return ProbabilityPair(first_success_probability(p_bin, m), m * p_bin)
+    """Per-train herald probability 1 - (1 - a)^m, with the linear
+    approximation m a for reporting; a is the dark-inclusive probability that
+    a bin clicks (chi eta_d when dark_rate is 0)."""
+    m = config.m if m is None else m
+    a, p_herald = _trial_law(config, m)[:2]
+    return ProbabilityPair(p_herald, m * a)
 
 
 def analytic_p_sas(config: ExperimentConfig, m: Optional[int] = None) -> ProbabilityPair:
     """Per-train heralded coincidence probability: herald probability times
-    the readout success gamma eta_as. Dark counts are not included."""
-    herald = analytic_p_s(config, m)
-    readout = config.gamma * config.eta_as
-    return ProbabilityPair(herald.exact * readout, herald.linear * readout)
+    the readout click probability, gamma eta_as after a real herald and the
+    background probability after a dark one."""
+    m = config.m if m is None else m
+    a, p_herald, p_real, p_read, p_background = _trial_law(config, m)
+    readout = p_real * p_read + (1.0 - p_real) * p_background
+    return ProbabilityPair(p_herald * readout, m * a * readout)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +201,8 @@ class RunPlan:
             raise ValueError(f"storage time must be non-negative, got {self.tau}")
         if not self.settings:
             raise ValueError("a run plan needs at least one analyzer setting pair")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be at least 1 per setting pair, got {self.n_trials}")
+        if not 1 <= self.n_trials < _MAX_TRIALS:
+            raise ValueError(f"n_trials must lie in [1, 2^63) per pair, got {self.n_trials}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if len(self.settings) >= _MAX_SETTINGS:
@@ -336,16 +359,35 @@ class BatchResult:
 # sampling
 
 
-class _PairLaw(NamedTuple):
-    """Per-setting-pair probabilities the kernel samples from."""
+class OutcomeLaw(NamedTuple):
+    """Exact law of one write train for one analyzer setting pair. The first
+    four fields parametrize the per-bin kernel."""
 
     p_d1: float            # herald lands on D1 given a real click
     p_t1_given_d: tuple    # P(T1 | D1), P(T1 | D2) given a successful readout
     p_read: float          # readout coincidence probability after a real herald
     p_background: float    # anti-Stokes click probability after a dark herald
+    p_herald: float        # P(some bin clicks) = 1 - (1 - a)^m
+    p_real: float          # P(the herald is real | herald) = chi eta_d / a
+    bins: np.ndarray       # P(herald in bin k | herald), proportional to (1 - a)^k
+
+    def cells(self) -> np.ndarray:
+        """P(cell | herald) as a (2, 2, 3) array indexed by {real, dark} x
+        {D1, D2} x {T1, T2, no readout click}. A dark herald lands on D1 or
+        D2 with probability 1/2 each (one detector alone, or both and a fair
+        coin) and reads out an unpolarized background click."""
+        out = np.empty((2, 2, 3))
+        for i, p_det in enumerate((self.p_d1, 1.0 - self.p_d1)):
+            p_t1 = self.p_t1_given_d[i]
+            read = (self.p_read * p_t1, self.p_read * (1.0 - p_t1), 1.0 - self.p_read)
+            out[0, i] = self.p_real * p_det * np.array(read)
+        p_bg = self.p_background
+        out[1, :] = (1.0 - self.p_real) * 0.5 * np.array([0.5 * p_bg, 0.5 * p_bg, 1.0 - p_bg])
+        return out
 
 
-def _pair_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> _PairLaw:
+def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
+    """The per-trial outcome law at storage time tau for one setting pair."""
     rho = effective_pair_state(config, config.m, tau)
     joint = np.clip(joint_probabilities(rho, pair.stokes, pair.anti_stokes), 0.0, None)
     p_det = joint.sum(axis=1)
@@ -356,15 +398,15 @@ def _pair_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> _PairL
         conditional.append(joint[i, 0] / p_det[i] if p_det[i] > 0.0 else 0.5)
     total = p_det.sum()
     p_d1 = p_det[0] / total if total > 0.0 else 0.5
-    p_read = config.gamma * config.eta_as
-    p_background = min(
-        1.0,
-        config.dark_rate + config.beta * (config.m - 1) * config.chi * config.gamma * config.eta_as,
+    a, p_herald, p_real, p_read, p_background = _trial_law(config, config.m)
+    bins = (1.0 - a) ** np.arange(config.m)
+    return OutcomeLaw(
+        float(p_d1), (float(conditional[0]), float(conditional[1])), p_read, p_background,
+        p_herald, p_real, bins / bins.sum(),
     )
-    return _PairLaw(float(p_d1), (float(conditional[0]), float(conditional[1])), p_read, p_background)
 
 
-def _simulate_chunk(gen: np.random.Generator, n: int, config: ExperimentConfig, law: _PairLaw):
+def _simulate_chunk(gen: np.random.Generator, n: int, config: ExperimentConfig, law: OutcomeLaw):
     """Vectorized simulation of n trials.
 
     Fixed draw order (part of the reproducibility contract): per-bin
@@ -423,28 +465,6 @@ def _simulate_chunk(gen: np.random.Generator, n: int, config: ExperimentConfig, 
     return heralded, first_bin, herald_true, herald_det, readout_det
 
 
-def _chunk_counts(gen, n, config, law, m):
-    """Counts for one chunk: (c11, c12, c21, c22, n_d1, n_d2, n_total,
-    n_dark) plus the herald-bin histogram."""
-    heralded, first_bin, herald_true, herald_det, readout_det = _simulate_chunk(gen, n, config, law)
-    d1 = herald_det == 1
-    d2 = herald_det == 2
-    t1 = readout_det == 1
-    t2 = readout_det == 2
-    counts = (
-        int(np.count_nonzero(d1 & t1)),
-        int(np.count_nonzero(d1 & t2)),
-        int(np.count_nonzero(d2 & t1)),
-        int(np.count_nonzero(d2 & t2)),
-        int(np.count_nonzero(d1)),
-        int(np.count_nonzero(d2)),
-        int(n),
-        int(np.count_nonzero(heralded & ~herald_true)),
-    )
-    histogram = np.bincount(first_bin[heralded], minlength=m).astype(np.int64)
-    return counts, histogram
-
-
 def run_trial(
     config: ExperimentConfig,
     tau: float,
@@ -459,7 +479,7 @@ def run_trial(
     """
     if tau < 0.0:
         raise ValueError(f"storage time must be non-negative, got {tau}")
-    law = _pair_law(config, tau, pair)
+    law = outcome_law(config, tau, pair)
     heralded, first_bin, herald_true, herald_det, readout_det = _simulate_chunk(
         rng, 1, config, law
     )
@@ -476,23 +496,16 @@ def run_trial(
     )
 
 
-def _chunk_sizes(n_trials: int) -> Iterable[tuple[int, int]]:
-    chunk_index = 0
-    remaining = n_trials
-    while remaining > 0:
-        size = CHUNK_TRIALS if remaining >= CHUNK_TRIALS else remaining
-        yield chunk_index, size
-        chunk_index += 1
-        remaining -= size
-
-
 def run_batch(plan: RunPlan, n_threads: int = 1) -> BatchResult:
     """Run n_trials write trains per analyzer setting pair.
 
-    n_threads only changes wall-clock time: work is split into fixed chunks
-    with chunk-keyed RNG streams and the integer counts are summed, so the
-    output is bitwise identical for any thread count. Totals accumulate in
-    Python integers, which cannot overflow.
+    The aggregates are drawn from the exact outcome law instead of simulating
+    every bin. Setting pair s draws from stream (seed, trials domain, s) in
+    this fixed order: the herald count ~ Binomial(n_trials, p_herald); the
+    twelve outcome cells of outcome_law ~ Multinomial(heralds, cells); the
+    herald-bin histogram ~ Multinomial(heralds, bins). The cost per pair is
+    O(m), whatever n_trials is. n_threads is accepted and validated for
+    compatibility and has no effect. Totals are Python integers.
 
     p_s_hat is heralds/trials over the whole batch. p_sas_hat is
     coincidences/trials restricted to H/V-basis setting pairs when the plan
@@ -501,64 +514,31 @@ def run_batch(plan: RunPlan, n_threads: int = 1) -> BatchResult:
     """
     if n_threads < 1:
         raise ValueError(f"thread count must be at least 1, got {n_threads}")
-    config = plan.config
-    m = config.m
-    laws = [_pair_law(config, plan.tau, pair) for pair in plan.settings]
-
-    tasks = [
-        (s_idx, chunk_idx, size)
-        for s_idx in range(len(plan.settings))
-        for chunk_idx, size in _chunk_sizes(plan.n_trials)
-    ]
-
-    def run_task(task):
-        s_idx, chunk_idx, size = task
-        gen = derive_stream(plan.seed, _DOMAIN_TRIALS, s_idx, chunk_idx)
-        return s_idx, _chunk_counts(gen, size, config, laws[s_idx], m)
-
-    totals = [[0] * 8 for _ in plan.settings]
-    histogram = np.zeros(m, dtype=np.int64)
-    if n_threads == 1:
-        results = map(run_task, tasks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=n_threads)
-        results = pool.map(run_task, tasks)
-    try:
-        for s_idx, (counts, hist) in results:
-            acc = totals[s_idx]
-            for i, value in enumerate(counts):
-                acc[i] += value
-            histogram += hist
-    finally:
-        if n_threads > 1:
-            pool.shutdown()
-
+    n = plan.n_trials
     table = CoincidenceTable()
-    n_heralds = 0
+    histogram = np.zeros(plan.config.m, dtype=np.int64)
     n_dark = 0
-    n_coincidences = 0
-    hv_coincidences = 0
-    hv_trials = 0
-    for pair, acc in zip(plan.settings, totals):
+    for s_idx, pair in enumerate(plan.settings):
+        law = outcome_law(plan.config, plan.tau, pair)
+        gen = derive_stream(plan.seed, _DOMAIN_TRIALS, s_idx, 0)
+        heralds = int(gen.binomial(n, law.p_herald))
+        cells = gen.multinomial(heralds, law.cells().ravel()).reshape(2, 2, 3)
+        histogram += gen.multinomial(heralds, law.bins)
+        (c11, c12, miss1), (c21, c22, miss2) = cells.sum(axis=0).tolist()
         row = CoincidenceRow(
             pair,
-            c_d1t1=acc[0], c_d1t2=acc[1], c_d2t1=acc[2], c_d2t2=acc[3],
-            n_d1=acc[4], n_d2=acc[5], n_total=acc[6],
+            c_d1t1=c11, c_d1t2=c12, c_d2t1=c21, c_d2t2=c22,
+            n_d1=c11 + c12 + miss1, n_d2=c21 + c22 + miss2, n_total=n,
         )
         row.validate()
         table.rows.append(row)
-        n_heralds += acc[4] + acc[5]
-        n_dark += acc[7]
-        n_coincidences += row.n_coincidences
-        if pair == HV_PAIR:
-            hv_coincidences += row.n_coincidences
-            hv_trials += acc[6]
+        n_dark += int(cells[1].sum())
 
-    n_trials_total = plan.n_trials * len(plan.settings)
-    if hv_trials:
-        p_sas_hat = hv_coincidences / hv_trials
-    else:
-        p_sas_hat = n_coincidences / n_trials_total
+    n_heralds = sum(row.n_d1 + row.n_d2 for row in table.rows)
+    n_coincidences = sum(row.n_coincidences for row in table.rows)
+    n_trials_total = n * len(plan.settings)
+    sas_rows = [row for row in table.rows if row.pair == HV_PAIR] or table.rows
+    p_sas_hat = sum(row.n_coincidences for row in sas_rows) / (n * len(sas_rows))
     return BatchResult(
         table=table,
         herald_bin_histogram=histogram,

@@ -82,6 +82,17 @@ class MeasurementSetting:
         return MeasurementSetting.linear(angle)
 
 
+def _port_kets(setting: MeasurementSetting) -> np.ndarray:
+    """Kets of the transmit and reflect ports, as the rows of a 2x2 array."""
+    if setting.kind == KIND_LINEAR:
+        a = math.radians(setting.angle_deg)
+        c, s = math.cos(a), math.sin(a)
+        return np.array([[c, s], [-s, c]], dtype=complex)
+    r_ket = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
+    l_ket = r_ket.conj()
+    return np.array([r_ket, l_ket] if setting.transmit_hand == "R" else [l_ket, r_ket])
+
+
 def projector(setting: MeasurementSetting, outcome: str) -> np.ndarray:
     """Rank-1 projector for one analyzer port.
 
@@ -90,18 +101,7 @@ def projector(setting: MeasurementSetting, outcome: str) -> np.ndarray:
     """
     if outcome not in (TRANSMIT, REFLECT):
         raise ValueError(f"outcome must be {TRANSMIT!r} or {REFLECT!r}, got {outcome!r}")
-    if setting.kind == KIND_LINEAR:
-        a = math.radians(setting.angle_deg)
-        if outcome == TRANSMIT:
-            ket = np.array([math.cos(a), math.sin(a)], dtype=complex)
-        else:
-            ket = np.array([-math.sin(a), math.cos(a)], dtype=complex)
-    else:
-        r_ket = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-        l_ket = np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0)
-        transmit_ket = r_ket if setting.transmit_hand == "R" else l_ket
-        reflect_ket = l_ket if setting.transmit_hand == "R" else r_ket
-        ket = transmit_ket if outcome == TRANSMIT else reflect_ket
+    ket = _port_kets(setting)[0 if outcome == TRANSMIT else 1]
     return np.outer(ket, ket.conj())
 
 
@@ -157,20 +157,19 @@ def validate_density(rho: np.ndarray, *, tol: float = 1e-12, eig_tol: float = 1e
 def joint_probabilities(
     rho: np.ndarray, setting_s: MeasurementSetting, setting_a: MeasurementSetting
 ) -> np.ndarray:
-    """Coincidence probabilities Tr[rho (P_i x Q_j)] as a 2x2 array.
+    """Coincidence probabilities Tr[rho (P_i x Q_j)] = <a_i b_j| rho |a_i b_j>
+    as a 2x2 array.
 
     Row index is the Stokes port (0 -> D1/transmit, 1 -> D2/reflect), column
     index the anti-Stokes port (0 -> T1, 1 -> T2). For a valid density matrix
     the four entries sum to 1 within numerical rounding.
     """
     rho = np.asarray(rho, dtype=complex)
-    ports_s = (projector(setting_s, TRANSMIT), projector(setting_s, REFLECT))
-    ports_a = (projector(setting_a, TRANSMIT), projector(setting_a, REFLECT))
-    out = np.empty((2, 2), dtype=float)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = float(np.trace(rho @ np.kron(ports_s[i], ports_a[j])).real)
-    return out
+    kets_s = _port_kets(setting_s)
+    kets_a = _port_kets(setting_a)
+    # product kets a_i x b_j in the (HH, HV, VH, VV) order, shape (2, 2, 4)
+    kets = (kets_s[:, None, :, None] * kets_a[None, :, None, :]).reshape(2, 2, 4)
+    return np.einsum("ijk,kl,ijl->ij", kets.conj(), rho, kets).real
 
 
 def stokes_marginal(rho: np.ndarray) -> np.ndarray:

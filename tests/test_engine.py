@@ -7,7 +7,6 @@ from scipy import stats
 
 from swpemux.config import ExperimentConfig
 from swpemux.engine import (
-    CHUNK_TRIALS,
     HV_PAIR,
     CoincidenceRow,
     RunPlan,
@@ -16,13 +15,16 @@ from swpemux.engine import (
     analytic_p_sas,
     derive_stream,
     effective_pair_state,
+    outcome_law,
     run_batch,
     run_coincidence_batch,
     run_trial,
     visibility,
+    _simulate_chunk,
 )
 from swpemux.states import MeasurementSetting, joint_probabilities
 from swpemux.analysis import CANONICAL_BELL, correlation_e
+from swpemux.util import first_success_probability
 
 CFG = ExperimentConfig()
 
@@ -102,6 +104,137 @@ class TestAnalyticProbabilities:
         r_sas = analytic_p_sas(CFG).exact / analytic_p_sas(CFG, m=1).exact
         assert r_sas == pytest.approx(r_s, rel=1e-12)
 
+    def test_dark_free_values_are_the_geometric_series(self):
+        # bitwise: the dark-inclusive law reduces to the dark-free one at d = 0
+        p_bin = CFG.chi * CFG.eta_d
+        for m in (1, 7, 19):
+            assert analytic_p_s(CFG, m).exact == first_success_probability(p_bin, m)
+            readout = CFG.gamma * CFG.eta_as
+            assert analytic_p_sas(CFG, m).exact == first_success_probability(p_bin, m) * readout
+
+    def test_dark_counts_included(self):
+        cfg = CFG.replace(dark_rate=3e-3)
+        a = 1.0 - (1.0 - cfg.chi * cfg.eta_d) * (1.0 - cfg.dark_rate) ** 2
+        assert analytic_p_s(cfg).exact == pytest.approx(1.0 - (1.0 - a) ** cfg.m, rel=1e-12)
+        p_real = cfg.chi * cfg.eta_d / a
+        background = cfg.dark_rate + cfg.beta * (cfg.m - 1) * cfg.chi * cfg.gamma * cfg.eta_as
+        readout = p_real * cfg.gamma * cfg.eta_as + (1.0 - p_real) * background
+        assert analytic_p_sas(cfg).exact == pytest.approx(
+            analytic_p_s(cfg).exact * readout, rel=1e-12
+        )
+
+
+class TestOutcomeLaw:
+    @pytest.mark.parametrize("dark_rate", [0.0, 3e-3, 1.0])
+    def test_normalized(self, dark_rate):
+        law = outcome_law(CFG.replace(dark_rate=dark_rate), 0.7, CANONICAL_BELL.setting_pairs()[1])
+        assert law.cells().shape == (2, 2, 3)
+        assert np.all(law.cells() >= 0.0)
+        assert law.cells().sum() == pytest.approx(1.0, abs=1e-15)
+        assert law.bins.shape == (CFG.m,)
+        assert law.bins.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_no_click_possible(self):
+        # a = 0 (no detection, no dark counts): the chi eta_d / a share must
+        # not divide by zero
+        cfg = CFG.replace(eta_d=0.0)
+        law = outcome_law(cfg, 0.7, HV_PAIR)
+        assert law.p_herald == 0.0
+        assert np.all(np.isfinite(law.cells())) and np.all(np.isfinite(law.bins))
+        result = run_batch(RunPlan(cfg, 0.7, (HV_PAIR,), 100_000, 3))
+        assert result.n_heralds == 0 and result.n_coincidences == 0
+        assert result.herald_bin_histogram.sum() == 0
+        result.table.validate()
+
+    def test_every_bin_clicks(self):
+        # a = 1: every train heralds in its first bin; a real click wins it
+        # with probability chi eta_d, and the background readout always clicks
+        cfg = CFG.replace(dark_rate=1.0)
+        n = 1_000_000
+        result = run_batch(RunPlan(cfg, 0.7, (HV_PAIR,), n, 4))
+        assert result.n_heralds == n
+        assert result.herald_bin_histogram.tolist() == [n] + [0] * (cfg.m - 1)
+        p_dark = 1.0 - cfg.chi * cfg.eta_d
+        se = math.sqrt(n * p_dark * (1.0 - p_dark))
+        assert abs(result.n_dark_heralds - n * p_dark) < 4.0 * se
+        # every dark herald reads out; real ones with probability gamma eta_as
+        n_real = n - result.n_dark_heralds
+        real_coincidences = result.n_coincidences - result.n_dark_heralds
+        p_read = cfg.gamma * cfg.eta_as
+        se = math.sqrt(n_real * p_read * (1.0 - p_read))
+        assert abs(real_coincidences - n_real * p_read) < 4.0 * se
+        result.table.validate()
+
+
+def _kernel_counts(config, pair, n, seed):
+    """Aggregates of n trials simulated bin by bin by the per-trial kernel.
+
+    The kernel takes the per-pair readout parameters from outcome_law but
+    derives the herald structure itself (bins, real/dark competition, dark
+    detector identity), independently of run_batch's sampler. Returns the
+    counts (no herald, D1T1, D1T2, D2T1, D2T2, D1 without readout click,
+    D2 without readout click, dark heralds) and the herald-bin histogram."""
+    law = outcome_law(config, 0.7, pair)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(8, dtype=np.int64)
+    histogram = np.zeros(config.m, dtype=np.int64)
+    for start in range(0, n, 1 << 16):
+        size = min(1 << 16, n - start)
+        h, first_bin, herald_true, herald_det, readout_det = _simulate_chunk(rng, size, config, law)
+        readout = np.where(readout_det[h] == 0, 2, readout_det[h] - 1)
+        cells = np.bincount(3 * (herald_det[h] - 1) + readout, minlength=6)
+        counts[0] += size - int(h.sum())
+        counts[1:7] += cells[[0, 1, 3, 4, 2, 5]]
+        counts[7] += int((h & ~herald_true).sum())
+        histogram += np.bincount(first_bin[h], minlength=config.m)
+    return counts, histogram
+
+
+def _batch_counts(result):
+    """The same aggregates from a one-pair run_batch result."""
+    row = result.table.rows[0]
+    counts = np.array([
+        row.n_total - row.n_d1 - row.n_d2,
+        row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2,
+        row.n_d1 - row.c_d1t1 - row.c_d1t2, row.n_d2 - row.c_d2t1 - row.c_d2t2,
+        result.n_dark_heralds,
+    ])
+    return counts, np.asarray(result.herald_bin_histogram)
+
+
+def _homogeneity_pvalue(a, b):
+    """Chi-square p-value that two count vectors share one multinomial law;
+    categories empty in both are dropped."""
+    table = np.array([a, b])
+    table = table[:, table.sum(axis=0) > 0]
+    return stats.chi2_contingency(table, correction=False).pvalue
+
+
+class TestLawAgainstKernel:
+    @pytest.mark.parametrize(
+        "changes, pair",
+        [
+            ({"m": 7, "dark_rate": 3e-3},
+             SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.linear(67.5))),
+            ({"m": 19}, HV_PAIR),
+            # dark-dominated, so the dark herald's detector and port splits are resolved
+            ({"m": 3, "dark_rate": 0.3},
+             SettingPair(MeasurementSetting.circular_r(), MeasurementSetting.linear(0.0))),
+        ],
+    )
+    def test_aggregates_match_kernel(self, changes, pair):
+        cfg = CFG.replace(**changes)
+        n = 1_000_000
+        batch, batch_hist = _batch_counts(run_batch(RunPlan(cfg, 0.7, (pair,), n, 2718)))
+        kernel, kernel_hist = _kernel_counts(cfg, pair, n, 3141)
+        # the seven herald/readout outcomes partition the trials
+        assert batch[:7].sum() == kernel[:7].sum() == n
+        assert _homogeneity_pvalue(batch[:7], kernel[:7]) > 1e-3
+        assert _homogeneity_pvalue([batch[7], n - batch[7]], [kernel[7], n - kernel[7]]) > 1e-3
+        assert _homogeneity_pvalue(batch_hist, kernel_hist) > 1e-3
+        if cfg.dark_rate > 0.0:
+            assert batch[7] > 0 and kernel[7] > 0
+
 
 class TestSettingPair:
     def test_token_round_trip(self):
@@ -119,6 +252,7 @@ class TestRunPlan:
         [
             {"tau": -1.0},
             {"n_trials": 0},
+            {"n_trials": 2**63},
             {"seed": -1},
             {"seed": 2**64},
             {"settings": ()},
@@ -209,9 +343,8 @@ class TestRunBatch:
             assert other.p_s_hat == results[0].p_s_hat
             assert other.n_dark_heralds == results[0].n_dark_heralds
 
-    def test_chunk_boundaries(self):
-        # exercise the partial-final-chunk path and the exact-chunk path
-        for n in (CHUNK_TRIALS + 7, CHUNK_TRIALS, 100):
+    def test_small_odd_and_large_trial_counts(self):
+        for n in (1, 100, 65_543, 1_000_000_000):
             plan = RunPlan(CFG, 0.7, (HV_PAIR,), n, 5)
             result = run_batch(plan)
             assert result.n_trials_total == n
@@ -232,12 +365,20 @@ class TestRunBatch:
 
     def test_dark_heralds_appear_and_are_counted(self):
         cfg = CFG.replace(dark_rate=2e-4)
-        plan = RunPlan(cfg, 0.7, (HV_PAIR,), 400_000, 31)
+        n = 400_000
+        plan = RunPlan(cfg, 0.7, (HV_PAIR,), n, 31)
         result = run_batch(plan)
         assert result.n_dark_heralds > 0
         assert result.n_heralds > result.n_dark_heralds
+        # the law includes dark counts: herald rate and dark share within 4 SE
+        p = analytic_p_s(cfg).exact
+        assert abs(result.p_s_hat - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+        law = outcome_law(cfg, 0.7, HV_PAIR)
+        p_dark = law.p_herald * (1.0 - law.p_real)
+        se = math.sqrt(n * p_dark * (1.0 - p_dark))
+        assert abs(result.n_dark_heralds - n * p_dark) < 4.0 * se
         # background floods raise the herald estimate above the dark-free law
-        assert result.p_s_hat > analytic_p_s(cfg).exact
+        assert result.p_s_hat > first_success_probability(cfg.chi * cfg.eta_d, cfg.m)
 
     def test_storage_time_decay_shows_in_correlations(self):
         pair = CANONICAL_BELL.setting_pairs()[0]

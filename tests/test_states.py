@@ -186,6 +186,27 @@ class TestJointProbabilities:
         assert p[0, 0] == pytest.approx(0.0, abs=1e-14)
         assert p[0, 1] == pytest.approx(0.5, abs=1e-14)
 
+    def test_matches_trace_of_projector_products(self):
+        # reference: Tr[rho (P_i x Q_j)] from Kronecker products of projectors
+        def trace_formula(rho, setting_s, setting_a):
+            ports = ("transmit", "reflect")
+            return np.array([
+                [np.trace(rho @ np.kron(projector(setting_s, i), projector(setting_a, j))).real
+                 for j in ports]
+                for i in ports
+            ])
+
+        rng = np.random.default_rng(1200)
+        settings = [MeasurementSetting.linear(a) for a in (0.0, 22.5, 45.0, 67.5, 111.0, 179.9)]
+        settings += [MeasurementSetting.circular_r(), MeasurementSetting.circular_l()]
+        for _ in range(300):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            setting_s, setting_a = (settings[k] for k in rng.integers(len(settings), size=2))
+            expected = trace_formula(rho, setting_s, setting_a)
+            assert np.max(np.abs(joint_probabilities(rho, setting_s, setting_a) - expected)) < 1e-14
+
 
 def test_stokes_marginal_of_bell_states():
     for theta in (45.0, 30.0):
