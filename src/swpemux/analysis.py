@@ -429,8 +429,7 @@ def exact_coincidence_table(rho: np.ndarray, pairs: Sequence[SettingPair]) -> Co
     counts, for feeding the estimators their noiseless limit."""
     table = CoincidenceTable()
     for pair in pairs:
-        # clip the odd -1e-17 rounding artifact so estimator preconditions hold
-        p = np.clip(joint_probabilities(rho, pair.stokes, pair.anti_stokes), 0.0, None)
+        p = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
         table.rows.append(
             CoincidenceRow(
                 pair,

@@ -2,13 +2,14 @@
 
 Subcommands: simulate, bell, tomo, decay, pmc, link, calibrate, reproduce.
 Every output file is written atomically (temp file + rename) and is
-byte-for-byte reproducible for a given seed; --threads is accepted but has
-no effect. Exit codes: 0 success, 1 runtime or comparison failure, 2 usage
-or configuration error.
+byte-for-byte reproducible for a given seed; --threads is accepted for
+compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
+1 runtime or comparison failure, 2 usage or configuration error.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 from . import analysis, engine, geometry, io, link
 from .config import ExperimentConfig
 from .engine import RunPlan, SettingPair
+from .states import bell_state, validate_density
+from .util import atomic_write_text
 
 # Fixed documented default seed; pass --seed to change it.
 DEFAULT_SEED = 1905
@@ -152,7 +155,7 @@ def _cmd_simulate(args) -> int:
         n_trials=args.trials,
         seed=args.seed,
     )
-    result = engine.run_batch(plan, n_threads=args.threads)
+    result = engine.run_batch(plan)
     if args.fmt == "csv":
         io.write_coincidence_csv(result.table, args.out)
     else:
@@ -199,8 +202,6 @@ def _cmd_tomo(args) -> int:
     table = io.read_coincidence_csv(args.counts)
     raw = analysis.tomo_reconstruct(table)
     physical = analysis.project_physical(raw)
-    from .states import bell_state, validate_density
-
     violations = validate_density(physical)
     if violations:
         raise ComparisonFailure(
@@ -233,12 +234,8 @@ def _cmd_pmc(args) -> int:
     geo = geometry.BeamGeometry(write_angles=angles, stokes_angle=args.stokes_angle)
     scan = geometry.scan_geometry(geo, tolerance=args.tolerance)
     if args.fmt == "csv":
-        lines = [",".join(repr(a) for a in geo.write_angles)]
-        for row in scan.residuals:
-            lines.append(",".join(repr(float(v)) for v in row))
-        from .util import atomic_write_text
-
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        rows = [geo.write_angles, *scan.residuals.tolist()]
+        atomic_write_text(args.out, io.csv_text(rows))
     else:
         io.write_json(
             {
@@ -287,17 +284,7 @@ def _cmd_link(args) -> int:
         fb = link.FeedbackConfig(eta=args.eta, chi=args.chi, n_attempts=m, delta_t=args.delta_t)
         rows.append(_link_row(link_config, fb))
     if args.fmt == "csv":
-        import csv as csv_module
-        import io as io_module
-
-        buffer = io_module.StringIO()
-        writer = csv_module.writer(buffer, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
-        from .util import atomic_write_text
-
-        atomic_write_text(args.out, buffer.getvalue())
+        atomic_write_text(args.out, io.csv_text([rows[0].keys(), *(r.values() for r in rows)]))
     else:
         io.write_json(rows if len(rows) > 1 else rows[0], args.out)
     return EXIT_OK
@@ -327,6 +314,12 @@ def _check(name: str, value: float, low: float, high: float) -> dict:
     }
 
 
+def _row_seed(seed: int, k: int) -> int:
+    """Seed of a figure's k-th row: seed + k, wrapped into [0, 2^64) so that
+    every valid seed gives every row its own stream."""
+    return (seed + k) % (1 << 64)
+
+
 def _simulated_s(config, tau, n_coincidences, seed) -> tuple:
     table = engine.run_coincidence_batch(
         config, tau, analysis.CANONICAL_BELL.setting_pairs(), n_coincidences, seed
@@ -334,12 +327,14 @@ def _simulated_s(config, tau, n_coincidences, seed) -> tuple:
     return analysis.bell_s(table)
 
 
-def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int], threads: int):
+def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """Herald probability versus mode count; the multiplexing gain.
 
     The endpoints default to 10^9 trials, where the ratio's standard error
     (below 0.02) is small against the [18.5, 19.0] window; run_batch's cost
-    does not grow with the trial count.
+    does not grow with the trial count. Each m draws from its own seed, so
+    the rows' errors are independent. A run whose m = 1 row drew no heralds
+    has no ratio (NaN) and fails the ratio check.
     """
     endpoint_trials = trials or 1_000_000_000
     sweep_trials = min(endpoint_trials, 1_000_000)
@@ -348,8 +343,8 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int], 
     for m in range(1, config.m + 1):
         cfg_m = config.replace(m=m)
         n = endpoint_trials if m in (1, config.m) else sweep_trials
-        plan = RunPlan(cfg_m, config.tau_ref, (engine.HV_PAIR,), n, seed)
-        result = engine.run_batch(plan, n_threads=threads)
+        plan = RunPlan(cfg_m, config.tau_ref, (engine.HV_PAIR,), n, _row_seed(seed, m))
+        result = engine.run_batch(plan)
         analytic = engine.analytic_p_s(cfg_m)
         rows.append(
             {
@@ -361,7 +356,7 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int], 
             }
         )
         estimates[m] = (result.p_s_hat, n)
-    ratio = estimates[config.m][0] / estimates[1][0]
+    ratio = estimates[config.m][0] / estimates[1][0] if estimates[1][0] > 0.0 else math.nan
     checks = [_check("p_s_ratio_m19_vs_m1", ratio, 18.5, 19.0)]
     for m in (1, config.m):
         p_hat, n = estimates[m]
@@ -373,14 +368,14 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int], 
     return rows, checks
 
 
-def _reproduce_fig3(config: ExperimentConfig, seed: int, trials: Optional[int], threads: int):
+def _reproduce_fig3(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """CHSH decay with storage time, plus the fitted memory lifetime."""
     n = trials or 1_000_000
     tau_grid = (0.7, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     rows = []
     points = []
     for index, tau in enumerate(tau_grid):
-        s_value, s_error = _simulated_s(config, tau, n, seed + index)
+        s_value, s_error = _simulated_s(config, tau, n, _row_seed(seed, index))
         rows.append({"tau": tau, "s": s_value, "s_err": s_error})
         points.append((tau, s_value, s_error))
     fit = analysis.fit_decay(points)
@@ -392,10 +387,8 @@ def _reproduce_fig3(config: ExperimentConfig, seed: int, trials: Optional[int], 
     return rows + [{"fit": fit.to_dict()}], checks
 
 
-def _reproduce_fig4(config: ExperimentConfig, seed: int, trials: Optional[int], threads: int):
+def _reproduce_fig4(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """Tomography of the calibrated multiplexed state and its fidelity."""
-    from .states import bell_state
-
     n = trials or 100_000
     table = engine.run_coincidence_batch(
         config, config.tau_ref, analysis.tomography_setting_pairs(), n, seed
@@ -408,14 +401,14 @@ def _reproduce_fig4(config: ExperimentConfig, seed: int, trials: Optional[int], 
     return rows, checks
 
 
-def _reproduce_fig5(config: ExperimentConfig, seed: int, trials: Optional[int], threads: int):
+def _reproduce_fig5(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """CHSH and coincidence probability versus mode count."""
     n = trials or 1_000_000
     rows = []
     s_values = {}
     for m in range(1, config.m + 1):
         cfg_m = config.replace(m=m)
-        s_value, s_error = _simulated_s(cfg_m, config.tau_ref, n, seed + m)
+        s_value, s_error = _simulated_s(cfg_m, config.tau_ref, n, _row_seed(seed, m))
         p_sas = engine.analytic_p_sas(cfg_m)
         rows.append(
             {
@@ -456,7 +449,7 @@ _FIGURES = {
 
 def _cmd_reproduce(args) -> int:
     config = _load_config(args.config)
-    rows, checks = _FIGURES[args.figure](config, args.seed, args.trials, args.threads)
+    rows, checks = _FIGURES[args.figure](config, args.seed, args.trials)
     passed = all(c["passed"] for c in checks)
     io.write_json(
         {"figure": args.figure, "seed": args.seed, "data": rows, "checks": checks,
@@ -485,6 +478,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # --threads changes nothing, but a count below 1 is still bad input
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"thread count must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,8 @@ samples single trials from the same model for run_trial.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
-a fixed order, so a batch is bitwise reproducible for a given seed.
+a fixed order, so a batch is bitwise reproducible for a given seed. Sampling
+runs on the calling thread; there is no thread count to choose.
 """
 from __future__ import annotations
 
@@ -32,23 +33,22 @@ from .states import (
     joint_probabilities,
     werner_state,
 )
-from .util import first_success_probability
+from .util import ProbabilityPair, first_success_probability
 
 _DOMAIN_TRIALS = 0
 _DOMAIN_COINCIDENCE = 1
 
 _MAX_SEED = 1 << 64
 _MAX_SETTINGS = 1 << 20
-_MAX_CHUNKS = 1 << 40
 _MAX_TRIALS = 1 << 63  # the binomial draw takes a signed 64-bit trial count
 
 
-def derive_stream(seed: int, domain: int, setting_index: int, chunk_index: int) -> np.random.Generator:
-    """Independent Philox stream for one (domain, setting, chunk) cell.
+def derive_stream(seed: int, domain: int, setting_index: int) -> np.random.Generator:
+    """Independent Philox stream for one (seed, domain, setting) cell.
 
-    The 128-bit Philox key is seed | domain<<64 | setting<<68 | chunk<<88.
-    Distinct keys give statistically independent counter-mode streams. The
-    engine's samplers use chunk index 0 only: one stream per setting pair.
+    The 128-bit Philox key is seed | domain<<64 | setting<<68. Distinct keys
+    give statistically independent counter-mode streams, so each setting
+    pair of a batch draws from its own stream.
     """
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
@@ -56,9 +56,7 @@ def derive_stream(seed: int, domain: int, setting_index: int, chunk_index: int) 
         raise ValueError(f"domain must lie in [0, 16), got {domain}")
     if not 0 <= setting_index < _MAX_SETTINGS:
         raise ValueError(f"setting index must lie in [0, 2^20), got {setting_index}")
-    if not 0 <= chunk_index < _MAX_CHUNKS:
-        raise ValueError(f"chunk index must lie in [0, 2^40), got {chunk_index}")
-    key = seed | (domain << 64) | (setting_index << 68) | (chunk_index << 88)
+    key = seed | (domain << 64) | (setting_index << 68)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -112,13 +110,6 @@ def effective_pair_state(
     """Werner-form effective state of one heralded mode pair:
     V(m, tau) rho_pair(theta) + (1 - V) I/4."""
     return werner_state(config.theta, visibility(config, m, tau, form=form))
-
-
-class ProbabilityPair(NamedTuple):
-    """Exact geometric-series value and its first-order (linear in m) form."""
-
-    exact: float
-    linear: float
 
 
 def _trial_law(config: ExperimentConfig, m: int) -> tuple:
@@ -302,17 +293,6 @@ class CoincidenceRow:
         if self.n_d1 + self.n_d2 > self.n_total:
             raise ValueError("total heralds exceed the number of trials")
 
-    def merge(self, other: "CoincidenceRow") -> None:
-        if other.pair != self.pair:
-            raise ValueError("cannot merge rows with different setting pairs")
-        self.c_d1t1 += other.c_d1t1
-        self.c_d1t2 += other.c_d1t2
-        self.c_d2t1 += other.c_d2t1
-        self.c_d2t2 += other.c_d2t2
-        self.n_d1 += other.n_d1
-        self.n_d2 += other.n_d2
-        self.n_total += other.n_total
-
 
 @dataclass
 class CoincidenceTable:
@@ -329,14 +309,6 @@ class CoincidenceTable:
             if row.pair == pair:
                 return row
         raise KeyError(f"no row for setting pair {pair.tokens()}")
-
-    def merge(self, other: "CoincidenceTable") -> None:
-        """Row-wise merge of two tables over the same setting pairs. Counts
-        are integers, so the merge order can never change the result."""
-        if len(other.rows) != len(self.rows):
-            raise ValueError("cannot merge tables with different row counts")
-        for mine, theirs in zip(self.rows, other.rows):
-            mine.merge(theirs)
 
 
 @dataclass
@@ -389,7 +361,7 @@ class OutcomeLaw(NamedTuple):
 def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
     """The per-trial outcome law at storage time tau for one setting pair."""
     rho = effective_pair_state(config, config.m, tau)
-    joint = np.clip(joint_probabilities(rho, pair.stokes, pair.anti_stokes), 0.0, None)
+    joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
     p_det = joint.sum(axis=1)
     conditional = []
     for i in range(2):
@@ -496,7 +468,7 @@ def run_trial(
     )
 
 
-def run_batch(plan: RunPlan, n_threads: int = 1) -> BatchResult:
+def run_batch(plan: RunPlan) -> BatchResult:
     """Run n_trials write trains per analyzer setting pair.
 
     The aggregates are drawn from the exact outcome law instead of simulating
@@ -504,23 +476,21 @@ def run_batch(plan: RunPlan, n_threads: int = 1) -> BatchResult:
     this fixed order: the herald count ~ Binomial(n_trials, p_herald); the
     twelve outcome cells of outcome_law ~ Multinomial(heralds, cells); the
     herald-bin histogram ~ Multinomial(heralds, bins). The cost per pair is
-    O(m), whatever n_trials is. n_threads is accepted and validated for
-    compatibility and has no effect. Totals are Python integers.
+    O(m), whatever n_trials is, and the result depends only on the plan.
+    Totals are Python integers.
 
     p_s_hat is heralds/trials over the whole batch. p_sas_hat is
     coincidences/trials restricted to H/V-basis setting pairs when the plan
     contains any (readout success is polarization independent in this model,
     so other pairs estimate the same number); otherwise all pairs count.
     """
-    if n_threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {n_threads}")
     n = plan.n_trials
     table = CoincidenceTable()
     histogram = np.zeros(plan.config.m, dtype=np.int64)
     n_dark = 0
     for s_idx, pair in enumerate(plan.settings):
         law = outcome_law(plan.config, plan.tau, pair)
-        gen = derive_stream(plan.seed, _DOMAIN_TRIALS, s_idx, 0)
+        gen = derive_stream(plan.seed, _DOMAIN_TRIALS, s_idx)
         heralds = int(gen.binomial(n, law.p_herald))
         cells = gen.multinomial(heralds, law.cells().ravel()).reshape(2, 2, 3)
         histogram += gen.multinomial(heralds, law.bins)
@@ -579,9 +549,9 @@ def run_coincidence_batch(
     rho = effective_pair_state(config, config.m, tau)
     table = CoincidenceTable()
     for s_idx, pair in enumerate(settings):
-        joint = np.clip(joint_probabilities(rho, pair.stokes, pair.anti_stokes), 0.0, None)
+        joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
         probabilities = (joint / joint.sum()).ravel()
-        gen = derive_stream(seed, _DOMAIN_COINCIDENCE, s_idx, 0)
+        gen = derive_stream(seed, _DOMAIN_COINCIDENCE, s_idx)
         c11, c12, c21, c22 = (int(v) for v in gen.multinomial(n_coincidences, probabilities))
         row = CoincidenceRow(
             pair,

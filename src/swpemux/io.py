@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .engine import BatchResult, CoincidenceRow, CoincidenceTable, SettingPair
 from .util import atomic_write_text
@@ -29,17 +29,22 @@ COINCIDENCE_COLUMNS = (
 )
 
 
-def coincidence_table_to_csv(table: CoincidenceTable) -> str:
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV text of rows, one line each, \\n-terminated. Python floats are
+    written in their shortest round-trip form (repr)."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(COINCIDENCE_COLUMNS)
-    for row in table.rows:
-        stokes, anti = row.pair.tokens()
-        writer.writerow(
-            [stokes, anti, row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2,
-             row.n_d1, row.n_d2, row.n_total]
-        )
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def _coincidence_fields(row: CoincidenceRow) -> tuple:
+    """One row's values in COINCIDENCE_COLUMNS order."""
+    return (*row.pair.tokens(), row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2,
+            row.n_d1, row.n_d2, row.n_total)
+
+
+def coincidence_table_to_csv(table: CoincidenceTable) -> str:
+    return csv_text([COINCIDENCE_COLUMNS, *map(_coincidence_fields, table.rows)])
 
 
 def write_coincidence_csv(table: CoincidenceTable, path: str) -> None:
@@ -92,24 +97,9 @@ def read_json(path: str) -> Any:
 
 
 def batch_result_to_dict(result: BatchResult) -> dict:
-    rows = []
-    for row in result.table.rows:
-        stokes, anti = row.pair.tokens()
-        rows.append(
-            {
-                "setting_s": stokes,
-                "setting_a": anti,
-                "c_d1t1": row.c_d1t1,
-                "c_d1t2": row.c_d1t2,
-                "c_d2t1": row.c_d2t1,
-                "c_d2t2": row.c_d2t2,
-                "n_d1": row.n_d1,
-                "n_d2": row.n_d2,
-                "n_total": row.n_total,
-            }
-        )
     return {
-        "rows": rows,
+        "rows": [dict(zip(COINCIDENCE_COLUMNS, _coincidence_fields(row)))
+                 for row in result.table.rows],
         "herald_bin_histogram": [int(v) for v in result.herald_bin_histogram],
         "n_trials_total": result.n_trials_total,
         "n_heralds": result.n_heralds,

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .util import first_success_probability
+from .util import ProbabilityPair, first_success_probability
 
 
 @dataclass(frozen=True)
@@ -65,21 +64,14 @@ def communication_time(link: LinkConfig) -> float:
     return link.l0_km * 1e6 / link.c_fiber_km_s
 
 
-class MultiplexedProbability(NamedTuple):
-    """Exact 1 - (1 - p1)^m and the linear approximation m p1 (reported as
-    is; it exceeds 1 where the approximation breaks down)."""
-
-    exact: float
-    linear: float
-
-
-def p_link_multiplexed(p1: float, m: int) -> MultiplexedProbability:
-    """Entanglement probability per attempt cycle with m parallel modes."""
+def p_link_multiplexed(p1: float, m: int) -> ProbabilityPair:
+    """Entanglement probability per attempt cycle with m parallel modes: the
+    exact 1 - (1 - p1)^m and the linear approximation m p1."""
     if not 0.0 < p1 <= 1.0:
         raise ValueError(f"p1 must lie in (0, 1], got {p1}")
     if m < 1:
         raise ValueError(f"mode count must be at least 1, got {m}")
-    return MultiplexedProbability(first_success_probability(p1, m), m * p1)
+    return ProbabilityPair(first_success_probability(p1, m), m * p1)
 
 
 @dataclass(frozen=True)
@@ -174,9 +166,9 @@ def feedback_vs_multiplexed_report(fb: FeedbackConfig, config) -> StrategyCompar
     the experiment configuration) or a plain integer. Requires
     n_attempts == m; both strategies then share the per-attempt probability
     eta chi and the attempt spacing delta_t, so their success probabilities
-    and wall-clock times are identical and the report asserts as much. The
-    memory must survive the full retry train either way, which is also the
-    multiplexed train duration.
+    and wall-clock times are identical by construction: one geometric kernel,
+    first_success_probability, backs both. The memory must survive the full
+    retry train either way, which is also the multiplexed train duration.
     """
     m = config if isinstance(config, int) else config.m
     if m != fb.n_attempts:
@@ -188,8 +180,6 @@ def feedback_vs_multiplexed_report(fb: FeedbackConfig, config) -> StrategyCompar
     multiplexed = p_link_multiplexed(p_attempt, m)
     time_feedback = feedback.total_time_us
     time_multiplexed = m * fb.delta_t
-    if feedback.p_exact != multiplexed.exact or time_feedback != time_multiplexed:
-        raise AssertionError("equal-rate strategies diverged; geometric kernel broken")
     return StrategyComparison(
         n_attempts=fb.n_attempts,
         m=m,

@@ -162,14 +162,16 @@ def joint_probabilities(
 
     Row index is the Stokes port (0 -> D1/transmit, 1 -> D2/reflect), column
     index the anti-Stokes port (0 -> T1, 1 -> T2). For a valid density matrix
-    the four entries sum to 1 within numerical rounding.
+    the four entries sum to 1 within numerical rounding. Entries are clipped
+    at 0: rounding leaves about -1e-17 where a valid state gives exactly 0,
+    and the samplers and estimators need non-negative probabilities.
     """
     rho = np.asarray(rho, dtype=complex)
     kets_s = _port_kets(setting_s)
     kets_a = _port_kets(setting_a)
     # product kets a_i x b_j in the (HH, HV, VH, VV) order, shape (2, 2, 4)
     kets = (kets_s[:, None, :, None] * kets_a[None, :, None, :]).reshape(2, 2, 4)
-    return np.einsum("ijk,kl,ijl->ij", kets.conj(), rho, kets).real
+    return np.maximum(np.einsum("ijk,kl,ijl->ij", kets.conj(), rho, kets).real, 0.0)
 
 
 def stokes_marginal(rho: np.ndarray) -> np.ndarray:

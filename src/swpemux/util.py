@@ -4,6 +4,16 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from typing import NamedTuple
+
+
+class ProbabilityPair(NamedTuple):
+    """Exact geometric-series value and its first-order (linear in the
+    attempt count) form, reported as is: the linear form exceeds 1 where the
+    approximation breaks down."""
+
+    exact: float
+    linear: float
 
 
 def first_success_probability(p: float, n: int) -> float:

@@ -1,8 +1,10 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
+import csv
 import json
 
 import pytest
 
+from swpemux import engine
 from swpemux.analysis import CANONICAL_BELL, tomography_setting_pairs
 from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from swpemux.config import ExperimentConfig
@@ -214,6 +216,20 @@ class TestLink:
         payload = load(out)
         assert [row["m"] for row in payload] == [1, 5, 19]
 
+    def test_mode_grid_csv_matches_json(self, tmp_path):
+        json_out = str(tmp_path / "grid.json")
+        csv_out = str(tmp_path / "grid.csv")
+        assert run_cli("link", "--out", json_out, "--m-grid", "1,5,19") == EXIT_OK
+        assert run_cli("link", "--out", csv_out, "--m-grid", "1,5,19",
+                       "--format", "csv") == EXIT_OK
+        with open(csv_out, newline="") as handle:
+            csv_rows = list(csv.DictReader(handle))
+        json_rows = load(json_out)
+        assert len(csv_rows) == len(json_rows) == 3
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert csv_row.keys() == json_row.keys()
+            assert all(float(csv_row[k]) == json_row[k] for k in json_row)
+
     def test_bad_parameters_are_usage_errors(self, tmp_path):
         assert run_cli(
             "link", "--out", str(tmp_path / "x.json"), "--p1", "2.0"
@@ -265,6 +281,40 @@ class TestReproduce:
         payload = load(out)
         assert payload["passed"] is False
 
+    def test_fig2_rows_draw_from_distinct_seeds(self, tmp_path, monkeypatch):
+        seeds = []
+        run_batch = engine.run_batch
+
+        def recording_run_batch(plan):
+            seeds.append(plan.seed)
+            return run_batch(plan)
+
+        monkeypatch.setattr(engine, "run_batch", recording_run_batch)
+        run_cli("reproduce", "--figure", "fig2", "--out", str(tmp_path / "fig2.json"),
+                "--trials", "20000")
+        assert len(seeds) == CFG.m
+        assert len(set(seeds)) == CFG.m
+
+    def test_fig2_without_m1_heralds_fails_cleanly(self, tmp_path):
+        # at 100 trials the m = 1 row draws no heralds, so there is no ratio
+        out = str(tmp_path / "fig2.json")
+        code = run_cli("reproduce", "--figure", "fig2", "--out", out, "--trials", "100")
+        assert code == EXIT_RUNTIME
+        payload = load(out)
+        assert payload["data"][0]["p_s_hat"] == 0.0
+        ratio_check = payload["checks"][0]
+        assert ratio_check["name"] == "p_s_ratio_m19_vs_m1"
+        assert ratio_check["passed"] is False
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig5"])
+    def test_largest_seed_is_accepted(self, tmp_path, figure):
+        # per-row seeds seed + k wrap around instead of leaving [0, 2^64)
+        out = str(tmp_path / f"{figure}.json")
+        code = run_cli("reproduce", "--figure", figure, "--out", out,
+                       "--seed", str(2**64 - 1), "--trials", "20000")
+        assert code != EXIT_USAGE
+        assert load(out)["seed"] == 2**64 - 1
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -286,6 +336,16 @@ class TestExitCodes:
             "simulate", "--out", str(tmp_path / "x.csv"),
             "--trials", "10", "--seed", "-4",
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--trials", "10"),
+        ("reproduce", "--figure", "fig2"),
+        ("reproduce", "--figure", "fig3"),
+        ("reproduce", "--figure", "fig4"),
+        ("reproduce", "--figure", "fig5"),
+    ], ids=["simulate", "fig2", "fig3", "fig4", "fig5"])
+    def test_zero_threads(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "x"), "--threads", "0") == EXIT_USAGE
 
     def test_zero_trials(self, tmp_path):
         assert run_cli(

@@ -31,24 +31,24 @@ CFG = ExperimentConfig()
 
 class TestDeriveStream:
     def test_reproducible(self):
-        a = derive_stream(123, 0, 2, 5).random(8)
-        b = derive_stream(123, 0, 2, 5).random(8)
+        a = derive_stream(123, 0, 2).random(8)
+        b = derive_stream(123, 0, 2).random(8)
         assert np.array_equal(a, b)
 
     def test_distinct_coordinates(self):
-        base = derive_stream(123, 0, 0, 0).random(4)
-        for args in [(124, 0, 0, 0), (123, 1, 0, 0), (123, 0, 1, 0), (123, 0, 0, 1)]:
+        base = derive_stream(123, 0, 0).random(4)
+        for args in [(124, 0, 0), (123, 1, 0), (123, 0, 1)]:
             assert not np.array_equal(base, derive_stream(*args).random(4))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            derive_stream(-1, 0, 0, 0)
+            derive_stream(-1, 0, 0)
         with pytest.raises(ValueError):
-            derive_stream(2**64, 0, 0, 0)
+            derive_stream(2**64, 0, 0)
         with pytest.raises(ValueError):
-            derive_stream(0, 16, 0, 0)
+            derive_stream(0, 16, 0)
         with pytest.raises(ValueError):
-            derive_stream(0, 0, 1 << 20, 0)
+            derive_stream(0, 0, 1 << 20)
 
 
 class TestVisibility:
@@ -324,7 +324,7 @@ class TestRunBatch:
     def test_herald_bin_histogram_geometric(self):
         # earlier bins herald first; conditional law is truncated geometric
         plan = RunPlan(CFG, 0.7, (HV_PAIR,), 3_000_000, 77)
-        result = run_batch(plan, n_threads=4)
+        result = run_batch(plan)
         hist = np.asarray(result.herald_bin_histogram, dtype=float)
         assert hist.shape == (CFG.m,)
         assert hist.sum() == result.n_heralds
@@ -333,15 +333,6 @@ class TestRunBatch:
         law /= law.sum()
         chi2 = stats.chisquare(hist, f_exp=law * hist.sum())
         assert chi2.pvalue > 1e-4
-
-    def test_thread_count_never_changes_results(self):
-        plan = RunPlan(CFG, 0.7, CANONICAL_BELL.setting_pairs(), 150_000, 90210)
-        results = [run_batch(plan, n_threads=k) for k in (1, 4, 16)]
-        for other in results[1:]:
-            assert other.table.rows == results[0].table.rows
-            assert np.array_equal(other.herald_bin_histogram, results[0].herald_bin_histogram)
-            assert other.p_s_hat == results[0].p_s_hat
-            assert other.n_dark_heralds == results[0].n_dark_heralds
 
     def test_small_odd_and_large_trial_counts(self):
         for n in (1, 100, 65_543, 1_000_000_000):
@@ -355,7 +346,7 @@ class TestRunBatch:
     def test_conditional_correlation_matches_state(self):
         pair = CANONICAL_BELL.setting_pairs()[0]
         plan = RunPlan(CFG, 0.7, (pair,), 2_500_000, 404)
-        result = run_batch(plan, n_threads=4)
+        result = run_batch(plan)
         row = result.table.rows[0]
         e_hat, e_err = correlation_e(row)
         rho = effective_pair_state(CFG, tau=0.7)
@@ -394,20 +385,6 @@ class TestCoincidenceRow:
         row = CoincidenceRow(HV_PAIR, 10, 0, 0, 0, n_d1=5, n_d2=0, n_total=100)
         with pytest.raises(ValueError):
             row.validate()
-
-    def test_merge_accumulates_in_place(self):
-        a = CoincidenceRow(HV_PAIR, 1, 2, 3, 4, n_d1=5, n_d2=9, n_total=100)
-        b = CoincidenceRow(HV_PAIR, 10, 0, 0, 0, n_d1=12, n_d2=2, n_total=50)
-        a.merge(b)
-        assert a.counts().tolist() == [[11, 2], [3, 4]]
-        assert a.n_total == 150
-
-    def test_merge_rejects_mismatched_pairs(self):
-        a = CoincidenceRow(HV_PAIR, 1, 2, 3, 4, n_d1=5, n_d2=9, n_total=100)
-        other = SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.linear(22.5))
-        b = CoincidenceRow(other, 0, 0, 0, 0, n_d1=0, n_d2=0, n_total=1)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestCoincidenceSampler:
