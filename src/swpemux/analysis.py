@@ -21,18 +21,25 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 # Pauli-like observables of the three tomography bases, in the fixed order
 # (H/V, D/A, R/L). Index 0 below is the identity.
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-)
+_SIGMA = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+], dtype=complex)
+
+# sigma_j x sigma_k at index 4 j + k, the fixed linear map of the inversion:
+# the np.kron products, built in one broadcast (16 krons take about 0.4 ms)
+_PAULI_PRODUCTS = (
+    _SIGMA[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]
+).reshape(16, 4, 4)
 
 TOMOGRAPHY_BASES = (
     MeasurementSetting.linear(0.0),    # H/V, observable diag(1, -1)
     MeasurementSetting.linear(45.0),   # D/A
     MeasurementSetting.circular_r(),   # R/L
 )
+_BASIS_INDEX = {basis: index for index, basis in enumerate(TOMOGRAPHY_BASES)}
 
 
 @dataclass(frozen=True)
@@ -67,10 +74,12 @@ CANONICAL_BELL = BellSettings()
 
 
 def _as_counts(source) -> np.ndarray:
-    if hasattr(source, "counts"):
-        counts = np.asarray(source.counts(), dtype=float)
-    else:
-        counts = np.asarray(source, dtype=float)
+    if isinstance(source, CoincidenceRow):
+        values = (source.c_d1t1, source.c_d1t2, source.c_d2t1, source.c_d2t2)
+        if any(v < 0 for v in values):
+            raise ValueError("coincidence counts must be non-negative")
+        return np.array(values, dtype=float).reshape(2, 2)
+    counts = np.asarray(source, dtype=float)
     if counts.shape == (4,):
         counts = counts.reshape(2, 2)
     if counts.shape != (2, 2):
@@ -121,9 +130,9 @@ def tomography_setting_pairs() -> tuple:
 
 
 def _basis_index(setting: MeasurementSetting) -> int:
-    for index, basis in enumerate(TOMOGRAPHY_BASES):
-        if setting == basis:
-            return index
+    index = _BASIS_INDEX.get(setting)
+    if index is not None:
+        return index
     raise ValueError(
         f"setting {setting.token()!r} is not one of the tomography bases "
         "(linear 0, linear 45, circular R)"
@@ -163,10 +172,8 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
         correlators[j + 1, 0] += float((marg_s * p).sum()) / 3.0
         correlators[0, k + 1] += float((marg_a * p).sum()) / 3.0
 
-    rho = np.zeros((4, 4), dtype=complex)
-    for j in range(4):
-        for k in range(4):
-            rho += correlators[j, k] * np.kron(_SIGMA[j], _SIGMA[k])
+    # the sum over the first axis adds the terms in order, term (0, 0) first
+    rho = (correlators.reshape(16, 1, 1) * _PAULI_PRODUCTS).sum(axis=0)
     return rho / 4.0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -75,6 +76,12 @@ class ExperimentConfig:
             raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
+        # the range checks below let these through as NaN or inf; tau_c = inf
+        # is allowed and means no memory decay
+        for name in ("beta", "tau_ref", "delta_t_train", "rep_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.chi < 1.0:
             raise ValueError(f"chi must lie strictly inside (0, 1), got {self.chi}")
         if not 0.0 <= self.theta <= 90.0:

@@ -16,11 +16,15 @@ samples single trials from the same model for run_trial.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
-a fixed order, so a batch is bitwise reproducible for a given seed. Sampling
-runs on the calling thread; there is no thread count to choose.
+a fixed order, so a batch is bitwise reproducible for a given seed. A batch
+builds one Philox generator and re-keys it for each setting pair by setting
+its state (counter 0, the pair's key, empty buffer), so the stream of pair s
+is still exactly derive_stream(seed, domain, s). Sampling runs on the calling
+thread; there is no thread count to choose.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
@@ -41,6 +45,18 @@ _DOMAIN_COINCIDENCE = 1
 _MAX_SEED = 1 << 64
 _MAX_SETTINGS = 1 << 20
 _MAX_TRIALS = 1 << 63  # the binomial draw takes a signed 64-bit trial count
+_KEY_WORD = (1 << 64) - 1
+
+
+def _stream_key(seed: int, domain: int, setting_index: int) -> int:
+    """128-bit Philox key seed | domain<<64 | setting<<68 of one stream."""
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if not 0 <= domain < 16:
+        raise ValueError(f"domain must lie in [0, 16), got {domain}")
+    if not 0 <= setting_index < _MAX_SETTINGS:
+        raise ValueError(f"setting index must lie in [0, 2^20), got {setting_index}")
+    return seed | (domain << 64) | (setting_index << 68)
 
 
 def derive_stream(seed: int, domain: int, setting_index: int) -> np.random.Generator:
@@ -48,20 +64,44 @@ def derive_stream(seed: int, domain: int, setting_index: int) -> np.random.Gener
 
     The 128-bit Philox key is seed | domain<<64 | setting<<68. Distinct keys
     give statistically independent counter-mode streams, so each setting
-    pair of a batch draws from its own stream.
+    pair of a batch draws from its own stream. The batch samplers do not
+    build one generator per pair: they re-key a single generator (see
+    _setting_streams), which yields exactly this stream.
     """
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    if not 0 <= domain < 16:
-        raise ValueError(f"domain must lie in [0, 16), got {domain}")
-    if not 0 <= setting_index < _MAX_SETTINGS:
-        raise ValueError(f"setting index must lie in [0, 2^20), got {setting_index}")
-    key = seed | (domain << 64) | (setting_index << 68)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, domain, setting_index)))
+
+
+def _setting_streams(seed: int, domain: int, count: int):
+    """Yield derive_stream(seed, domain, s) for s = 0, ..., count - 1.
+
+    One Philox generator is built and re-keyed for each s by setting its
+    state to counter 0, key s and an empty buffer, which is the state a fresh
+    Philox(key=...) starts in; building a Philox costs about ten times as
+    much, most of it a seed sequence that the key makes unused. Every item is
+    the same Generator object, valid until the next one is drawn.
+    """
+    bit_generator = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_generator)
+    for s in range(count):
+        key = _stream_key(seed, domain, s)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (key & _KEY_WORD, key >> 64)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 # ---------------------------------------------------------------------------
 # model quantities
+
+
+def _check_storage_time(tau: float) -> None:
+    if not math.isfinite(tau) or tau < 0.0:
+        raise ValueError(f"storage time tau must be finite and non-negative, got {tau}")
 
 
 def visibility(
@@ -87,8 +127,7 @@ def visibility(
         tau = config.tau_ref
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if tau < 0.0:
-        raise ValueError(f"storage time must be non-negative, got {tau}")
+    _check_storage_time(tau)
     load = config.beta * (m - 1) * config.chi
     if form == "saturating":
         base = config.v1 / (1.0 + load)
@@ -188,8 +227,7 @@ class RunPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "settings", tuple(self.settings))
-        if self.tau < 0.0:
-            raise ValueError(f"storage time must be non-negative, got {self.tau}")
+        _check_storage_time(self.tau)
         if not self.settings:
             raise ValueError("a run plan needs at least one analyzer setting pair")
         if not 1 <= self.n_trials < _MAX_TRIALS:
@@ -358,8 +396,15 @@ class OutcomeLaw(NamedTuple):
         return out
 
 
+@functools.lru_cache(maxsize=256)
 def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
-    """The per-trial outcome law at storage time tau for one setting pair."""
+    """The per-trial outcome law at storage time tau for one setting pair.
+
+    Memoized per (config, tau, pair), so run_trial and repeated batches do
+    not rebuild it; the cache is bounded because sweeps visit arbitrary
+    storage times. Every caller shares the returned law, so its bins array
+    is read-only.
+    """
     rho = effective_pair_state(config, config.m, tau)
     joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
     p_det = joint.sum(axis=1)
@@ -372,9 +417,11 @@ def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> Outc
     p_d1 = p_det[0] / total if total > 0.0 else 0.5
     a, p_herald, p_real, p_read, p_background = _trial_law(config, config.m)
     bins = (1.0 - a) ** np.arange(config.m)
+    bins /= bins.sum()
+    bins.flags.writeable = False
     return OutcomeLaw(
         float(p_d1), (float(conditional[0]), float(conditional[1])), p_read, p_background,
-        p_herald, p_real, bins / bins.sum(),
+        p_herald, p_real, bins,
     )
 
 
@@ -449,8 +496,7 @@ def run_trial(
     rng must be a stream dedicated to this trial (see derive_stream); the
     draw order is documented in _simulate_chunk.
     """
-    if tau < 0.0:
-        raise ValueError(f"storage time must be non-negative, got {tau}")
+    _check_storage_time(tau)
     law = outcome_law(config, tau, pair)
     heralded, first_bin, herald_true, herald_det, readout_det = _simulate_chunk(
         rng, 1, config, law
@@ -472,10 +518,11 @@ def run_batch(plan: RunPlan) -> BatchResult:
     """Run n_trials write trains per analyzer setting pair.
 
     The aggregates are drawn from the exact outcome law instead of simulating
-    every bin. Setting pair s draws from stream (seed, trials domain, s) in
-    this fixed order: the herald count ~ Binomial(n_trials, p_herald); the
-    twelve outcome cells of outcome_law ~ Multinomial(heralds, cells); the
-    herald-bin histogram ~ Multinomial(heralds, bins). The cost per pair is
+    every bin. Setting pair s draws from derive_stream(seed, trials domain, s),
+    through one generator re-keyed per pair, in this fixed order: the herald
+    count ~ Binomial(n_trials, p_herald); the twelve outcome cells of
+    outcome_law ~ Multinomial(heralds, cells); the herald-bin histogram ~
+    Multinomial(heralds, bins). The cost per pair is
     O(m), whatever n_trials is, and the result depends only on the plan.
     Totals are Python integers.
 
@@ -488,9 +535,9 @@ def run_batch(plan: RunPlan) -> BatchResult:
     table = CoincidenceTable()
     histogram = np.zeros(plan.config.m, dtype=np.int64)
     n_dark = 0
-    for s_idx, pair in enumerate(plan.settings):
+    streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, len(plan.settings))
+    for pair, gen in zip(plan.settings, streams):
         law = outcome_law(plan.config, plan.tau, pair)
-        gen = derive_stream(plan.seed, _DOMAIN_TRIALS, s_idx)
         heralds = int(gen.binomial(n, law.p_herald))
         cells = gen.multinomial(heralds, law.cells().ravel()).reshape(2, 2, 3)
         histogram += gen.multinomial(heralds, law.bins)
@@ -537,21 +584,22 @@ def run_coincidence_batch(
     multinomial per pair. Use it where published statistics are quoted per
     heralded coincidence; the full per-trial engine would need about
     1/(p_s gamma eta_as) trials per coincidence to reach the same counts.
-    Dark heralds are not part of the conditional law.
+    Dark heralds are not part of the conditional law. Setting pair s draws
+    from derive_stream(seed, coincidence domain, s); one generator is
+    re-keyed per pair, so no pair builds its own.
     """
     if n_coincidences < 1:
         raise ValueError(f"n_coincidences must be at least 1, got {n_coincidences}")
-    if tau < 0.0:
-        raise ValueError(f"storage time must be non-negative, got {tau}")
+    _check_storage_time(tau)
     settings = tuple(settings)
     if not settings:
         raise ValueError("need at least one analyzer setting pair")
     rho = effective_pair_state(config, config.m, tau)
     table = CoincidenceTable()
-    for s_idx, pair in enumerate(settings):
+    streams = _setting_streams(seed, _DOMAIN_COINCIDENCE, len(settings))
+    for pair, gen in zip(settings, streams):
         joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
         probabilities = (joint / joint.sum()).ravel()
-        gen = derive_stream(seed, _DOMAIN_COINCIDENCE, s_idx)
         c11, c12, c21, c22 = (int(v) for v in gen.multinomial(n_coincidences, probabilities))
         row = CoincidenceRow(
             pair,

@@ -28,6 +28,8 @@ class LinkConfig:
             raise ValueError(f"link length must be positive, got {self.l0_km}")
         if not self.c_fiber_km_s > 0.0:
             raise ValueError(f"fiber velocity must be positive, got {self.c_fiber_km_s}")
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ValueError(f"mode count m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"mode count must be at least 1, got {self.m}")
         if not 0.0 < self.p1 <= 1.0:
@@ -169,6 +171,7 @@ def feedback_vs_multiplexed_report(fb: FeedbackConfig, config) -> StrategyCompar
     and wall-clock times are identical by construction: one geometric kernel,
     first_success_probability, backs both. The memory must survive the full
     retry train either way, which is also the multiplexed train duration.
+    With eta = 0 no attempt can succeed, and both probabilities are 0.
     """
     m = config if isinstance(config, int) else config.m
     if m != fb.n_attempts:
@@ -177,7 +180,6 @@ def feedback_vs_multiplexed_report(fb: FeedbackConfig, config) -> StrategyCompar
         )
     p_attempt = fb.eta * fb.chi
     feedback = feedback_success(fb)
-    multiplexed = p_link_multiplexed(p_attempt, m)
     time_feedback = feedback.total_time_us
     time_multiplexed = m * fb.delta_t
     return StrategyComparison(
@@ -185,7 +187,7 @@ def feedback_vs_multiplexed_report(fb: FeedbackConfig, config) -> StrategyCompar
         m=m,
         p_attempt=p_attempt,
         p_feedback=feedback.p_exact,
-        p_multiplexed=multiplexed.exact,
+        p_multiplexed=first_success_probability(p_attempt, m),
         time_feedback_us=time_feedback,
         time_multiplexed_us=time_multiplexed,
         required_memory_lifetime_feedback_us=time_feedback,

@@ -22,7 +22,13 @@ from swpemux.analysis import (
     tomography_setting_pairs,
 )
 from swpemux.config import ExperimentConfig
-from swpemux.engine import CoincidenceTable, effective_pair_state, run_coincidence_batch, visibility
+from swpemux.engine import (
+    CoincidenceRow,
+    CoincidenceTable,
+    effective_pair_state,
+    run_coincidence_batch,
+    visibility,
+)
 from swpemux.states import bell_state, validate_density, werner_state
 
 CFG = ExperimentConfig()
@@ -71,6 +77,23 @@ class TestBellS:
         table = exact_coincidence_table(bell_state(45.0), CANONICAL_BELL.setting_pairs()[:3])
         with pytest.raises(KeyError):
             bell_s(table)
+
+    def test_row_counts_match_the_array_path_bitwise(self):
+        # bell_s reads rows through a CoincidenceRow fast path; correlation_e
+        # on the row's count array is the generic path
+        rng = np.random.default_rng(4141)
+        pairs = CANONICAL_BELL.setting_pairs()
+        for _ in range(200):
+            top = 10 ** int(rng.integers(1, 10))
+            table = CoincidenceTable()
+            for pair in pairs:
+                c = [int(v) for v in rng.integers(1, top, size=4)]
+                table.rows.append(CoincidenceRow(
+                    pair, *c, n_d1=c[0] + c[1], n_d2=c[2] + c[3], n_total=sum(c)))
+            e = [correlation_e(np.asarray(row.counts(), dtype=float)) for row in table.rows]
+            value = e[0][0] - e[1][0] + e[2][0] + e[3][0]
+            error = math.sqrt(sum(v[1] ** 2 for v in e))
+            assert bell_s(table) == (value, error)
 
     def test_tsirelson_never_exceeded_on_random_states(self):
         rng = np.random.default_rng(2718)
@@ -147,6 +170,54 @@ class TestTomography:
         table = exact_coincidence_table(bell_state(45.0), CANONICAL_BELL.setting_pairs())
         with pytest.raises(ValueError):
             tomo_reconstruct(table)
+
+    @staticmethod
+    def loop_inversion(table):
+        """The inversion written out: counts through CoincidenceRow.counts(),
+        a linear basis scan and one np.kron per Pauli product."""
+        sigma = (
+            np.eye(2, dtype=complex),
+            np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+            np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+            np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        )
+        bases = [pair.stokes for pair in tomography_setting_pairs()[::3]]
+        correlators = np.zeros((4, 4))
+        correlators[0, 0] = 1.0
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        marg_s = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        for row in table.rows:
+            j, k = bases.index(row.pair.stokes), bases.index(row.pair.anti_stokes)
+            counts = np.asarray(row.counts(), dtype=float)
+            p = counts / counts.sum()
+            correlators[j + 1, k + 1] = float((sign * p).sum())
+            correlators[j + 1, 0] += float((marg_s * p).sum()) / 3.0
+            correlators[0, k + 1] += float((marg_s.T * p).sum()) / 3.0
+        rho = np.zeros((4, 4), dtype=complex)
+        for j in range(4):
+            for k in range(4):
+                rho += correlators[j, k] * np.kron(sigma[j], sigma[k])
+        return rho / 4.0
+
+    def test_bitwise_equal_to_loop_inversion(self):
+        rng = np.random.default_rng(2001)
+        pairs = tomography_setting_pairs()
+        for trial in range(300):
+            if trial % 3 == 0:
+                table = exact_coincidence_table(random_density(rng), pairs)
+            else:
+                top = 10 ** int(rng.integers(1, 8))
+                table = CoincidenceTable()
+                for pair in pairs:
+                    c = [int(v) for v in rng.integers(0, top, size=4)]
+                    if trial % 3 == 2:  # sparse rows: zero cells are common
+                        c = [v if rng.random() < 0.5 else 0 for v in c]
+                    c[int(rng.integers(4))] += 1
+                    table.rows.append(CoincidenceRow(
+                        pair, *c, n_d1=c[0] + c[1], n_d2=c[2] + c[3], n_total=sum(c)))
+            table.rows = [table.rows[i] for i in rng.permutation(9)]
+            got = tomo_reconstruct(table)
+            assert got.tobytes() == self.loop_inversion(table).tobytes()
 
     def test_sampled_counts_recover_state(self):
         table = run_coincidence_batch(CFG, 0.7, tomography_setting_pairs(), 100_000, 21)

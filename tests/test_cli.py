@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 import csv
 import json
+import math
 
 import pytest
 
@@ -330,6 +331,18 @@ class TestExitCodes:
             "simulate", "--out", str(tmp_path / "x.csv"),
             "--config", str(config_path), "--trials", "10",
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", math.nan), ("tau_ref", math.nan), ("rep_rate", math.inf),
+    ])
+    def test_non_finite_config_value_is_named(self, tmp_path, capsys, key, value):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({key: value}))  # written as NaN or Infinity
+        assert run_cli(
+            "simulate", "--out", str(tmp_path / "x.csv"),
+            "--config", str(config_path), "--trials", "10",
+        ) == EXIT_USAGE
+        assert key in capsys.readouterr().err
 
     def test_negative_seed(self, tmp_path):
         assert run_cli(

@@ -50,6 +50,22 @@ def test_validation_rejects(changes):
         ExperimentConfig(**changes)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("beta", float("nan")),
+        ("beta", float("inf")),
+        ("tau_ref", float("nan")),
+        ("tau_ref", float("inf")),
+        ("delta_t_train", float("inf")),
+        ("rep_rate", float("inf")),
+    ],
+)
+def test_non_finite_value_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(**{name: value})
+
+
 def test_infinite_memory_allowed():
     cfg = ExperimentConfig(tau_c=float("inf"))
     assert cfg.tau_c == float("inf")

@@ -23,7 +23,7 @@ from swpemux.engine import (
     _simulate_chunk,
 )
 from swpemux.states import MeasurementSetting, joint_probabilities
-from swpemux.analysis import CANONICAL_BELL, correlation_e
+from swpemux.analysis import CANONICAL_BELL, correlation_e, tomography_setting_pairs
 from swpemux.util import first_success_probability
 
 CFG = ExperimentConfig()
@@ -49,6 +49,74 @@ class TestDeriveStream:
             derive_stream(0, 16, 0)
         with pytest.raises(ValueError):
             derive_stream(0, 0, 1 << 20)
+
+
+def fresh_stream(seed, domain, setting_index):
+    """The stream of one setting pair, built from its key here rather than
+    through the samplers' re-keyed generator."""
+    return np.random.Generator(
+        np.random.Philox(key=seed | domain << 64 | setting_index << 68)
+    )
+
+
+PLANS = {
+    "bell": CANONICAL_BELL.setting_pairs(),
+    "tomo": tomography_setting_pairs(),
+    "bell+tomo": CANONICAL_BELL.setting_pairs() + tomography_setting_pairs(),
+}
+
+
+class TestStreamsAgainstFreshPhilox:
+    @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
+    def test_derive_stream_key_layout(self, seed):
+        for domain, s in [(0, 0), (1, 0), (0, 12), (15, 2**20 - 1)]:
+            expected = fresh_stream(seed, domain, s).random(6)
+            assert np.array_equal(derive_stream(seed, domain, s).random(6), expected)
+
+    @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
+    @pytest.mark.parametrize("plan", PLANS, ids=PLANS)
+    def test_coincidence_rows(self, plan, seed):
+        pairs, n, tau = PLANS[plan], 50_000, 4.0
+        table = run_coincidence_batch(CFG, tau, pairs, n, seed)
+        rho = effective_pair_state(CFG, CFG.m, tau)
+        for s, (pair, row) in enumerate(zip(pairs, table.rows)):
+            joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
+            counts = fresh_stream(seed, 1, s).multinomial(n, (joint / joint.sum()).ravel())
+            assert row.pair == pair
+            assert row.counts().ravel().tolist() == counts.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
+    @pytest.mark.parametrize("plan", PLANS, ids=PLANS)
+    def test_batch_rows(self, plan, seed):
+        config = CFG.replace(m=7, dark_rate=2e-2)
+        pairs, n, tau = PLANS[plan], 300_000, 4.0
+        result = run_batch(RunPlan(config, tau, pairs, n, seed))
+        histogram = np.zeros(config.m, dtype=np.int64)
+        n_dark = 0
+        for s, (pair, row) in enumerate(zip(pairs, result.table.rows)):
+            law = outcome_law(config, tau, pair)
+            gen = fresh_stream(seed, 0, s)
+            heralds = gen.binomial(n, law.p_herald)
+            cells = gen.multinomial(heralds, law.cells().ravel()).reshape(2, 2, 3)
+            histogram += gen.multinomial(heralds, law.bins)
+            n_dark += int(cells[1].sum())
+            by_detector = cells.sum(axis=0)
+            assert row.counts().ravel().tolist() == by_detector[:, :2].ravel().tolist()
+            assert [row.n_d1, row.n_d2] == by_detector.sum(axis=1).tolist()
+        assert result.herald_bin_histogram.tolist() == histogram.tolist()
+        assert result.n_dark_heralds == n_dark
+
+
+class TestStorageTimeBoundary:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_run_plan(self, tau):
+        with pytest.raises(ValueError, match="storage time tau"):
+            RunPlan(CFG, tau, (HV_PAIR,), 10, 1)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_run_coincidence_batch(self, tau):
+        with pytest.raises(ValueError, match="storage time tau"):
+            run_coincidence_batch(CFG, tau, (HV_PAIR,), 10, 1)
 
 
 class TestVisibility:
@@ -133,6 +201,14 @@ class TestOutcomeLaw:
         assert law.cells().sum() == pytest.approx(1.0, abs=1e-15)
         assert law.bins.shape == (CFG.m,)
         assert law.bins.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_memoized_and_read_only(self):
+        pair = CANONICAL_BELL.setting_pairs()[2]
+        law = outcome_law(CFG, 1.5, pair)
+        assert outcome_law(CFG.replace(), 1.5, pair) is law
+        assert not law.bins.flags.writeable
+        with pytest.raises(ValueError):
+            law.bins[0] = 0.0
 
     def test_no_click_possible(self):
         # a = 0 (no detection, no dark counts): the chi eta_d / a share must

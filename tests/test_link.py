@@ -30,6 +30,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LinkConfig(**kwargs)
 
+    @pytest.mark.parametrize("m", [2.5, 19.0, True])
+    def test_link_mode_count_must_be_integer(self, m):
+        with pytest.raises(ValueError, match="mode count m"):
+            LinkConfig(m=m)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -125,6 +130,13 @@ class TestStrategyComparison:
         fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19)
         report = feedback_vs_multiplexed_report(fb, LinkConfig(m=19))
         assert report.m == 19
+
+    def test_zero_attempt_probability(self):
+        # FeedbackConfig accepts eta = 0; neither strategy can then succeed
+        fb = FeedbackConfig(eta=0.0, chi=0.01, n_attempts=3)
+        report = feedback_vs_multiplexed_report(fb, 3)
+        assert report.p_attempt == 0.0
+        assert report.p_feedback == report.p_multiplexed == 0.0
 
     def test_mismatched_counts_rejected(self):
         fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19)
