@@ -5,9 +5,9 @@ The package is organized around a handful of layers:
 
 * :mod:`swpemux.config` - the experiment parameter set and its JSON format.
 * :mod:`swpemux.states` - polarization states, analyzer settings, projectors.
-* :mod:`swpemux.engine` - the exact per-trial outcome law, the aggregate
-  sampler built on it and the per-bin trial kernel (counter-based RNG,
-  deterministic for a given seed).
+* :mod:`swpemux.engine` - the exact per-trial outcome law and the batch and
+  single-trial samplers built on it (counter-based RNG, deterministic for a
+  given seed).
 * :mod:`swpemux.analysis` - CHSH statistics, tomography, decay fits and
   visibility-model calibration.
 * :mod:`swpemux.geometry` - write-beam fan geometry and phase matching

@@ -265,7 +265,8 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
     S_error/S. Two points determine the model exactly (the fit degenerates to
     interpolation and the covariance is zero). Data at or above the quantum
     bound, or that do not decay, produce a warning rather than a failure; a
-    non-decaying fit pins tau_c to +inf.
+    non-decaying fit pins tau_c to +inf. A NaN or infinite tau, S or S_error
+    is a ValueError that names the column.
     """
     data = [tuple(p) for p in points]
     if len(data) < 2:
@@ -275,8 +276,13 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
         raise ValueError("points must be (tau, S) or (tau, S, S_error) tuples")
     if len(lengths) > 1:
         raise ValueError("either all points carry errors or none do")
+    with_errors = lengths == {3}
     taus = np.array([p[0] for p in data], dtype=float)
     s_values = np.array([p[1] for p in data], dtype=float)
+    errors = np.array([p[2] for p in data], dtype=float) if with_errors else None
+    for name, values in (("storage times", taus), ("S values", s_values), ("S errors", errors)):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     if len(set(taus.tolist())) < 2:
         raise ValueError("fit_decay needs at least two distinct storage times")
     if np.any(s_values <= 0):
@@ -287,9 +293,7 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
             "will not be meaningful",
             stacklevel=2,
         )
-    with_errors = lengths == {3}
     if with_errors:
-        errors = np.array([p[2] for p in data], dtype=float)
         if np.any(errors <= 0):
             raise ValueError("S errors must be positive")
         weights = (s_values / errors) ** 2

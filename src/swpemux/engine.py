@@ -11,8 +11,8 @@ Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
 gives the exact distribution of everything run_batch reports: the herald
 count is binomial, and the outcome cells and the herald-bin histogram are
 multinomial given it. run_batch draws those aggregates directly, at a cost
-that does not grow with the trial count. The per-bin kernel _simulate_chunk
-samples single trials from the same model for run_trial.
+that does not grow with the trial count, and run_trial draws one train's
+herald, outcome cell and herald bin from the same law.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -24,7 +24,9 @@ thread; there is no thread count to choose.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
@@ -370,118 +372,56 @@ class BatchResult:
 
 
 class OutcomeLaw(NamedTuple):
-    """Exact law of one write train for one analyzer setting pair. The first
-    four fields parametrize the per-bin kernel."""
+    """Exact law of one write train for one analyzer setting pair: everything
+    run_batch and run_trial sample from. Both arrays are shared by every
+    caller and read-only."""
 
-    p_d1: float            # herald lands on D1 given a real click
-    p_t1_given_d: tuple    # P(T1 | D1), P(T1 | D2) given a successful readout
-    p_read: float          # readout coincidence probability after a real herald
-    p_background: float    # anti-Stokes click probability after a dark herald
     p_herald: float        # P(some bin clicks) = 1 - (1 - a)^m
-    p_real: float          # P(the herald is real | herald) = chi eta_d / a
+    cells: np.ndarray      # P(cell | herald), {real, dark} x {D1, D2} x {T1, T2, no click}
     bins: np.ndarray       # P(herald in bin k | herald), proportional to (1 - a)^k
-
-    def cells(self) -> np.ndarray:
-        """P(cell | herald) as a (2, 2, 3) array indexed by {real, dark} x
-        {D1, D2} x {T1, T2, no readout click}. A dark herald lands on D1 or
-        D2 with probability 1/2 each (one detector alone, or both and a fair
-        coin) and reads out an unpolarized background click."""
-        out = np.empty((2, 2, 3))
-        for i, p_det in enumerate((self.p_d1, 1.0 - self.p_d1)):
-            p_t1 = self.p_t1_given_d[i]
-            read = (self.p_read * p_t1, self.p_read * (1.0 - p_t1), 1.0 - self.p_read)
-            out[0, i] = self.p_real * p_det * np.array(read)
-        p_bg = self.p_background
-        out[1, :] = (1.0 - self.p_real) * 0.5 * np.array([0.5 * p_bg, 0.5 * p_bg, 1.0 - p_bg])
-        return out
 
 
 @functools.lru_cache(maxsize=256)
 def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
     """The per-trial outcome law at storage time tau for one setting pair.
 
-    Memoized per (config, tau, pair), so run_trial and repeated batches do
-    not rebuild it; the cache is bounded because sweeps visit arbitrary
-    storage times. Every caller shares the returned law, so its bins array
-    is read-only.
+    A real herald lands on D_i with the pair state's port probability and
+    reads out with probability gamma eta_as, on T1 with probability
+    P(T1 | D_i). A dark herald lands on D1 or D2 with probability 1/2 each
+    (one detector alone, or both and a fair coin) and reads out an
+    unpolarized background click. Memoized per (config, tau, pair), so
+    run_trial and repeated batches do not rebuild it; the cache is bounded
+    because sweeps visit arbitrary storage times.
     """
     rho = effective_pair_state(config, config.m, tau)
     joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
     p_det = joint.sum(axis=1)
-    conditional = []
-    for i in range(2):
+    total = p_det.sum()
+    p_d1 = float(p_det[0] / total) if total > 0.0 else 0.5
+    a, p_herald, p_real, p_read, p_bg = _trial_law(config, config.m)
+    cells = np.empty((2, 2, 3))
+    for i, p_port in enumerate((p_d1, 1.0 - p_d1)):
         # a port with zero herald probability is never sampled; 0.5 keeps the
         # arithmetic finite
-        conditional.append(joint[i, 0] / p_det[i] if p_det[i] > 0.0 else 0.5)
-    total = p_det.sum()
-    p_d1 = p_det[0] / total if total > 0.0 else 0.5
-    a, p_herald, p_real, p_read, p_background = _trial_law(config, config.m)
+        p_t1 = float(joint[i, 0] / p_det[i]) if p_det[i] > 0.0 else 0.5
+        read = (p_read * p_t1, p_read * (1.0 - p_t1), 1.0 - p_read)
+        cells[0, i] = p_real * p_port * np.array(read)
+    cells[1, :] = (1.0 - p_real) * 0.5 * np.array([0.5 * p_bg, 0.5 * p_bg, 1.0 - p_bg])
     bins = (1.0 - a) ** np.arange(config.m)
     bins /= bins.sum()
+    cells.flags.writeable = False
     bins.flags.writeable = False
-    return OutcomeLaw(
-        float(p_d1), (float(conditional[0]), float(conditional[1])), p_read, p_background,
-        p_herald, p_real, bins,
-    )
+    return OutcomeLaw(p_herald, cells, bins)
 
 
-def _simulate_chunk(gen: np.random.Generator, n: int, config: ExperimentConfig, law: OutcomeLaw):
-    """Vectorized simulation of n trials.
-
-    Fixed draw order (part of the reproducibility contract): per-bin
-    excitation, per-bin Stokes detection, one detector-identity uniform,
-    per-bin dark counts for D1 then D2 (drawn only when dark_rate > 0), one
-    readout-success uniform, one readout-port uniform.
-    Returns (heralded, first_bin, herald_true, herald_det, readout_det).
-    """
-    m = config.m
-    excited = gen.random((n, m)) < config.chi
-    true_click = excited & (gen.random((n, m)) < config.eta_d)
-    u_identity = gen.random(n)
-    if config.dark_rate > 0.0:
-        dark1 = gen.random((n, m)) < config.dark_rate
-        dark2 = gen.random((n, m)) < config.dark_rate
-        any_click = true_click | dark1 | dark2
-    else:
-        dark1 = dark2 = None
-        any_click = true_click
-    u_read = gen.random(n)
-    u_port = gen.random(n)
-
-    heralded = any_click.any(axis=1)
-    first_bin = np.argmax(any_click, axis=1)  # only meaningful where heralded
-    rows = np.arange(n)
-    # a real click in the herald bin wins detector identity over a simultaneous
-    # dark count; dark-only bins are dark heralds
-    herald_true = heralded & true_click[rows, first_bin]
-
-    herald_det = np.zeros(n, dtype=np.int8)
-    herald_det[herald_true] = np.where(u_identity[herald_true] < law.p_d1, 1, 2)
-    dark_herald = heralded & ~herald_true
-    if dark1 is not None:
-        d1 = dark1[rows, first_bin]
-        d2 = dark2[rows, first_bin]
-        only1 = dark_herald & d1 & ~d2
-        only2 = dark_herald & d2 & ~d1
-        both = dark_herald & d1 & d2
-        herald_det[only1] = 1
-        herald_det[only2] = 2
-        herald_det[both] = np.where(u_identity[both] < 0.5, 1, 2)
-
-    readout_det = np.zeros(n, dtype=np.int8)
-    if herald_true.any():
-        mask = herald_true
-        success = u_read[mask] < law.p_read
-        p_t1 = np.asarray(law.p_t1_given_d)[herald_det[mask] - 1]
-        port = np.where(u_port[mask] < p_t1, 1, 2)
-        readout_det[mask] = np.where(success, port, 0)
-    if dark_herald.any():
-        # accidental anti-Stokes click after a dark herald: unpolarized
-        success = u_read[dark_herald] < law.p_background
-        port = np.where(u_port[dark_herald] < 0.5, 1, 2)
-        readout_det[dark_herald] = np.where(success, port, 0)
-
-    return heralded, first_bin, herald_true, herald_det, readout_det
+def _draw_index(probabilities: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw of one category from a uniform u in [0, 1). A u at
+    or beyond the rounded total falls to the last category that can occur."""
+    weights = probabilities.ravel().tolist()
+    index = bisect.bisect_right(list(itertools.accumulate(weights)), u)
+    if index == len(weights):
+        index = max(i for i, w in enumerate(weights) if w > 0.0)
+    return index
 
 
 def run_trial(
@@ -491,25 +431,26 @@ def run_trial(
     rng: np.random.Generator,
     trial_index: int = 0,
 ) -> TrialRecord:
-    """Simulate one write train and return its TrialRecord.
+    """Sample one write train from outcome_law and return its TrialRecord.
 
-    rng must be a stream dedicated to this trial (see derive_stream); the
-    draw order is documented in _simulate_chunk.
+    rng must be a stream dedicated to this trial (see derive_stream). Fixed
+    draw order, part of the reproducibility contract: one uniform for the
+    herald, against p_herald; then, only when heralded, one uniform for the
+    outcome cell, which gives the herald detector, whether the herald was
+    dark and the readout detector, and one uniform for the herald bin.
     """
     _check_storage_time(tau)
     law = outcome_law(config, tau, pair)
-    heralded, first_bin, herald_true, herald_det, readout_det = _simulate_chunk(
-        rng, 1, config, law
-    )
-    if not heralded[0]:
+    if not rng.random() < law.p_herald:
         return TrialRecord(trial_index, None, None, False, None, tau)
-    readout = int(readout_det[0])
+    dark, cell = divmod(_draw_index(law.cells, rng.random()), 6)
+    detector, readout = divmod(cell, 3)
     return TrialRecord(
         trial_index=trial_index,
-        herald_bin=int(first_bin[0]) + 1,
-        herald_detector=int(herald_det[0]),
-        herald_was_dark=not bool(herald_true[0]),
-        readout_detector=readout if readout else None,
+        herald_bin=_draw_index(law.bins, rng.random()) + 1,
+        herald_detector=detector + 1,
+        herald_was_dark=bool(dark),
+        readout_detector=readout + 1 if readout < 2 else None,
         storage_time=tau,
     )
 
@@ -539,7 +480,7 @@ def run_batch(plan: RunPlan) -> BatchResult:
     for pair, gen in zip(plan.settings, streams):
         law = outcome_law(plan.config, plan.tau, pair)
         heralds = int(gen.binomial(n, law.p_herald))
-        cells = gen.multinomial(heralds, law.cells().ravel()).reshape(2, 2, 3)
+        cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
         histogram += gen.multinomial(heralds, law.bins)
         (c11, c12, miss1), (c21, c22, miss2) = cells.sum(axis=0).tolist()
         row = CoincidenceRow(

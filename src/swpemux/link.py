@@ -13,6 +13,18 @@ from dataclasses import dataclass
 from .util import ProbabilityPair, first_success_probability
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Half-link length, fiber signal velocity, mode count and the
@@ -24,14 +36,9 @@ class LinkConfig:
     p1: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not self.l0_km > 0.0:
-            raise ValueError(f"link length must be positive, got {self.l0_km}")
-        if not self.c_fiber_km_s > 0.0:
-            raise ValueError(f"fiber velocity must be positive, got {self.c_fiber_km_s}")
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise ValueError(f"mode count m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError(f"mode count must be at least 1, got {self.m}")
+        _check_positive("link length l0_km", self.l0_km)
+        _check_positive("fiber velocity c_fiber_km_s", self.c_fiber_km_s)
+        _check_count("mode count m", self.m)
         if not 0.0 < self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in (0, 1], got {self.p1}")
 
@@ -51,10 +58,8 @@ class FeedbackConfig:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 < self.chi < 1.0:
             raise ValueError(f"chi must lie strictly inside (0, 1), got {self.chi}")
-        if self.n_attempts < 1:
-            raise ValueError(f"attempt count must be at least 1, got {self.n_attempts}")
-        if not self.delta_t > 0.0:
-            raise ValueError(f"attempt spacing must be positive, got {self.delta_t}")
+        _check_count("attempt count n_attempts", self.n_attempts)
+        _check_positive("attempt spacing delta_t", self.delta_t)
 
 
 def communication_time(link: LinkConfig) -> float:

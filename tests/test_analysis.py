@@ -326,6 +326,18 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay([(0.7, 2.30), (30.0, -1.0)])
 
+    @pytest.mark.parametrize("points, name", [
+        ([(0.7, math.nan), (5.0, 2.0)], "S values"),
+        ([(0.7, 2.3), (5.0, math.inf)], "S values"),
+        ([(math.nan, 2.3), (5.0, 2.0)], "storage times"),
+        ([(0.7, 2.3), (math.inf, 2.0)], "storage times"),
+        ([(0.7, 2.3, math.nan), (5.0, 2.0, 0.01)], "S errors"),
+        ([(0.7, 2.3, 0.01), (5.0, 2.0, math.inf)], "S errors"),
+    ])
+    def test_non_finite_input_rejected_by_name(self, points, name):
+        with pytest.raises(ValueError, match=name):
+            fit_decay(points)
+
     def test_to_dict_round_trip_fields(self):
         fit = fit_decay([(0.7, 2.30), (30.0, 2.03)])
         payload = fit.to_dict()

@@ -166,6 +166,14 @@ class TestDecay:
             "decay", "--points", str(points), "--out", str(tmp_path / "x.json")
         ) == EXIT_USAGE
 
+    def test_non_finite_point_is_usage_error(self, tmp_path, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text("tau,s\n0.7,nan\n5.0,2.0\n")
+        out = tmp_path / "x.json"
+        assert run_cli("decay", "--points", str(points), "--out", str(out)) == EXIT_USAGE
+        assert "S values" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPmc:
     def test_default_fan(self, tmp_path):
@@ -235,6 +243,15 @@ class TestLink:
         assert run_cli(
             "link", "--out", str(tmp_path / "x.json"), "--p1", "2.0"
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--l0", "l0_km"), ("--c-fiber", "c_fiber_km_s"), ("--delta-t", "delta_t"),
+    ])
+    def test_infinite_parameter_is_named(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "x.json"
+        assert run_cli("link", "--out", str(out), flag, "inf") == EXIT_USAGE
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCalibrate:

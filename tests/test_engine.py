@@ -20,7 +20,6 @@ from swpemux.engine import (
     run_coincidence_batch,
     run_trial,
     visibility,
-    _simulate_chunk,
 )
 from swpemux.states import MeasurementSetting, joint_probabilities
 from swpemux.analysis import CANONICAL_BELL, correlation_e, tomography_setting_pairs
@@ -97,7 +96,7 @@ class TestStreamsAgainstFreshPhilox:
             law = outcome_law(config, tau, pair)
             gen = fresh_stream(seed, 0, s)
             heralds = gen.binomial(n, law.p_herald)
-            cells = gen.multinomial(heralds, law.cells().ravel()).reshape(2, 2, 3)
+            cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
             histogram += gen.multinomial(heralds, law.bins)
             n_dark += int(cells[1].sum())
             by_detector = cells.sum(axis=0)
@@ -196,9 +195,9 @@ class TestOutcomeLaw:
     @pytest.mark.parametrize("dark_rate", [0.0, 3e-3, 1.0])
     def test_normalized(self, dark_rate):
         law = outcome_law(CFG.replace(dark_rate=dark_rate), 0.7, CANONICAL_BELL.setting_pairs()[1])
-        assert law.cells().shape == (2, 2, 3)
-        assert np.all(law.cells() >= 0.0)
-        assert law.cells().sum() == pytest.approx(1.0, abs=1e-15)
+        assert law.cells.shape == (2, 2, 3)
+        assert np.all(law.cells >= 0.0)
+        assert law.cells.sum() == pytest.approx(1.0, abs=1e-15)
         assert law.bins.shape == (CFG.m,)
         assert law.bins.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -206,9 +205,10 @@ class TestOutcomeLaw:
         pair = CANONICAL_BELL.setting_pairs()[2]
         law = outcome_law(CFG, 1.5, pair)
         assert outcome_law(CFG.replace(), 1.5, pair) is law
-        assert not law.bins.flags.writeable
-        with pytest.raises(ValueError):
-            law.bins[0] = 0.0
+        for table in (law.cells, law.bins):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 0.0
 
     def test_no_click_possible(self):
         # a = 0 (no detection, no dark counts): the chi eta_d / a share must
@@ -216,7 +216,7 @@ class TestOutcomeLaw:
         cfg = CFG.replace(eta_d=0.0)
         law = outcome_law(cfg, 0.7, HV_PAIR)
         assert law.p_herald == 0.0
-        assert np.all(np.isfinite(law.cells())) and np.all(np.isfinite(law.bins))
+        assert np.all(np.isfinite(law.cells)) and np.all(np.isfinite(law.bins))
         result = run_batch(RunPlan(cfg, 0.7, (HV_PAIR,), 100_000, 3))
         assert result.n_heralds == 0 and result.n_coincidences == 0
         assert result.herald_bin_histogram.sum() == 0
@@ -242,21 +242,100 @@ class TestOutcomeLaw:
         result.table.validate()
 
 
-def _kernel_counts(config, pair, n, seed):
-    """Aggregates of n trials simulated bin by bin by the per-trial kernel.
+def _click_probability(config):
+    """Probability a = 1 - (1 - chi eta_d)(1 - d)^2 that a bin clicks, from a
+    real photon or a dark count on either Stokes detector."""
+    return 1.0 - (1.0 - config.chi * config.eta_d) * (1.0 - config.dark_rate) ** 2
 
-    The kernel takes the per-pair readout parameters from outcome_law but
-    derives the herald structure itself (bins, real/dark competition, dark
-    detector identity), independently of run_batch's sampler. Returns the
+
+def _port_kets(setting):
+    """Transmit and reflect kets of one analyzer, written out here rather than
+    taken from swpemux.states."""
+    if setting.kind == "linear":
+        angle = math.radians(setting.angle_deg)
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
+    r_ket = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    return (r_ket, r_ket.conj()) if setting.transmit_hand == "R" else (r_ket.conj(), r_ket)
+
+
+def _readout_parameters(config, tau, pair):
+    """The per-pair readout parameters, computed from scratch: the Werner
+    state from visibility(), Tr[rho (P_i x Q_j)] with the port projectors
+    built through np.kron. Returns P(D1 | real herald), (P(T1 | D1),
+    P(T1 | D2)), the readout probability gamma eta_as after a real herald and
+    the background click probability after a dark one."""
+    v = visibility(config, config.m, tau)
+    theta = math.radians(config.theta)
+    psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+    rho = v * np.outer(psi, psi) + (1.0 - v) * np.eye(4) / 4.0
+    joint = np.empty((2, 2))
+    for i, ket_s in enumerate(_port_kets(pair.stokes)):
+        for j, ket_a in enumerate(_port_kets(pair.anti_stokes)):
+            projector = np.kron(np.outer(ket_s, ket_s.conj()), np.outer(ket_a, ket_a.conj()))
+            joint[i, j] = np.trace(rho @ projector).real
+    p_det = joint.sum(axis=1)
+    p_read = config.gamma * config.eta_as
+    p_background = min(1.0, config.dark_rate + config.beta * (config.m - 1) * config.chi * p_read)
+    return p_det[0] / p_det.sum(), tuple(joint[:, 0] / p_det), p_read, p_background
+
+
+def _simulate_trains(gen, n, config, params):
+    """Simulate n write trains bin by bin: per-bin excitation, Stokes
+    detection and dark counts on D1 and D2; the first clicking bin heralds,
+    and a real click in it wins over a simultaneous dark count.
+    Returns (heralded, first_bin, herald_true, herald_det, readout_det)."""
+    p_d1, p_t1_given_d, p_read, p_background = params
+    m = config.m
+    excited = gen.random((n, m)) < config.chi
+    true_click = excited & (gen.random((n, m)) < config.eta_d)
+    u_identity = gen.random(n)
+    if config.dark_rate > 0.0:
+        dark1 = gen.random((n, m)) < config.dark_rate
+        dark2 = gen.random((n, m)) < config.dark_rate
+    else:
+        dark1 = dark2 = np.zeros((n, m), dtype=bool)
+    any_click = true_click | dark1 | dark2
+    u_read = gen.random(n)
+    u_port = gen.random(n)
+
+    heralded = any_click.any(axis=1)
+    first_bin = np.argmax(any_click, axis=1)  # only meaningful where heralded
+    rows = np.arange(n)
+    herald_true = heralded & true_click[rows, first_bin]
+    dark_herald = heralded & ~herald_true
+    d1 = dark1[rows, first_bin]
+    d2 = dark2[rows, first_bin]
+    # a dark herald fires the detector that saw a dark count; both: a fair coin
+    herald_det = np.where(herald_true, np.where(u_identity < p_d1, 1, 2), 0)
+    herald_det = np.where(dark_herald & d1 & ~d2, 1, herald_det)
+    herald_det = np.where(dark_herald & d2 & ~d1, 2, herald_det)
+    herald_det = np.where(dark_herald & d1 & d2, np.where(u_identity < 0.5, 1, 2), herald_det)
+
+    # a real herald reads out the pair state's port given its detector; a dark
+    # one an unpolarized background click
+    p_t1 = np.where(herald_det == 1, p_t1_given_d[0], p_t1_given_d[1])
+    p_success = np.where(herald_true, p_read, p_background)
+    p_port = np.where(herald_true, p_t1, 0.5)
+    readout_det = np.where(u_read < p_success, np.where(u_port < p_port, 1, 2), 0)
+    readout_det = np.where(heralded, readout_det, 0)
+    return heralded, first_bin, herald_true, herald_det, readout_det
+
+
+def _kernel_counts(config, pair, n, seed):
+    """Aggregates of n trains simulated bin by bin by the test kernel, with
+    readout parameters that never pass through outcome_law. Returns the
     counts (no herald, D1T1, D1T2, D2T1, D2T2, D1 without readout click,
     D2 without readout click, dark heralds) and the herald-bin histogram."""
-    law = outcome_law(config, 0.7, pair)
+    params = _readout_parameters(config, 0.7, pair)
     rng = np.random.default_rng(seed)
     counts = np.zeros(8, dtype=np.int64)
     histogram = np.zeros(config.m, dtype=np.int64)
     for start in range(0, n, 1 << 16):
         size = min(1 << 16, n - start)
-        h, first_bin, herald_true, herald_det, readout_det = _simulate_chunk(rng, size, config, law)
+        h, first_bin, herald_true, herald_det, readout_det = _simulate_trains(
+            rng, size, config, params
+        )
         readout = np.where(readout_det[h] == 0, 2, readout_det[h] - 1)
         cells = np.bincount(3 * (herald_det[h] - 1) + readout, minlength=6)
         counts[0] += size - int(h.sum())
@@ -286,6 +365,21 @@ def _homogeneity_pvalue(a, b):
     return stats.chi2_contingency(table, correction=False).pvalue
 
 
+def _assert_same_law(counts, histogram, kernel, kernel_hist):
+    """Chi-square homogeneity of two samples' herald/readout outcomes, dark
+    shares and herald-bin histograms (count vectors as _kernel_counts
+    returns them)."""
+    n, n_kernel = counts[:7].sum(), kernel[:7].sum()
+    assert _homogeneity_pvalue(counts[:7], kernel[:7]) > 1e-3
+    assert _homogeneity_pvalue([counts[7], n - counts[7]], [kernel[7], n_kernel - kernel[7]]) > 1e-3
+    assert _homogeneity_pvalue(histogram, kernel_hist) > 1e-3
+
+
+# index in the _kernel_counts vector of a heralded record's
+# (herald detector, readout detector); None is no readout click
+_RECORD_OUTCOME = {(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4, (1, None): 5, (2, None): 6}
+
+
 class TestLawAgainstKernel:
     @pytest.mark.parametrize(
         "changes, pair",
@@ -305,9 +399,7 @@ class TestLawAgainstKernel:
         kernel, kernel_hist = _kernel_counts(cfg, pair, n, 3141)
         # the seven herald/readout outcomes partition the trials
         assert batch[:7].sum() == kernel[:7].sum() == n
-        assert _homogeneity_pvalue(batch[:7], kernel[:7]) > 1e-3
-        assert _homogeneity_pvalue([batch[7], n - batch[7]], [kernel[7], n - kernel[7]]) > 1e-3
-        assert _homogeneity_pvalue(batch_hist, kernel_hist) > 1e-3
+        _assert_same_law(batch, batch_hist, kernel, kernel_hist)
         if cfg.dark_rate > 0.0:
             assert batch[7] > 0 and kernel[7] > 0
 
@@ -381,6 +473,25 @@ class TestRunTrial:
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(heralds / n - p) < 4.0 * se
 
+    def test_dark_counts_match_kernel(self):
+        # dark-dominated, so every cell-to-record mapping is exercised
+        cfg = CFG.replace(m=3, dark_rate=0.3)
+        pair = SettingPair(MeasurementSetting.circular_r(), MeasurementSetting.linear(0.0))
+        n = 20_000
+        rng = np.random.default_rng(11)
+        counts = np.zeros(8, dtype=np.int64)
+        histogram = np.zeros(cfg.m, dtype=np.int64)
+        for index in range(n):
+            record = run_trial(cfg, 0.7, pair, rng, trial_index=index)
+            if not record.heralded:
+                counts[0] += 1
+                continue
+            counts[_RECORD_OUTCOME[record.herald_detector, record.readout_detector]] += 1
+            counts[7] += record.herald_was_dark
+            histogram[record.herald_bin - 1] += 1
+        kernel, kernel_hist = _kernel_counts(cfg, pair, 200_000, 12)
+        _assert_same_law(counts, histogram, kernel, kernel_hist)
+
 
 class TestRunBatch:
     def test_herald_probability_within_4_se(self):
@@ -440,8 +551,8 @@ class TestRunBatch:
         # the law includes dark counts: herald rate and dark share within 4 SE
         p = analytic_p_s(cfg).exact
         assert abs(result.p_s_hat - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
-        law = outcome_law(cfg, 0.7, HV_PAIR)
-        p_dark = law.p_herald * (1.0 - law.p_real)
+        p_real = cfg.chi * cfg.eta_d / _click_probability(cfg)
+        p_dark = analytic_p_s(cfg).exact * (1.0 - p_real)
         se = math.sqrt(n * p_dark * (1.0 - p_dark))
         assert abs(result.n_dark_heralds - n * p_dark) < 4.0 * se
         # background floods raise the herald estimate above the dark-free law

@@ -35,6 +35,22 @@ class TestConfigs:
         with pytest.raises(ValueError, match="mode count m"):
             LinkConfig(m=m)
 
+    @pytest.mark.parametrize("name", ["l0_km", "c_fiber_km_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_link_lengths_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            LinkConfig(**{name: value})
+
+    @pytest.mark.parametrize("n_attempts", [2.5, 19.0, True])
+    def test_feedback_attempt_count_must_be_integer(self, n_attempts):
+        with pytest.raises(ValueError, match="n_attempts"):
+            FeedbackConfig(eta=0.5, chi=0.01, n_attempts=n_attempts)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_feedback_spacing_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="delta_t"):
+            FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19, delta_t=value)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
