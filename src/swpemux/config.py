@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .util import atomic_write_text
+from .util import as_count, atomic_write_text
 
 _FIELDS = (
     "m",
@@ -69,13 +69,10 @@ class ExperimentConfig:
     rep_rate: float = 4.6e4
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", as_count("m", self.m))
         self.validate()
 
     def validate(self) -> None:
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
         # the range checks below let these through as NaN or inf; tau_c = inf
         # is allowed and means no memory decay
         for name in ("beta", "tau_ref", "delta_t_train", "rep_rate"):
@@ -117,11 +114,8 @@ class ExperimentConfig:
         kwargs: dict[str, Any] = {}
         for name, value in data.items():
             if name == "m":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"m must be an integer, got {value!r}")
-                if isinstance(value, float):
-                    if not value.is_integer():
-                        raise ValueError(f"m must be an integer, got {value!r}")
+                # JSON may spell a count 19.0; the constructor rejects the rest
+                if isinstance(value, float) and value.is_integer():
                     value = int(value)
             elif not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"configuration key {name!r} must be a number, got {value!r}")

@@ -7,12 +7,17 @@ storage time tau the surviving spin wave is read out and the anti-Stokes
 polarization is sampled from the effective pair state conditioned on which
 Stokes detector fired.
 
+The pair state is the Werner mixture V |psi(theta)><psi(theta)| + (1 - V) I/4,
+so a setting pair's joint table is V J_pure(theta, pair) + (1 - V)/4
+(_pair_table): the one source of P(D_i, T_j) for both samplers.
+
 Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
 gives the exact distribution of everything run_batch reports: the herald
 count is binomial, and the outcome cells and the herald-bin histogram are
 multinomial given it. run_batch draws those aggregates directly, at a cost
 that does not grow with the trial count, and run_trial draws one train's
-herald, outcome cell and herald bin from the same law.
+herald, outcome cell and herald bin from the same law. run_coincidence_batch
+draws heralded coincidences from the pair table alone.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -34,11 +39,7 @@ from typing import Any, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .states import (
-    MeasurementSetting,
-    joint_probabilities,
-    werner_state,
-)
+from .states import MeasurementSetting, bell_state, joint_probabilities, werner_state
 from .util import ProbabilityPair, first_success_probability
 
 _DOMAIN_TRIALS = 0
@@ -137,20 +138,20 @@ def visibility(
         base = config.v1 * (1.0 - load)
     else:
         raise ValueError(f"unknown visibility form {form!r}")
-    value = base * math.exp(-(tau - config.tau_ref) / config.tau_c)
-    return min(max(value, 0.0), 1.0)
+    if base <= 0.0:
+        return 0.0
+    exponent = -(tau - config.tau_ref) / config.tau_c
+    if exponent > 700.0:  # exp would overflow; decide the clamp at 1 in logs
+        return math.exp(min(math.log(base) + exponent, 0.0))
+    return min(base * math.exp(exponent), 1.0)
 
 
 def effective_pair_state(
-    config: ExperimentConfig,
-    m: Optional[int] = None,
-    tau: Optional[float] = None,
-    *,
-    form: str = "saturating",
+    config: ExperimentConfig, m: Optional[int] = None, tau: Optional[float] = None
 ) -> np.ndarray:
     """Werner-form effective state of one heralded mode pair:
     V(m, tau) rho_pair(theta) + (1 - V) I/4."""
-    return werner_state(config.theta, visibility(config, m, tau, form=form))
+    return werner_state(config.theta, visibility(config, m, tau))
 
 
 def _trial_law(config: ExperimentConfig, m: int) -> tuple:
@@ -381,31 +382,42 @@ class OutcomeLaw(NamedTuple):
     bins: np.ndarray       # P(herald in bin k | herald), proportional to (1 - a)^k
 
 
+@functools.lru_cache(maxsize=1024)
+def _pure_table(theta: float, pair: SettingPair) -> np.ndarray:
+    """Joint table of the pure pair state bell_state(theta) for one setting
+    pair. Memoized, bounded because sweeps use arbitrary angles, and
+    read-only because every caller shares it."""
+    table = joint_probabilities(bell_state(theta), pair.stokes, pair.anti_stokes)
+    table.flags.writeable = False
+    return table
+
+
+def _pair_table(config: ExperimentConfig, tau: float, pair: SettingPair) -> np.ndarray:
+    """P(D_i, T_j) of a heralded real pair at storage time tau: the Werner
+    table V J_pure + (1 - V)/4, normalized. Every entry is non-negative and
+    the entries sum to 1, so callers need no guard against empty ports."""
+    v = visibility(config, config.m, tau)
+    table = v * _pure_table(config.theta, pair) + (1.0 - v) / 4.0
+    return table / table.sum()
+
+
 @functools.lru_cache(maxsize=256)
 def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
     """The per-trial outcome law at storage time tau for one setting pair.
 
-    A real herald lands on D_i with the pair state's port probability and
-    reads out with probability gamma eta_as, on T1 with probability
-    P(T1 | D_i). A dark herald lands on D1 or D2 with probability 1/2 each
-    (one detector alone, or both and a fair coin) and reads out an
-    unpolarized background click. Memoized per (config, tau, pair), so
-    run_trial and repeated batches do not rebuild it; the cache is bounded
-    because sweeps visit arbitrary storage times.
+    A real herald lands on (D_i, T_j) with the pair table's probability
+    (_pair_table) when it reads out, with probability gamma eta_as, and on
+    D_i with the table's row sum when it does not. A dark herald lands on D1
+    or D2 with probability 1/2 each (one detector alone, or both and a fair
+    coin) and reads out an unpolarized background click. Memoized per
+    (config, tau, pair), so run_trial and repeated batches do not rebuild it;
+    the cache is bounded because sweeps visit arbitrary storage times.
     """
-    rho = effective_pair_state(config, config.m, tau)
-    joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
-    p_det = joint.sum(axis=1)
-    total = p_det.sum()
-    p_d1 = float(p_det[0] / total) if total > 0.0 else 0.5
+    table = _pair_table(config, tau, pair)
     a, p_herald, p_real, p_read, p_bg = _trial_law(config, config.m)
     cells = np.empty((2, 2, 3))
-    for i, p_port in enumerate((p_d1, 1.0 - p_d1)):
-        # a port with zero herald probability is never sampled; 0.5 keeps the
-        # arithmetic finite
-        p_t1 = float(joint[i, 0] / p_det[i]) if p_det[i] > 0.0 else 0.5
-        read = (p_read * p_t1, p_read * (1.0 - p_t1), 1.0 - p_read)
-        cells[0, i] = p_real * p_port * np.array(read)
+    cells[0, :, :2] = p_real * p_read * table
+    cells[0, :, 2] = p_real * (1.0 - p_read) * table.sum(axis=1)
     cells[1, :] = (1.0 - p_real) * 0.5 * np.array([0.5 * p_bg, 0.5 * p_bg, 1.0 - p_bg])
     bins = (1.0 - a) ** np.arange(config.m)
     bins /= bins.sum()
@@ -521,9 +533,9 @@ def run_coincidence_batch(
     """Sample n heralded coincidences per setting pair directly.
 
     This draws from the conditional law of run_batch given a real herald and
-    a successful readout, P(D_i, T_j) = Tr[rho_eff (P_i x Q_j)], as one
-    multinomial per pair. Use it where published statistics are quoted per
-    heralded coincidence; the full per-trial engine would need about
+    a successful readout, the pair table P(D_i, T_j) that outcome_law also
+    reads, as one multinomial per pair. Use it where published statistics
+    are quoted per heralded coincidence; the full per-trial engine would need about
     1/(p_s gamma eta_as) trials per coincidence to reach the same counts.
     Dark heralds are not part of the conditional law. Setting pair s draws
     from derive_stream(seed, coincidence domain, s); one generator is
@@ -535,12 +547,10 @@ def run_coincidence_batch(
     settings = tuple(settings)
     if not settings:
         raise ValueError("need at least one analyzer setting pair")
-    rho = effective_pair_state(config, config.m, tau)
     table = CoincidenceTable()
     streams = _setting_streams(seed, _DOMAIN_COINCIDENCE, len(settings))
     for pair, gen in zip(settings, streams):
-        joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
-        probabilities = (joint / joint.sum()).ravel()
+        probabilities = _pair_table(config, tau, pair).ravel()
         c11, c12, c21, c22 = (int(v) for v in gen.multinomial(n_coincidences, probabilities))
         row = CoincidenceRow(
             pair,

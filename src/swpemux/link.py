@@ -10,14 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .util import ProbabilityPair, first_success_probability
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+from .util import ProbabilityPair, as_count, first_success_probability
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -38,7 +31,7 @@ class LinkConfig:
     def __post_init__(self) -> None:
         _check_positive("link length l0_km", self.l0_km)
         _check_positive("fiber velocity c_fiber_km_s", self.c_fiber_km_s)
-        _check_count("mode count m", self.m)
+        object.__setattr__(self, "m", as_count("mode count m", self.m))
         if not 0.0 < self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in (0, 1], got {self.p1}")
 
@@ -58,7 +51,7 @@ class FeedbackConfig:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 < self.chi < 1.0:
             raise ValueError(f"chi must lie strictly inside (0, 1), got {self.chi}")
-        _check_count("attempt count n_attempts", self.n_attempts)
+        object.__setattr__(self, "n_attempts", as_count("attempt count n_attempts", self.n_attempts))
         _check_positive("attempt spacing delta_t", self.delta_t)
 
 

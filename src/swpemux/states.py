@@ -7,7 +7,6 @@ the package uses it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -155,25 +154,6 @@ def validate_density(rho: np.ndarray, *, tol: float = 1e-12, eig_tol: float = 1e
     return violations
 
 
-@functools.lru_cache(maxsize=1024)
-def _product_kets(
-    setting_s: MeasurementSetting, setting_a: MeasurementSetting
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product kets a_i x b_j of one analyzer pair and their conjugates, each
-    of shape (2, 2, 4) in the (HH, HV, VH, VV) order.
-
-    Memoized, and bounded because pmc and geometry sweeps use arbitrary
-    angles; the arrays are shared by every caller and therefore read-only.
-    """
-    kets_s = _port_kets(setting_s)
-    kets_a = _port_kets(setting_a)
-    kets = (kets_s[:, None, :, None] * kets_a[None, :, None, :]).reshape(2, 2, 4)
-    bras = kets.conj()
-    kets.flags.writeable = False
-    bras.flags.writeable = False
-    return kets, bras
-
-
 def joint_probabilities(
     rho: np.ndarray, setting_s: MeasurementSetting, setting_a: MeasurementSetting
 ) -> np.ndarray:
@@ -185,10 +165,14 @@ def joint_probabilities(
     the four entries sum to 1 within numerical rounding. Entries are clipped
     at 0: rounding leaves about -1e-17 where a valid state gives exactly 0,
     and the samplers and estimators need non-negative probabilities.
+    Not memoized: the samplers read the pure state's table through the
+    engine's per-(theta, pair) memo.
     """
     rho = np.asarray(rho, dtype=complex)
-    kets, bras = _product_kets(setting_s, setting_a)
-    return np.maximum(np.einsum("ijk,kl,ijl->ij", bras, rho, kets).real, 0.0)
+    kets_s = _port_kets(setting_s)
+    kets_a = _port_kets(setting_a)
+    kets = (kets_s[:, None, :, None] * kets_a[None, :, None, :]).reshape(2, 2, 4)
+    return np.maximum(np.einsum("ijk,kl,ijl->ij", kets.conj(), rho, kets).real, 0.0)
 
 
 def stokes_marginal(rho: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from typing import NamedTuple
@@ -14,6 +15,21 @@ class ProbabilityPair(NamedTuple):
 
     exact: float
     linear: float
+
+
+def as_count(name: str, value) -> int:
+    """value as a plain int of at least 1. Any non-bool integral value,
+    numpy integers included, passes through operator.index; configs store the
+    returned int, so their JSON output stays plain."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
 
 
 def first_success_probability(p: float, n: int) -> float:

@@ -1,4 +1,7 @@
 """Experiment configuration: defaults, validation and the JSON format."""
+import json
+
+import numpy as np
 import pytest
 
 from swpemux.config import ExperimentConfig
@@ -64,6 +67,21 @@ def test_validation_rejects(changes):
 def test_non_finite_value_rejected_by_name(name, value):
     with pytest.raises(ValueError, match=name):
         ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("m", [np.int64(7), np.int32(7), np.uint8(7)])
+def test_numpy_integer_mode_count_stored_as_int(m):
+    cfg = ExperimentConfig(m=m)
+    assert type(cfg.m) is int and cfg.m == 7
+    assert cfg == ExperimentConfig(m=7)
+    assert json.loads(cfg.dumps())["m"] == 7
+    assert ExperimentConfig.loads(cfg.dumps()) == cfg
+
+
+@pytest.mark.parametrize("m", [np.True_, np.float64(7.0), 7.0, "7", np.int64(0)])
+def test_non_integral_mode_count_rejected(m):
+    with pytest.raises(ValueError, match="m must be"):
+        ExperimentConfig(m=m)
 
 
 def test_infinite_memory_allowed():

@@ -11,6 +11,8 @@ from swpemux.engine import (
     CoincidenceRow,
     RunPlan,
     SettingPair,
+    _pair_table,
+    _pure_table,
     analytic_p_s,
     analytic_p_sas,
     derive_stream,
@@ -21,7 +23,7 @@ from swpemux.engine import (
     run_trial,
     visibility,
 )
-from swpemux.states import MeasurementSetting, joint_probabilities
+from swpemux.states import MeasurementSetting, bell_state, joint_probabilities
 from swpemux.analysis import CANONICAL_BELL, correlation_e, tomography_setting_pairs
 from swpemux.util import first_success_probability
 
@@ -77,9 +79,11 @@ class TestStreamsAgainstFreshPhilox:
     def test_coincidence_rows(self, plan, seed):
         pairs, n, tau = PLANS[plan], 50_000, 4.0
         table = run_coincidence_batch(CFG, tau, pairs, n, seed)
-        rho = effective_pair_state(CFG, CFG.m, tau)
+        v = visibility(CFG, CFG.m, tau)
         for s, (pair, row) in enumerate(zip(pairs, table.rows)):
-            joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
+            # the Werner table in closed form: V J_pure + (1 - V)/4, normalized
+            pure = joint_probabilities(bell_state(CFG.theta), pair.stokes, pair.anti_stokes)
+            joint = v * pure + (1.0 - v) / 4.0
             counts = fresh_stream(seed, 1, s).multinomial(n, (joint / joint.sum()).ravel())
             assert row.pair == pair
             assert row.counts().ravel().tolist() == counts.tolist()
@@ -138,6 +142,13 @@ class TestVisibility:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             visibility(CFG, form="quadratic")
+
+    def test_storage_time_far_below_reference_saturates(self):
+        # exp((tau_ref - tau)/tau_c) overflows a float here; the clamp holds
+        cfg = CFG.replace(tau_ref=1e6, tau_c=1e-300)
+        assert visibility(cfg, tau=0.0) == 1.0
+        assert visibility(cfg.replace(v1=5e-324), tau=0.0) == 1.0
+        assert visibility(cfg.replace(beta=10.0), tau=0.0, form="linear") == 0.0
 
     def test_infinite_memory(self):
         cfg = CFG.replace(tau_c=float("inf"))
@@ -240,6 +251,52 @@ class TestOutcomeLaw:
         se = math.sqrt(n_real * p_read * (1.0 - p_read))
         assert abs(real_coincidences - n_real * p_read) < 4.0 * se
         result.table.validate()
+
+
+class TestPairTable:
+    PAIRS = CANONICAL_BELL.setting_pairs() + tomography_setting_pairs()
+
+    def test_pure_table_is_memoized_and_read_only(self):
+        pair = SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.circular_l())
+        table = _pure_table(CFG.theta, pair)
+        assert _pure_table(CFG.theta, pair) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        # a caller may modify the table it gets without touching the memo
+        derived = _pair_table(CFG, 0.7, pair)
+        derived[:] = -1.0
+        assert np.all(_pure_table(CFG.theta, pair) >= 0.0)
+        assert np.all(_pair_table(CFG, 0.7, pair) >= 0.0)
+
+    def test_matches_werner_state_and_old_per_port_law(self):
+        """Over the m = 1..19, tau = 0..30 grid and the 13 Bell and
+        tomography pairs: the affine table equals the normalized joint table
+        of the Werner state, and outcome_law's real-herald cells equal the
+        per-port split of that table."""
+        tables, joints, cells, per_port = [], [], [], []
+        for m in range(1, 20):
+            config = CFG.replace(m=m, dark_rate=3e-3)
+            p_real = config.chi * config.eta_d / _click_probability(config)
+            p_read = config.gamma * config.eta_as
+            for tau in np.arange(31.0):
+                rho = effective_pair_state(config, m, tau)
+                for pair in self.PAIRS:
+                    joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
+                    tables.append(_pair_table(config, tau, pair))
+                    joints.append(joint / joint.sum())
+                    cells.append(outcome_law(config, tau, pair).cells[0])
+                    p_det = joint.sum(axis=1)
+                    p_d1 = p_det[0] / p_det.sum()
+                    for i, p_port in enumerate((p_d1, 1.0 - p_d1)):
+                        p_t1 = joint[i, 0] / p_det[i]
+                        read = (p_read * p_t1, p_read * (1.0 - p_t1), 1.0 - p_read)
+                        per_port.append([p_real * p_port * r for r in read])
+        assert len(tables) == 19 * 31 * 13
+        np.testing.assert_allclose(np.array(tables), np.array(joints), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            np.array(cells).reshape(-1, 3), np.array(per_port), rtol=0.0, atol=1e-15
+        )
 
 
 def _click_probability(config):

@@ -1,6 +1,9 @@
 """Elementary-link timing and the feed-forward equivalence."""
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
 from swpemux.link import (
@@ -34,6 +37,15 @@ class TestConfigs:
     def test_link_mode_count_must_be_integer(self, m):
         with pytest.raises(ValueError, match="mode count m"):
             LinkConfig(m=m)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        link = LinkConfig(m=np.int64(19))
+        fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=np.int64(3))
+        assert type(link.m) is int and link == LinkConfig(m=19)
+        assert type(fb.n_attempts) is int and fb == FeedbackConfig(eta=0.5, chi=0.01, n_attempts=3)
+        for config in (link, fb):
+            data = dataclasses.asdict(config)
+            assert type(config)(**json.loads(json.dumps(data))) == config
 
     @pytest.mark.parametrize("name", ["l0_km", "c_fiber_km_s"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

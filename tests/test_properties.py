@@ -1,4 +1,5 @@
-"""Property tests: physical projection, tomography inversion, config JSON.
+"""Property tests: physical projection, tomography inversion, config JSON,
+the outcome law and the closed forms of the Werner pair state.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -6,16 +7,22 @@ checks the same inputs.
 import tempfile
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from swpemux.analysis import (
+    CANONICAL_BELL,
+    analytic_bell_s,
     exact_coincidence_table,
+    fidelity,
     project_physical,
     tomo_reconstruct,
     tomography_setting_pairs,
 )
 from swpemux.config import ExperimentConfig
+from swpemux.engine import effective_pair_state, outcome_law, visibility
+from swpemux.states import bell_state
+from swpemux.util import first_success_probability
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -97,3 +104,39 @@ configs = st.builds(
 @given(configs)
 def test_config_json_round_trip(config):
     assert ExperimentConfig.loads(config.dumps()) == config
+
+
+storage_times = st.floats(0.0, allow_nan=False, allow_infinity=False)
+setting_pairs = st.sampled_from(CANONICAL_BELL.setting_pairs() + tomography_setting_pairs())
+
+
+@PROPERTY
+@given(configs, storage_times, setting_pairs)
+@example(ExperimentConfig(eta_d=0.0), 0.7, CANONICAL_BELL.setting_pairs()[0])  # a = 0
+@example(ExperimentConfig(dark_rate=1.0), 0.7, tomography_setting_pairs()[4])  # a = 1
+@example(ExperimentConfig(m=1, v1=1.0, tau_ref=5.0), 0.0, tomography_setting_pairs()[0])  # V = 1
+def test_outcome_law_is_a_distribution(config, tau, pair):
+    law = outcome_law(config, tau, pair)
+    assert 0.0 <= law.p_herald <= 1.0
+    for probabilities in (law.cells, law.bins):
+        assert np.all(probabilities >= 0.0)
+        assert abs(probabilities.sum() - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(configs, storage_times)
+@example(ExperimentConfig(tau_ref=1e6, tau_c=1e-300), 0.0)  # exp((tau_ref - tau)/tau_c) overflows
+def test_werner_witnesses_scale_with_visibility(config, tau):
+    v = visibility(config, tau=tau)
+    rho = effective_pair_state(config, tau=tau)
+    pure = bell_state(config.theta)
+    assert abs(analytic_bell_s(rho) - v * analytic_bell_s(pure)) < 1e-12
+    assert abs(fidelity(rho, pure) - (1.0 + 3.0 * v) / 4.0) < 1e-12
+
+
+@PROPERTY
+@given(_probability(), _probability(), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_first_success_probability_is_monotone(p, q, n, k):
+    (p, q), (n, k) = sorted((p, q)), sorted((n, k))
+    assert first_success_probability(p, n) <= first_success_probability(q, n)
+    assert first_success_probability(p, n) <= first_success_probability(p, k)

@@ -5,8 +5,6 @@ import pytest
 from swpemux.states import (
     BASIS,
     MeasurementSetting,
-    _port_kets,
-    _product_kets,
     bell_state,
     joint_probabilities,
     projector,
@@ -216,42 +214,3 @@ def test_stokes_marginal_of_bell_states():
         c2 = np.cos(np.radians(theta)) ** 2
         assert np.allclose(marginal, np.diag([c2, 1.0 - c2]), atol=1e-14)
 
-
-class TestProductKetCache:
-    """joint_probabilities memoizes its product kets per analyzer pair; the
-    reference below builds them afresh on every call, as the uncached
-    formula did."""
-
-    @staticmethod
-    def uncached(rho, setting_s, setting_a):
-        kets_s = _port_kets(setting_s)
-        kets_a = _port_kets(setting_a)
-        kets = (kets_s[:, None, :, None] * kets_a[None, :, None, :]).reshape(2, 2, 4)
-        return np.maximum(np.einsum("ijk,kl,ijl->ij", kets.conj(), rho, kets).real, 0.0)
-
-    def test_bitwise_unchanged_on_miss_and_hit(self):
-        rng = np.random.default_rng(77)
-        settings = [MeasurementSetting.linear(a) for a in (0.0, 22.5, 45.0, 133.3)]
-        settings += [MeasurementSetting.circular_r(), MeasurementSetting.circular_l()]
-        _product_kets.cache_clear()
-        for _ in range(3):  # the first pass misses, the later ones hit
-            for setting_s in settings:
-                for setting_a in settings:
-                    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                    rho = g @ g.conj().T
-                    rho /= np.trace(rho).real
-                    got = joint_probabilities(rho, setting_s, setting_a)
-                    assert got.tobytes() == self.uncached(rho, setting_s, setting_a).tobytes()
-        assert _product_kets.cache_info().hits >= 2 * len(settings) ** 2
-
-    def test_cached_kets_are_read_only(self):
-        pair = (MeasurementSetting.linear(22.5), MeasurementSetting.circular_l())
-        kets, bras = _product_kets(*pair)
-        for array in (kets, bras):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0, 0, 0] = 0.0
-        # a caller may modify the table it gets without touching the cache
-        first = joint_probabilities(bell_state(45.0), *pair)
-        first[:] = -1.0
-        assert np.all(joint_probabilities(bell_state(45.0), *pair) >= 0.0)
