@@ -7,6 +7,7 @@ counts makes the estimators exact, which the tests use as an oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ _PAULI_PRODUCTS = (
     _SIGMA[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]
 ).reshape(16, 4, 4)
 
+# signs of the (D1T1, D1T2, D2T1, D2T2) frequencies in the two-qubit
+# correlator, the Stokes-arm term and the anti-Stokes-arm term
+_TERM_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+
 TOMOGRAPHY_BASES = (
     MeasurementSetting.linear(0.0),    # H/V, observable diag(1, -1)
     MeasurementSetting.linear(45.0),   # D/A
@@ -55,9 +60,10 @@ class BellSettings:
     theta_a: float = 22.5
     theta_a_prime: float = 67.5
 
+    @functools.lru_cache(maxsize=64)
     def setting_pairs(self) -> tuple:
         """The four (Stokes, anti-Stokes) combinations in the fixed order
-        (s,a), (s,a'), (s',a), (s',a')."""
+        (s,a), (s,a'), (s',a), (s',a'); memoized, as the tuple is immutable."""
         s = MeasurementSetting.linear(self.theta_s)
         sp = MeasurementSetting.linear(self.theta_s_prime)
         a = MeasurementSetting.linear(self.theta_a)
@@ -73,20 +79,25 @@ class BellSettings:
 CANONICAL_BELL = BellSettings()
 
 
-def _as_counts(source) -> np.ndarray:
-    if isinstance(source, CoincidenceRow):
-        values = (source.c_d1t1, source.c_d1t2, source.c_d2t1, source.c_d2t2)
-        if any(v < 0 for v in values):
-            raise ValueError("coincidence counts must be non-negative")
-        return np.array(values, dtype=float).reshape(2, 2)
-    counts = np.asarray(source, dtype=float)
-    if counts.shape == (4,):
-        counts = counts.reshape(2, 2)
-    if counts.shape != (2, 2):
-        raise ValueError(f"expected 4 coincidence counts, got shape {counts.shape}")
-    if np.any(counts < 0):
+def _stacked_counts(rows: Sequence[CoincidenceRow]) -> np.ndarray:
+    """The rows' counts (D1T1, D1T2, D2T1, D2T2), in row order, as one
+    (P, 4) float array."""
+    return np.array(
+        [(row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2) for row in rows], dtype=float
+    ).reshape(-1, 4)
+
+
+def _correlations(counts: np.ndarray) -> tuple:
+    """E and its binomial standard error for each row of a (P, 4) count
+    array, as two (P,) arrays."""
+    if (counts < 0).any():
         raise ValueError("coincidence counts must be non-negative")
-    return counts
+    totals = counts.sum(axis=1)
+    if (totals <= 0).any():
+        raise ValueError("cannot estimate a correlation from zero coincidences")
+    values = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / totals
+    errors = np.sqrt(np.maximum(0.0, (1.0 - values * values) / totals))
+    return values, errors
 
 
 def correlation_e(source) -> tuple:
@@ -95,13 +106,14 @@ def correlation_e(source) -> tuple:
     Accepts a CoincidenceRow or a 2x2/flat array of counts ordered
     (D1T1, D1T2, D2T1, D2T2). E = (C11 + C22 - C12 - C21) / N.
     """
-    counts = _as_counts(source)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("cannot estimate a correlation from zero coincidences")
-    value = (counts[0, 0] + counts[1, 1] - counts[0, 1] - counts[1, 0]) / total
-    variance = max(0.0, (1.0 - value * value) / total)
-    return float(value), float(math.sqrt(variance))
+    if isinstance(source, CoincidenceRow):
+        counts = _stacked_counts([source])
+    else:
+        counts = np.asarray(source, dtype=float)
+        if counts.shape not in ((4,), (2, 2)):
+            raise ValueError(f"expected 4 coincidence counts, got shape {counts.shape}")
+    values, errors = _correlations(counts.reshape(1, 4))
+    return float(values[0]), float(errors[0])
 
 
 def bell_s(table: CoincidenceTable, settings: BellSettings = CANONICAL_BELL) -> tuple:
@@ -111,19 +123,18 @@ def bell_s(table: CoincidenceTable, settings: BellSettings = CANONICAL_BELL) -> 
     add in quadrature. The sign convention keeps the canonical angles on the
     positive branch, so the quantum bound is +2 sqrt 2.
     """
-    pairs = settings.setting_pairs()
-    estimates = []
-    for pair in pairs:
-        row = table.find(pair)
-        estimates.append(correlation_e(row))
-    value = estimates[0][0] - estimates[1][0] + estimates[2][0] + estimates[3][0]
-    error = math.sqrt(sum(e[1] ** 2 for e in estimates))
-    return float(value), float(error)
+    rows = [table.find(pair) for pair in settings.setting_pairs()]
+    values, errors = _correlations(_stacked_counts(rows))
+    e = values.tolist()
+    value = e[0] - e[1] + e[2] + e[3]
+    error = math.sqrt(sum(v ** 2 for v in errors.tolist()))
+    return value, error
 
 
+@functools.cache
 def tomography_setting_pairs() -> tuple:
     """The nine analyzer pairs of the overcomplete-free tomography scan,
-    row-major over (H/V, D/A, R/L) x (H/V, D/A, R/L)."""
+    row-major over (H/V, D/A, R/L) x (H/V, D/A, R/L); built once and shared."""
     return tuple(
         SettingPair(s, a) for s in TOMOGRAPHY_BASES for a in TOMOGRAPHY_BASES
     )
@@ -142,35 +153,38 @@ def _basis_index(setting: MeasurementSetting) -> int:
 def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
     """Linear-inversion density matrix from the nine-basis coincidence scan.
 
-    Each row's four counts give one two-qubit correlator; single-arm terms
-    are averaged over the three partner bases measuring them. On exact
+    The rows' normalized counts form one (9, 4) array whose (9,)-vector
+    reductions give the two-qubit correlators and the single-arm terms,
+    averaged over the three partner bases measuring them. On exact
     probabilities the inversion is exact. The result is Hermitian with unit
     trace but may have small negative eigenvalues on finite counts; follow
     with project_physical before computing fidelities.
     """
-    seen: dict[tuple, np.ndarray] = {}
+    cells = []
     for row in table.rows:
-        j = _basis_index(row.pair.stokes)
-        k = _basis_index(row.pair.anti_stokes)
-        if (j, k) in seen:
+        cell = (_basis_index(row.pair.stokes), _basis_index(row.pair.anti_stokes))
+        if cell in cells:
             raise ValueError(f"duplicate tomography row for pair {row.pair.tokens()}")
-        counts = _as_counts(row)
-        if counts.sum() <= 0:
+        cells.append(cell)
+    counts = _stacked_counts(table.rows)
+    if (counts < 0).any():
+        raise ValueError("coincidence counts must be non-negative")
+    totals = counts.sum(axis=1)
+    for row, total in zip(table.rows, totals.tolist()):
+        if total <= 0:
             raise ValueError(f"tomography row {row.pair.tokens()} has zero coincidences")
-        seen[(j, k)] = counts / counts.sum()
-    missing = [(j, k) for j in range(3) for k in range(3) if (j, k) not in seen]
-    if missing:
-        raise ValueError(f"tomography scan is missing {len(missing)} basis pairs")
+    if len(cells) < 9:
+        raise ValueError(f"tomography scan is missing {9 - len(cells)} basis pairs")
 
+    p = counts / totals[:, None]
+    two_arm, stokes, anti_stokes = (p[:, None, :] * _TERM_SIGNS).sum(axis=2).T
+    j, k = (np.array(cells) + 1).T
     correlators = np.zeros((4, 4))
     correlators[0, 0] = 1.0
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    marg_s = np.array([[1.0, 1.0], [-1.0, -1.0]])
-    marg_a = marg_s.T
-    for (j, k), p in seen.items():
-        correlators[j + 1, k + 1] = float((sign * p).sum())
-        correlators[j + 1, 0] += float((marg_s * p).sum()) / 3.0
-        correlators[0, k + 1] += float((marg_a * p).sum()) / 3.0
+    correlators[j, k] = two_arm
+    # add.at adds the single-arm terms one row after another, in row order
+    np.add.at(correlators[:, 0], j, stokes / 3.0)
+    np.add.at(correlators[0], k, anti_stokes / 3.0)
 
     # the sum over the first axis adds the terms in order, term (0, 0) first
     rho = (correlators.reshape(16, 1, 1) * _PAULI_PRODUCTS).sum(axis=0)

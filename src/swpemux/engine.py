@@ -8,8 +8,9 @@ polarization is sampled from the effective pair state conditioned on which
 Stokes detector fired.
 
 The pair state is the Werner mixture V |psi(theta)><psi(theta)| + (1 - V) I/4,
-so a setting pair's joint table is V J_pure(theta, pair) + (1 - V)/4
-(_pair_table): the one source of P(D_i, T_j) for both samplers.
+so a setting pair's joint table is V J_pure(theta, pair) + (1 - V)/4. The
+(P, 4) stack of these tables for P setting pairs (_pair_tables, one row per
+pair) is the one source of P(D_i, T_j) for both samplers.
 
 Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
 gives the exact distribution of everything run_batch reports: the herald
@@ -17,7 +18,8 @@ count is binomial, and the outcome cells and the herald-bin histogram are
 multinomial given it. run_batch draws those aggregates directly, at a cost
 that does not grow with the trial count, and run_trial draws one train's
 herald, outcome cell and herald bin from the same law. run_coincidence_batch
-draws heralded coincidences from the pair table alone.
+draws heralded coincidences from the stacked pair tables alone, into one
+(P, 4) count array.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -392,13 +394,30 @@ def _pure_table(theta: float, pair: SettingPair) -> np.ndarray:
     return table
 
 
-def _pair_table(config: ExperimentConfig, tau: float, pair: SettingPair) -> np.ndarray:
-    """P(D_i, T_j) of a heralded real pair at storage time tau: the Werner
-    table V J_pure + (1 - V)/4, normalized. Every entry is non-negative and
-    the entries sum to 1, so callers need no guard against empty ports."""
+@functools.lru_cache(maxsize=1024)
+def _pure_tables(theta: float, pairs: tuple[SettingPair, ...]) -> np.ndarray:
+    """The pairs' _pure_tables as the rows (D1T1, D1T2, D2T1, D2T2) of one
+    (P, 4) array, memoized and read-only like _pure_table."""
+    stack = np.array([_pure_table(theta, pair).ravel() for pair in pairs])
+    stack.flags.writeable = False
+    return stack
+
+
+def _pair_tables(
+    config: ExperimentConfig, tau: float, pairs: tuple[SettingPair, ...]
+) -> np.ndarray:
+    """P(D_i, T_j) of a heralded real pair at storage time tau: row s is
+    pair s's Werner table V J_pure + (1 - V)/4, normalized. Every entry is
+    non-negative and every row sums to 1, so callers need no guard against
+    empty ports."""
     v = visibility(config, config.m, tau)
-    table = v * _pure_table(config.theta, pair) + (1.0 - v) / 4.0
-    return table / table.sum()
+    tables = v * _pure_tables(config.theta, pairs) + (1.0 - v) / 4.0
+    return tables / tables.sum(axis=1, keepdims=True)
+
+
+def _pair_table(config: ExperimentConfig, tau: float, pair: SettingPair) -> np.ndarray:
+    """The 2x2 pair table of one setting pair (_pair_tables)."""
+    return _pair_tables(config, tau, (pair,)).reshape(2, 2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -533,13 +552,15 @@ def run_coincidence_batch(
     """Sample n heralded coincidences per setting pair directly.
 
     This draws from the conditional law of run_batch given a real herald and
-    a successful readout, the pair table P(D_i, T_j) that outcome_law also
-    reads, as one multinomial per pair. Use it where published statistics
-    are quoted per heralded coincidence; the full per-trial engine would need about
+    a successful readout, the stacked pair tables P(D_i, T_j) that
+    outcome_law also reads, as one multinomial per pair into one (P, 4) count
+    array. Use it where published statistics are quoted per heralded
+    coincidence; the full per-trial engine would need about
     1/(p_s gamma eta_as) trials per coincidence to reach the same counts.
     Dark heralds are not part of the conditional law. Setting pair s draws
     from derive_stream(seed, coincidence domain, s); one generator is
-    re-keyed per pair, so no pair builds its own.
+    re-keyed per pair, so no pair builds its own. The array is validated
+    once and becomes the rows in one pass.
     """
     if n_coincidences < 1:
         raise ValueError(f"n_coincidences must be at least 1, got {n_coincidences}")
@@ -547,16 +568,16 @@ def run_coincidence_batch(
     settings = tuple(settings)
     if not settings:
         raise ValueError("need at least one analyzer setting pair")
-    table = CoincidenceTable()
+    probabilities = _pair_tables(config, tau, settings)
+    counts = np.empty((len(settings), 4), dtype=np.int64)
     streams = _setting_streams(seed, _DOMAIN_COINCIDENCE, len(settings))
-    for pair, gen in zip(settings, streams):
-        probabilities = _pair_table(config, tau, pair).ravel()
-        c11, c12, c21, c22 = (int(v) for v in gen.multinomial(n_coincidences, probabilities))
-        row = CoincidenceRow(
-            pair,
-            c_d1t1=c11, c_d1t2=c12, c_d2t1=c21, c_d2t2=c22,
-            n_d1=c11 + c12, n_d2=c21 + c22, n_total=n_coincidences,
-        )
-        row.validate()
-        table.rows.append(row)
-    return table
+    for s, gen in enumerate(streams):
+        counts[s] = gen.multinomial(n_coincidences, probabilities[s])
+    # CoincidenceRow.validate of every row: with n_d1 = c11 + c12 and
+    # n_d2 = c21 + c22 it holds iff the counts are >= 0 and sum to <= n
+    if counts.min() < 0 or counts.sum(axis=1).max() > n_coincidences:
+        raise ValueError("sampled coincidence counts do not form a valid table")
+    return CoincidenceTable([
+        CoincidenceRow(pair, c11, c12, c21, c22, c11 + c12, c21 + c22, n_coincidences)
+        for pair, (c11, c12, c21, c22) in zip(settings, counts.tolist())
+    ])

@@ -1,12 +1,18 @@
-"""Property tests: physical projection, tomography inversion, config JSON,
-the outcome law and the closed forms of the Werner pair state.
+"""Property tests: physical projection, tomography inversion, config JSON
+and its rejection of non-finite values, the outcome law, the validity of
+sampled rows, the coincidence CSV round trip and the closed forms of the
+Werner pair state.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
 """
+import dataclasses
+import math
+import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -20,8 +26,19 @@ from swpemux.analysis import (
     tomography_setting_pairs,
 )
 from swpemux.config import ExperimentConfig
-from swpemux.engine import effective_pair_state, outcome_law, visibility
-from swpemux.states import bell_state
+from swpemux.engine import (
+    CoincidenceRow,
+    CoincidenceTable,
+    RunPlan,
+    SettingPair,
+    effective_pair_state,
+    outcome_law,
+    run_batch,
+    run_coincidence_batch,
+    visibility,
+)
+from swpemux.io import read_coincidence_csv, write_coincidence_csv
+from swpemux.states import MeasurementSetting, bell_state
 from swpemux.util import first_success_probability
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -106,6 +123,20 @@ def test_config_json_round_trip(config):
     assert ExperimentConfig.loads(config.dumps()) == config
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+@PROPERTY
+@given(configs, st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(ExperimentConfig(), math.nan)
+@example(ExperimentConfig(), math.inf)
+@example(ExperimentConfig(), -math.inf)
+def test_non_finite_config_field_is_rejected_by_name(name, config, value):
+    if name == "tau_c" and value == math.inf:
+        config.replace(tau_c=value)  # the one allowed infinity: no memory decay
+        return
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        config.replace(**{name: value})
+
+
 storage_times = st.floats(0.0, allow_nan=False, allow_infinity=False)
 setting_pairs = st.sampled_from(CANONICAL_BELL.setting_pairs() + tomography_setting_pairs())
 
@@ -121,6 +152,54 @@ def test_outcome_law_is_a_distribution(config, tau, pair):
     for probabilities in (law.cells, law.bins):
         assert np.all(probabilities >= 0.0)
         assert abs(probabilities.sum() - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(
+    configs,
+    storage_times,
+    st.lists(setting_pairs, min_size=1, max_size=13),
+    st.integers(1, 2**62),
+    st.integers(0, 2**64 - 1),
+)
+def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
+    """Both samplers return one valid row per setting pair, for any valid
+    input: run_coincidence_batch checks its whole count array at once, so
+    this pins that check to CoincidenceRow.validate."""
+    coincidences = run_coincidence_batch(config, tau, pairs, n, seed)
+    batch = run_batch(RunPlan(config, tau, pairs, n, seed))
+    for table in (coincidences, batch.table):
+        assert [row.pair for row in table.rows] == pairs
+        for row in table.rows:
+            row.validate()
+            assert row.n_total == n
+    assert all(row.n_coincidences == n for row in coincidences.rows)
+
+
+analyzers = st.one_of(
+    st.floats(0.0, 180.0, exclude_max=True).map(MeasurementSetting.linear),
+    st.sampled_from([MeasurementSetting.circular_r(), MeasurementSetting.circular_l()]),
+)
+
+
+@st.composite
+def coincidence_rows(draw):
+    """Any row that passes CoincidenceRow.validate, counts up to 10^20."""
+    counts = st.integers(0, 10**20)
+    n_d1, n_d2, spare = draw(counts), draw(counts), draw(counts)
+    c11, c12 = draw(st.integers(0, n_d1)), draw(st.integers(0, n_d1))
+    c21, c22 = draw(st.integers(0, n_d2)), draw(st.integers(0, n_d2))
+    pair = SettingPair(draw(analyzers), draw(analyzers))
+    return CoincidenceRow(pair, c11, c12, c21, c22, n_d1, n_d2, n_d1 + n_d2 + spare)
+
+
+@PROPERTY
+@given(st.lists(coincidence_rows(), max_size=13))
+def test_coincidence_csv_round_trip(rows):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "counts.csv")
+        write_coincidence_csv(CoincidenceTable(rows), path)
+        assert read_coincidence_csv(path).rows == rows
 
 
 @PROPERTY

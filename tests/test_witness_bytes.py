@@ -1,0 +1,73 @@
+"""Byte-identity guard for the seeded CHSH and tomography outputs.
+
+Each digest below was recorded from the code before the witness point was
+computed as array operations over its setting pairs; that rewrite, and any
+later change that claims byte-identical output, must reproduce them bit for
+bit. The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31
+(LAPACK included) on x86-64: eigh, solve and the BLAS kernels OpenBLAS picks
+for the CPU can round differently on another build or processor, and there
+a mismatch means the digests need recording again, not that the program is
+wrong.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from swpemux import analysis, engine
+from swpemux.cli import EXIT_OK, main
+from swpemux.config import ExperimentConfig
+from swpemux.states import bell_state
+
+FIGURES = {
+    "fig3": "bacf6f06d7f58fb906a43c23656e993936cf475268b4494c624713a3339d49a6",
+    "fig4": "9f3570cfa5c723e143eff16ff228cfaecb4b3ec1daf9e870632186c26338cac7",
+}
+ANALYSES = {
+    "bell": "789624c5d20361f10d7f10a9f5e19c982fdb886699be096301668fe166d3f049",
+    "tomo": "1d150bde0873f05e57d621481cc4f40ac5db87b863b9004a3acc24c0ba75a791",
+}
+LIBRARY_GRID = "72977f06d81a6008767772d887261d842530aea430e345290c14d67e5cf36753"
+
+
+def sha256_file(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_reproduce_figure_bytes(tmp_path, figure):
+    out = tmp_path / f"{figure}.json"
+    assert main(["reproduce", "--figure", figure, "--out", str(out)]) == EXIT_OK
+    assert sha256_file(out) == FIGURES[figure]
+
+
+@pytest.mark.parametrize("kind", sorted(ANALYSES))
+def test_simulate_then_analyse_bytes(tmp_path, kind):
+    counts, out = tmp_path / f"{kind}.csv", tmp_path / f"{kind}.json"
+    assert main(["simulate", "--settings", kind, "--out", str(counts)]) == EXIT_OK
+    assert main([kind, "--counts", str(counts), "--out", str(out)]) == EXIT_OK
+    assert sha256_file(out) == ANALYSES[kind]
+
+
+def test_library_witness_grid_bytes():
+    """(S, S_err, fidelity, rho) through the library on a 3 x 3 (m, tau)
+    grid, with dark counts on."""
+    base = ExperimentConfig(dark_rate=3e-3)
+    target = bell_state(base.theta)
+    bell = analysis.CANONICAL_BELL.setting_pairs()
+    tomo = analysis.tomography_setting_pairs()
+    digest = hashlib.sha256()
+    for m in (1, 10, 19):
+        config = base.replace(m=m)
+        for index, tau in enumerate((0.0, 7.0, 30.0)):
+            seed = 100 * m + index
+            s, s_err = analysis.bell_s(
+                engine.run_coincidence_batch(config, tau, bell, 100_000, seed)
+            )
+            rho = analysis.project_physical(analysis.tomo_reconstruct(
+                engine.run_coincidence_batch(config, tau, tomo, 100_000, seed + 50)
+            ))
+            fid = analysis.fidelity(rho, target)
+            digest.update(repr((s, s_err, fid, np.ascontiguousarray(rho).tobytes())).encode())
+    assert digest.hexdigest() == LIBRARY_GRID
