@@ -1,12 +1,15 @@
-"""Byte-identity guard for the seeded CHSH and tomography outputs.
+"""Byte-identity guard for the seeded figure, batch, CHSH and tomography
+outputs.
 
-Each digest below was recorded from the code before the witness point was
-computed as array operations over its setting pairs; that rewrite, and any
-later change that claims byte-identical output, must reproduce them bit for
-bit. The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31
-(LAPACK included) on x86-64: eigh, solve and the BLAS kernels OpenBLAS picks
-for the CPU can round differently on another build or processor, and there
-a mismatch means the digests need recording again, not that the program is
+The fig3/fig4, bell/tomo and library-grid digests were recorded from the code
+before the witness point was computed as array operations over its setting
+pairs; the fig2/fig5 and simulate digests were recorded before run_batch and
+run_trial were given one shared draw routine. Those rewrites, and any later
+change that claims byte-identical output, must reproduce them bit for bit.
+The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
+included) on x86-64: eigh, solve and the BLAS kernels OpenBLAS picks for the
+CPU can round differently on another build or processor, and there a
+mismatch means the digests need recording again, not that the program is
 wrong.
 """
 import hashlib
@@ -20,12 +23,24 @@ from swpemux.config import ExperimentConfig
 from swpemux.states import bell_state
 
 FIGURES = {
+    "fig2": "d61dfd5d6802d3f5216cfe5f31125a1b02d61a074c4934bf58052eb86bc6c4ef",
     "fig3": "bacf6f06d7f58fb906a43c23656e993936cf475268b4494c624713a3339d49a6",
     "fig4": "9f3570cfa5c723e143eff16ff228cfaecb4b3ec1daf9e870632186c26338cac7",
+    "fig5": "f2ea956a7163b1e408377e664d1f341e65769ec3ccc14f61dda1910a5d75f25d",
 }
 ANALYSES = {
     "bell": "789624c5d20361f10d7f10a9f5e19c982fdb886699be096301668fe166d3f049",
     "tomo": "1d150bde0873f05e57d621481cc4f40ac5db87b863b9004a3acc24c0ba75a791",
+}
+# simulate --settings KIND --format FMT under dark_rate = 3e-3, so the herald
+# bin histogram and n_dark_heralds of the JSON output are pinned too
+SIMULATE_DARK = {
+    ("hv", "csv"): "b05eebe0c3fb3111357985757ec9e6b62a25545afa4aa2948b8da98de5dec644",
+    ("hv", "json"): "7fd511dd175c445c67e069dc7cbe2ce668b306af1311a6ad240d0feacd3738c3",
+    ("bell", "csv"): "538f0842d2615f5be25ea70444aa2f9fe6a4a15e16c7a3a24741f6b5da05f54f",
+    ("bell", "json"): "8baebd2c801cabe342da43e968d5bf951ddc5d97428452ef101f83f58e1207b5",
+    ("tomo", "csv"): "c391144f4ab561a82ec50a84fcb45034b627371eb9c40cabb16091e88fa89baf",
+    ("tomo", "json"): "ed685d68492cca40f3e7cf8af7daf4c053fa6a55c3f9f76cfce0aa8425652759",
 }
 LIBRARY_GRID = "72977f06d81a6008767772d887261d842530aea430e345290c14d67e5cf36753"
 
@@ -48,6 +63,16 @@ def test_simulate_then_analyse_bytes(tmp_path, kind):
     assert main(["simulate", "--settings", kind, "--out", str(counts)]) == EXIT_OK
     assert main([kind, "--counts", str(counts), "--out", str(out)]) == EXIT_OK
     assert sha256_file(out) == ANALYSES[kind]
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(SIMULATE_DARK))
+def test_simulate_with_dark_counts_bytes(tmp_path, kind, fmt):
+    config = tmp_path / "dark.json"
+    ExperimentConfig(dark_rate=3e-3).save(str(config))
+    out = tmp_path / f"{kind}.{fmt}"
+    argv = ["simulate", "--settings", kind, "--format", fmt, "--config", str(config)]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert sha256_file(out) == SIMULATE_DARK[kind, fmt]
 
 
 def test_library_witness_grid_bytes():
