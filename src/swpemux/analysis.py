@@ -279,8 +279,8 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
     S_error/S. Two points determine the model exactly (the fit degenerates to
     interpolation and the covariance is zero). Data at or above the quantum
     bound, or that do not decay, produce a warning rather than a failure; a
-    non-decaying fit pins tau_c to +inf. A NaN or infinite tau, S or S_error
-    is a ValueError that names the column.
+    non-decaying fit pins tau_c to +inf. A NaN or infinite tau, S, S_error
+    or tau_ref is a ValueError that names it.
     """
     data = [tuple(p) for p in points]
     if len(data) < 2:
@@ -316,6 +316,8 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
 
     if tau_ref is None:
         tau_ref = float(taus.min())
+    elif not math.isfinite(tau_ref):
+        raise ValueError(f"tau_ref must be finite, got {tau_ref}")
     y = np.log(s_values / TSIRELSON_BOUND)
     # parameters: y = a - b (tau - tau_ref) with a = ln v_ref, b = 1/tau_c
     design = np.column_stack([np.ones_like(taus), -(taus - tau_ref)])
@@ -381,13 +383,14 @@ def calibrate_visibility(
         missing = {"m", "tau", "s"} - set(entry)
         if missing:
             raise ValueError(f"calibration target is missing keys: {sorted(missing)}")
-        m = int(entry["m"])
-        s = float(entry["s"])
+        m, tau, s = int(entry["m"]), float(entry["tau"]), float(entry["s"])
         if m < 1:
             raise ValueError(f"target mode count must be at least 1, got {m}")
-        if s <= 0:
-            raise ValueError(f"target S must be positive, got {s}")
-        parsed.append((m, float(entry["tau"]), s))
+        if not math.isfinite(tau):
+            raise ValueError(f"target tau must be finite, got {tau}")
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"target S must be finite and positive, got {s}")
+        parsed.append((m, tau, s))
 
     mode_counts = sorted({m for m, _, _ in parsed})
     if len(mode_counts) != 2:

@@ -336,7 +336,7 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int]):
     the rows' errors are independent. A run whose m = 1 row drew no heralds
     has no ratio (NaN) and fails the ratio check.
     """
-    endpoint_trials = trials or 1_000_000_000
+    endpoint_trials = 1_000_000_000 if trials is None else trials
     sweep_trials = min(endpoint_trials, 1_000_000)
     rows = []
     estimates = {}
@@ -370,7 +370,7 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int]):
 
 def _reproduce_fig3(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """CHSH decay with storage time, plus the fitted memory lifetime."""
-    n = trials or 1_000_000
+    n = 1_000_000 if trials is None else trials
     tau_grid = (0.7, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     rows = []
     points = []
@@ -389,7 +389,7 @@ def _reproduce_fig3(config: ExperimentConfig, seed: int, trials: Optional[int]):
 
 def _reproduce_fig4(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """Tomography of the calibrated multiplexed state and its fidelity."""
-    n = trials or 100_000
+    n = 100_000 if trials is None else trials
     table = engine.run_coincidence_batch(
         config, config.tau_ref, analysis.tomography_setting_pairs(), n, seed
     )
@@ -403,7 +403,7 @@ def _reproduce_fig4(config: ExperimentConfig, seed: int, trials: Optional[int]):
 
 def _reproduce_fig5(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """CHSH and coincidence probability versus mode count."""
-    n = trials or 1_000_000
+    n = 1_000_000 if trials is None else trials
     rows = []
     s_values = {}
     for m in range(1, config.m + 1):

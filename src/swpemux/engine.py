@@ -10,16 +10,17 @@ Stokes detector fired.
 The pair state is the Werner mixture V |psi(theta)><psi(theta)| + (1 - V) I/4,
 so a setting pair's joint table is V J_pure(theta, pair) + (1 - V)/4. The
 (P, 4) stack of these tables for P setting pairs (_pair_tables, one row per
-pair) is the one source of P(D_i, T_j) for both samplers.
+pair, over J_pure memoized per pair tuple) is the one source of
+P(D_i, T_j) for both samplers.
 
 Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
 gives the exact distribution of everything run_batch reports: the herald
 count is binomial, and the outcome cells and the herald-bin histogram are
-multinomial given it. run_batch draws those aggregates directly, at a cost
-that does not grow with the trial count, and run_trial draws one train's
-herald, outcome cell and herald bin from the same law. run_coincidence_batch
-draws heralded coincidences from the stacked pair tables alone, into one
-(P, 4) count array.
+multinomial given it. One routine (_draw) draws those aggregates for n
+trains, at a cost that does not grow with n: run_batch calls it once per
+setting pair, and run_trial is its n = 1 case. run_coincidence_batch draws
+heralded coincidences from the stacked pair tables alone, into one (P, 4)
+count array.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -31,9 +32,7 @@ thread; there is no thread count to choose.
 """
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
@@ -110,21 +109,14 @@ def _check_storage_time(tau: float) -> None:
 
 
 def visibility(
-    config: ExperimentConfig,
-    m: Optional[int] = None,
-    tau: Optional[float] = None,
-    *,
-    form: str = "saturating",
+    config: ExperimentConfig, m: Optional[int] = None, tau: Optional[float] = None
 ) -> float:
     """Two-photon interference visibility of mode pairs in an m-bin train
     after a storage time tau (microseconds).
 
     The cross-mode background divides the single-mode visibility by
-    1 + beta (m - 1) chi ("saturating", the default) or multiplies it by
-    1 - beta (m - 1) chi ("linear"); both forms agree to first order and the
-    data cannot tell them apart, so the choice is an explicit argument.
-    Memory decay contributes exp(-(tau - tau_ref)/tau_c). The result is
-    clamped to [0, 1].
+    1 + beta (m - 1) chi, and memory decay contributes
+    exp(-(tau - tau_ref)/tau_c). The result is clamped to [0, 1].
     """
     if m is None:
         m = config.m
@@ -133,14 +125,8 @@ def visibility(
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     _check_storage_time(tau)
-    load = config.beta * (m - 1) * config.chi
-    if form == "saturating":
-        base = config.v1 / (1.0 + load)
-    elif form == "linear":
-        base = config.v1 * (1.0 - load)
-    else:
-        raise ValueError(f"unknown visibility form {form!r}")
-    if base <= 0.0:
+    base = config.v1 / (1.0 + config.beta * (m - 1) * config.chi)
+    if base <= 0.0:  # the quotient can underflow to 0, where log would raise
         return 0.0
     exponent = -(tau - config.tau_ref) / config.tau_c
     if exponent > 700.0:  # exp would overflow; decide the clamp at 1 in logs
@@ -385,20 +371,15 @@ class OutcomeLaw(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def _pure_table(theta: float, pair: SettingPair) -> np.ndarray:
-    """Joint table of the pure pair state bell_state(theta) for one setting
-    pair. Memoized, bounded because sweeps use arbitrary angles, and
-    read-only because every caller shares it."""
-    table = joint_probabilities(bell_state(theta), pair.stokes, pair.anti_stokes)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=1024)
 def _pure_tables(theta: float, pairs: tuple[SettingPair, ...]) -> np.ndarray:
-    """The pairs' _pure_tables as the rows (D1T1, D1T2, D2T1, D2T2) of one
-    (P, 4) array, memoized and read-only like _pure_table."""
-    stack = np.array([_pure_table(theta, pair).ravel() for pair in pairs])
+    """Joint tables of the pure pair state bell_state(theta), one setting
+    pair per row (D1T1, D1T2, D2T1, D2T2) of a (P, 4) array. Memoized per
+    pair tuple, bounded because sweeps use arbitrary angles, and read-only
+    because every caller shares it."""
+    rho = bell_state(theta)
+    stack = np.array([
+        joint_probabilities(rho, pair.stokes, pair.anti_stokes).ravel() for pair in pairs
+    ])
     stack.flags.writeable = False
     return stack
 
@@ -415,24 +396,19 @@ def _pair_tables(
     return tables / tables.sum(axis=1, keepdims=True)
 
 
-def _pair_table(config: ExperimentConfig, tau: float, pair: SettingPair) -> np.ndarray:
-    """The 2x2 pair table of one setting pair (_pair_tables)."""
-    return _pair_tables(config, tau, (pair,)).reshape(2, 2)
-
-
 @functools.lru_cache(maxsize=256)
 def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
     """The per-trial outcome law at storage time tau for one setting pair.
 
     A real herald lands on (D_i, T_j) with the pair table's probability
-    (_pair_table) when it reads out, with probability gamma eta_as, and on
+    (_pair_tables) when it reads out, with probability gamma eta_as, and on
     D_i with the table's row sum when it does not. A dark herald lands on D1
     or D2 with probability 1/2 each (one detector alone, or both and a fair
     coin) and reads out an unpolarized background click. Memoized per
     (config, tau, pair), so run_trial and repeated batches do not rebuild it;
     the cache is bounded because sweeps visit arbitrary storage times.
     """
-    table = _pair_table(config, tau, pair)
+    table = _pair_tables(config, tau, (pair,)).reshape(2, 2)
     a, p_herald, p_real, p_read, p_bg = _trial_law(config, config.m)
     cells = np.empty((2, 2, 3))
     cells[0, :, :2] = p_real * p_read * table
@@ -445,14 +421,16 @@ def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> Outc
     return OutcomeLaw(p_herald, cells, bins)
 
 
-def _draw_index(probabilities: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw of one category from a uniform u in [0, 1). A u at
-    or beyond the rounded total falls to the last category that can occur."""
-    weights = probabilities.ravel().tolist()
-    index = bisect.bisect_right(list(itertools.accumulate(weights)), u)
-    if index == len(weights):
-        index = max(i for i, w in enumerate(weights) if w > 0.0)
-    return index
+def _draw(
+    gen: np.random.Generator, n: int, law: OutcomeLaw
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, bins) of n write trains drawn from law, in the fixed order of
+    the reproducibility contract: the herald count ~ Binomial(n, p_herald),
+    then the (2, 2, 3) outcome cells ~ Multinomial(heralds, cells), then the
+    herald-bin histogram ~ Multinomial(heralds, bins)."""
+    heralds = int(gen.binomial(n, law.p_herald))
+    cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
+    return cells, gen.multinomial(heralds, law.bins)
 
 
 def run_trial(
@@ -464,24 +442,22 @@ def run_trial(
 ) -> TrialRecord:
     """Sample one write train from outcome_law and return its TrialRecord.
 
-    rng must be a stream dedicated to this trial (see derive_stream). Fixed
-    draw order, part of the reproducibility contract: one uniform for the
-    herald, against p_herald; then, only when heralded, one uniform for the
-    outcome cell, which gives the herald detector, whether the herald was
-    dark and the readout detector, and one uniform for the herald bin.
+    rng must be a stream dedicated to this trial (see derive_stream). The
+    trial is _draw's n = 1 case, with its draw order: a heralded train has
+    one outcome cell, which gives whether the herald was dark, the herald
+    detector and the readout detector, and one herald bin.
     """
     _check_storage_time(tau)
-    law = outcome_law(config, tau, pair)
-    if not rng.random() < law.p_herald:
+    cells, bins = _draw(rng, 1, outcome_law(config, tau, pair))
+    if not bins.any():
         return TrialRecord(trial_index, None, None, False, None, tau)
-    dark, cell = divmod(_draw_index(law.cells, rng.random()), 6)
-    detector, readout = divmod(cell, 3)
+    dark, detector, readout = np.unravel_index(cells.argmax(), cells.shape)
     return TrialRecord(
         trial_index=trial_index,
-        herald_bin=_draw_index(law.bins, rng.random()) + 1,
-        herald_detector=detector + 1,
+        herald_bin=int(bins.argmax()) + 1,
+        herald_detector=int(detector) + 1,
         herald_was_dark=bool(dark),
-        readout_detector=readout + 1 if readout < 2 else None,
+        readout_detector=int(readout) + 1 if readout < 2 else None,
         storage_time=tau,
     )
 
@@ -490,13 +466,10 @@ def run_batch(plan: RunPlan) -> BatchResult:
     """Run n_trials write trains per analyzer setting pair.
 
     The aggregates are drawn from the exact outcome law instead of simulating
-    every bin. Setting pair s draws from derive_stream(seed, trials domain, s),
-    through one generator re-keyed per pair, in this fixed order: the herald
-    count ~ Binomial(n_trials, p_herald); the twelve outcome cells of
-    outcome_law ~ Multinomial(heralds, cells); the herald-bin histogram ~
-    Multinomial(heralds, bins). The cost per pair is
-    O(m), whatever n_trials is, and the result depends only on the plan.
-    Totals are Python integers.
+    every bin. Setting pair s draws its (cells, bins) with _draw from
+    derive_stream(seed, trials domain, s), through one generator re-keyed per
+    pair. The cost per pair is O(m), whatever n_trials is, and the result
+    depends only on the plan. Totals are Python integers.
 
     p_s_hat is heralds/trials over the whole batch. p_sas_hat is
     coincidences/trials restricted to H/V-basis setting pairs when the plan
@@ -509,10 +482,8 @@ def run_batch(plan: RunPlan) -> BatchResult:
     n_dark = 0
     streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, len(plan.settings))
     for pair, gen in zip(plan.settings, streams):
-        law = outcome_law(plan.config, plan.tau, pair)
-        heralds = int(gen.binomial(n, law.p_herald))
-        cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
-        histogram += gen.multinomial(heralds, law.bins)
+        cells, bins = _draw(gen, n, outcome_law(plan.config, plan.tau, pair))
+        histogram += bins
         (c11, c12, miss1), (c21, c22, miss2) = cells.sum(axis=0).tolist()
         row = CoincidenceRow(
             pair,

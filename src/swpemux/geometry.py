@@ -104,8 +104,8 @@ def scan_geometry(geometry: BeamGeometry, tolerance: float = 1e-5) -> ScanResult
     beam) are surfaced in cross_directional_pairs rather than silently
     classified away.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     m = geometry.m
     residuals = np.empty((m, m), dtype=float)
     for k, theta_wk in enumerate(geometry.write_angles):

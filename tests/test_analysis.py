@@ -338,6 +338,11 @@ class TestFitDecay:
         with pytest.raises(ValueError, match=name):
             fit_decay(points)
 
+    @pytest.mark.parametrize("tau_ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_ref_rejected_by_name(self, tau_ref):
+        with pytest.raises(ValueError, match="tau_ref"):
+            fit_decay([(0.7, 2.30), (30.0, 2.03)], tau_ref=tau_ref)
+
     def test_to_dict_round_trip_fields(self):
         fit = fit_decay([(0.7, 2.30), (30.0, 2.03)])
         payload = fit.to_dict()
@@ -404,6 +409,17 @@ class TestCalibrateVisibility:
         ]
         with pytest.raises(ValueError):
             calibrate_visibility(inverted, chi=CFG.chi, tau_ref=CFG.tau_ref)
+
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("tau", math.nan, "target tau"), ("tau", math.inf, "target tau"),
+        ("s", math.nan, "target S"), ("s", math.inf, "target S"),
+    ])
+    def test_non_finite_target_rejected_by_name(self, key, value, name):
+        targets = [dict(target) for target in self.PUBLISHED]
+        targets[2][key] = value
+        with pytest.raises(ValueError, match=name):
+            calibrate_visibility(targets, chi=CFG.chi, tau_ref=CFG.tau_ref)
 
 
 def test_exact_table_rows_are_probabilities():

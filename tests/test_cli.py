@@ -174,6 +174,16 @@ class TestDecay:
         assert "S values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_tau_ref_is_usage_error(self, tmp_path, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text("tau,s\n0.7,2.30\n30.0,2.03\n")
+        out = tmp_path / "x.json"
+        assert run_cli(
+            "decay", "--points", str(points), "--out", str(out), "--tau-ref", "nan"
+        ) == EXIT_USAGE
+        assert "tau_ref" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPmc:
     def test_default_fan(self, tmp_path):
@@ -199,6 +209,13 @@ class TestPmc:
         assert run_cli(
             "pmc", "--out", str(tmp_path / "x.json"), "--angles", "1,1"
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "x.json"
+        assert run_cli("pmc", "--out", str(out), "--tolerance", tolerance) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLink:
@@ -268,6 +285,18 @@ class TestCalibrate:
         assert payload["v1"] == pytest.approx(0.9369164850721754, rel=1e-12)
         assert payload["beta"] == pytest.approx(0.8454106280193238, rel=1e-12)
         assert payload["tau_c"] == pytest.approx(234.63777275600935, rel=1e-12)
+
+    @pytest.mark.parametrize("text", ['NaN', '"nan"'])
+    def test_nan_target_is_usage_error(self, tmp_path, capsys, text):
+        targets = tmp_path / "targets.json"
+        targets.write_text(
+            '[{"m": 1, "tau": 0.7, "s": 2.65}, {"m": 19, "tau": 0.7, "s": 2.30},'
+            f' {{"m": 19, "tau": 30.0, "s": {text}}}]'
+        )
+        out = tmp_path / "x.json"
+        assert run_cli("calibrate", "--targets", str(targets), "--out", str(out)) == EXIT_USAGE
+        assert "target S" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_list_targets_is_usage_error(self, tmp_path):
         targets = tmp_path / "targets.json"
@@ -377,10 +406,17 @@ class TestExitCodes:
     def test_zero_threads(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "x"), "--threads", "0") == EXIT_USAGE
 
-    def test_zero_trials(self, tmp_path):
-        assert run_cli(
-            "simulate", "--out", str(tmp_path / "x.csv"), "--trials", "0",
-        ) == EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        ("simulate",),
+        ("reproduce", "--figure", "fig2"),
+        ("reproduce", "--figure", "fig3"),
+        ("reproduce", "--figure", "fig4"),
+        ("reproduce", "--figure", "fig5"),
+    ], ids=["simulate", "fig2", "fig3", "fig4", "fig5"])
+    def test_zero_trials(self, tmp_path, argv):
+        out = tmp_path / "x"
+        assert run_cli(*argv, "--out", str(out), "--trials", "0") == EXIT_USAGE
+        assert not out.exists()
 
     def test_missing_subcommand_is_argparse_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,8 +11,8 @@ from swpemux.engine import (
     CoincidenceRow,
     RunPlan,
     SettingPair,
-    _pair_table,
-    _pure_table,
+    _pair_tables,
+    _pure_tables,
     analytic_p_s,
     analytic_p_sas,
     derive_stream,
@@ -128,27 +128,17 @@ class TestVisibility:
         assert visibility(CFG, m=1) == pytest.approx(0.937, rel=1e-14)
         assert visibility(CFG, tau=30.0) == pytest.approx(0.7174011656249258, rel=1e-14)
 
-    def test_linear_form(self):
-        expected = 0.937 * (1.0 - 0.85 * 18 * 0.01)
-        assert visibility(CFG, form="linear") == pytest.approx(expected, rel=1e-14)
-
     def test_clamped_to_unit_interval(self):
         # tau below the reference would push the exponential above one
         assert visibility(CFG.replace(m=1, v1=1.0), tau=0.0) == 1.0
-        # strongly saturated linear form cannot go negative
-        floor_cfg = CFG.replace(beta=10.0, m=19)
-        assert visibility(floor_cfg, form="linear") == 0.0
-
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            visibility(CFG, form="quadratic")
 
     def test_storage_time_far_below_reference_saturates(self):
         # exp((tau_ref - tau)/tau_c) overflows a float here; the clamp holds
         cfg = CFG.replace(tau_ref=1e6, tau_c=1e-300)
         assert visibility(cfg, tau=0.0) == 1.0
         assert visibility(cfg.replace(v1=5e-324), tau=0.0) == 1.0
-        assert visibility(cfg.replace(beta=10.0), tau=0.0, form="linear") == 0.0
+        # v1 / (1 + beta (m - 1) chi) underflows to 0 before the log is taken
+        assert visibility(cfg.replace(v1=5e-324, beta=10.0), tau=0.0) == 0.0
 
     def test_infinite_memory(self):
         cfg = CFG.replace(tau_c=float("inf"))
@@ -257,17 +247,17 @@ class TestPairTable:
     PAIRS = CANONICAL_BELL.setting_pairs() + tomography_setting_pairs()
 
     def test_pure_table_is_memoized_and_read_only(self):
-        pair = SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.circular_l())
-        table = _pure_table(CFG.theta, pair)
-        assert _pure_table(CFG.theta, pair) is table
+        pairs = (SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.circular_l()),)
+        table = _pure_tables(CFG.theta, pairs)
+        assert _pure_tables(CFG.theta, pairs) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
         # a caller may modify the table it gets without touching the memo
-        derived = _pair_table(CFG, 0.7, pair)
+        derived = _pair_tables(CFG, 0.7, pairs)
         derived[:] = -1.0
-        assert np.all(_pure_table(CFG.theta, pair) >= 0.0)
-        assert np.all(_pair_table(CFG, 0.7, pair) >= 0.0)
+        assert np.all(_pure_tables(CFG.theta, pairs) >= 0.0)
+        assert np.all(_pair_tables(CFG, 0.7, pairs) >= 0.0)
 
     def test_matches_werner_state_and_old_per_port_law(self):
         """Over the m = 1..19, tau = 0..30 grid and the 13 Bell and
@@ -281,9 +271,9 @@ class TestPairTable:
             p_read = config.gamma * config.eta_as
             for tau in np.arange(31.0):
                 rho = effective_pair_state(config, m, tau)
+                tables.extend(_pair_tables(config, tau, self.PAIRS).reshape(-1, 2, 2))
                 for pair in self.PAIRS:
                     joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
-                    tables.append(_pair_table(config, tau, pair))
                     joints.append(joint / joint.sum())
                     cells.append(outcome_law(config, tau, pair).cells[0])
                     p_det = joint.sum(axis=1)

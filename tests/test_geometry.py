@@ -114,6 +114,11 @@ class TestScanGeometry:
         assert scan.cross_directional_pairs != ()
         assert scan.cross_directional_fraction > 0.0
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-5])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            scan_geometry(BeamGeometry(fan_angles(3)), tolerance=tolerance)
+
     def test_mirrored_fan_preserves_residuals(self):
         angles = (1.0, -2.0, 4.5)
         mirrored = tuple(-a for a in angles)
