@@ -410,7 +410,6 @@ class TestCalibrateVisibility:
         with pytest.raises(ValueError):
             calibrate_visibility(inverted, chi=CFG.chi, tau_ref=CFG.tau_ref)
 
-
     @pytest.mark.parametrize("key, value, name", [
         ("tau", math.nan, "target tau"), ("tau", math.inf, "target tau"),
         ("s", math.nan, "target S"), ("s", math.inf, "target S"),
