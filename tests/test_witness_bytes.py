@@ -4,7 +4,9 @@ outputs.
 The fig3/fig4, bell/tomo and library-grid digests were recorded from the code
 before the witness point was computed as array operations over its setting
 pairs; the fig2/fig5 and simulate digests were recorded before run_batch and
-run_trial were given one shared draw routine. Those rewrites, and any later
+run_trial were given one shared draw routine; the pmc and link digests were
+recorded before the PMC scan became one array expression and the CLI began
+sharing one parser per process. Those rewrites, and any later
 change that claims byte-identical output, must reproduce them bit for bit.
 The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
 included) on x86-64: eigh, solve and the BLAS kernels OpenBLAS picks for the
@@ -42,6 +44,26 @@ SIMULATE_DARK = {
     ("tomo", "csv"): "c391144f4ab561a82ec50a84fcb45034b627371eb9c40cabb16091e88fa89baf",
     ("tomo", "json"): "ed685d68492cca40f3e7cf8af7daf4c053fa6a55c3f9f76cfce0aa8425652759",
 }
+# pmc and link outputs: the residual scan of the canonical 19-beam fan in both
+# formats, an explicit fan with a nonzero Stokes angle, and a link m grid
+TABLES = {
+    "pmc-m19-json": (
+        ["pmc", "--m", "19"],
+        "8b665c12b0992d2d28bda4c7f9965fc6d34bb554d6520697332cc979947ed107",
+    ),
+    "pmc-m19-csv": (
+        ["pmc", "--m", "19", "--format", "csv"],
+        "2f13a0463eeeddcdf5d4597177218c3f217b9aca06256295393713a8a1103f03",
+    ),
+    "pmc-angles-csv": (
+        ["pmc", "--angles", "1.5,-0.5,3,-4.25,7", "--stokes-angle", "2.5", "--format", "csv"],
+        "32251ce72c8bb83fc17e1525773e34a4c7e08ae99e3ed78680b049706770a3bb",
+    ),
+    "link-grid-csv": (
+        ["link", "--m-grid", ",".join(str(m) for m in range(1, 20)), "--format", "csv"],
+        "cdb53dbfe0d84de3be37c69fa9b7d13226a55789a7bed1b6a45791aac9d8d194",
+    ),
+}
 LIBRARY_GRID = "72977f06d81a6008767772d887261d842530aea430e345290c14d67e5cf36753"
 
 
@@ -73,6 +95,14 @@ def test_simulate_with_dark_counts_bytes(tmp_path, kind, fmt):
     argv = ["simulate", "--settings", kind, "--format", fmt, "--config", str(config)]
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert sha256_file(out) == SIMULATE_DARK[kind, fmt]
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_pmc_and_link_bytes(tmp_path, name):
+    argv, digest = TABLES[name]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert sha256_file(out) == digest
 
 
 def test_library_witness_grid_bytes():
