@@ -17,6 +17,7 @@ import numpy as np
 
 from .engine import CoincidenceRow, CoincidenceTable, SettingPair
 from .states import MeasurementSetting, joint_probabilities
+from .util import as_count
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -280,7 +281,9 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
     interpolation and the covariance is zero). Data at or above the quantum
     bound, or that do not decay, produce a warning rather than a failure; a
     non-decaying fit pins tau_c to +inf. A NaN or infinite tau, S, S_error
-    or tau_ref is a ValueError that names it.
+    or tau_ref is a ValueError that names it, and so is a finite tau_ref so
+    far from the storage times that the normal matrix, the solution or the
+    covariance is not finite.
     """
     data = [tuple(p) for p in points]
     if len(data) < 2:
@@ -321,8 +324,12 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
     y = np.log(s_values / TSIRELSON_BOUND)
     # parameters: y = a - b (tau - tau_ref) with a = ln v_ref, b = 1/tau_c
     design = np.column_stack([np.ones_like(taus), -(taus - tau_ref)])
-    normal = design.T @ (weights[:, None] * design)
-    rhs = design.T @ (weights * y)
+    too_far = f"tau_ref = {tau_ref} is too far from the storage times for a finite decay fit"
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = design.T @ (weights[:, None] * design)
+        rhs = design.T @ (weights * y)
+    if not np.all(np.isfinite(normal)):
+        raise ValueError(too_far)
     try:
         a, b = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError as exc:
@@ -336,6 +343,8 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
             covariance = covariance * float((weights * residuals**2).sum() / dof)
         else:
             covariance = np.zeros((2, 2))
+    if not (math.isfinite(a) and math.isfinite(b) and np.all(np.isfinite(covariance))):
+        raise ValueError(too_far)
 
     v_ref = float(math.exp(a))
     if b <= 0.0:
@@ -369,8 +378,9 @@ def calibrate_visibility(
     targets is a sequence of three {"m":..., "tau":..., "s":...} mappings:
     two must share the same storage time at different mode counts (they fix
     the cross-mode coefficient beta) and two must share the larger mode count
-    at different storage times (they fix tau_c). Returns a configuration
-    patch {"v1":..., "beta":..., "tau_c":...}.
+    at different storage times (they fix tau_c). Each m must be an integer
+    of at least 1; a fractional one is a ValueError, never truncated.
+    Returns a configuration patch {"v1":..., "beta":..., "tau_c":...}.
 
     Equal target values degrade gracefully (beta = 0, tau_c = +inf); targets
     that increase with m or with tau are rejected because the model cannot
@@ -383,9 +393,8 @@ def calibrate_visibility(
         missing = {"m", "tau", "s"} - set(entry)
         if missing:
             raise ValueError(f"calibration target is missing keys: {sorted(missing)}")
-        m, tau, s = int(entry["m"]), float(entry["tau"]), float(entry["s"])
-        if m < 1:
-            raise ValueError(f"target mode count must be at least 1, got {m}")
+        m = as_count("target mode count", entry["m"])
+        tau, s = float(entry["tau"]), float(entry["s"])
         if not math.isfinite(tau):
             raise ValueError(f"target tau must be finite, got {tau}")
         if not (math.isfinite(s) and s > 0):

@@ -5,10 +5,15 @@ Every output file is written atomically (temp file + rename) and is
 byte-for-byte reproducible for a given seed; --threads is accepted for
 compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
 1 runtime or comparison failure, 2 usage or configuration error.
+
+main reuses one argument parser per process: build_parser builds it on the
+first call and returns the same object afterwards, so repeated in-process
+calls (tests, the benchmark, library scripts) pay only for parsing.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -66,7 +71,15 @@ def _add_common(parser: argparse.ArgumentParser, *, trials: Optional[int] = None
                         dest="fmt", help="output format")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The swpemux argument parser, built once per process.
+
+    Every call returns the same parser, which main shares across calls;
+    parse_args leaves it unchanged, and callers must not mutate it (no
+    add_argument, set_defaults or similar), because that would change every
+    later call in the process.
+    """
     parser = argparse.ArgumentParser(
         prog="swpemux",
         description="Monte Carlo simulator and analysis tools for a temporally "

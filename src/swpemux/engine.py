@@ -81,21 +81,26 @@ def _setting_streams(seed: int, domain: int, count: int):
     One Philox generator is built and re-keyed for each s by setting its
     state to counter 0, key s and an empty buffer, which is the state a fresh
     Philox(key=...) starts in; building a Philox costs about ten times as
-    much, most of it a seed sequence that the key makes unused. Every item is
+    much, most of it a seed sequence that the key makes unused. The state
+    dict is built once per call and only its key changes between pairs (the
+    state setter copies the values and keeps no reference). Every item is
     the same Generator object, valid until the next one is drawn.
     """
     bit_generator = np.random.Philox(key=0)
     gen = np.random.Generator(bit_generator)
+    counter_and_key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+    state = {
+        "bit_generator": "Philox",
+        "state": counter_and_key,
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for s in range(count):
         key = _stream_key(seed, domain, s)
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (key & _KEY_WORD, key >> 64)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        counter_and_key["key"] = (key & _KEY_WORD, key >> 64)
+        bit_generator.state = state
         yield gen
 
 

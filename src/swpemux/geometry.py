@@ -97,6 +97,12 @@ class ScanResult:
 def scan_geometry(geometry: BeamGeometry, tolerance: float = 1e-5) -> ScanResult:
     """Residual matrix entry (k, l) = pmc_residual(theta_wk, theta_rl, theta_s).
 
+    The matrix is one array expression over the fan: the cosine and sine of
+    each write angle and of the Stokes angle are taken once, and k_as is
+    (cos wk - cos rl - cos s, sin wk - sin rl - sin s) as in
+    anti_stokes_wavevector, in the same operation order, so every entry is
+    bitwise equal to its pmc_residual.
+
     The diagonal (read the mode with its own antiparallel beam) is phase
     matched by construction. Off-diagonal entries should all be above the
     tolerance in a usable fan; any that are not (for example a write beam
@@ -107,14 +113,16 @@ def scan_geometry(geometry: BeamGeometry, tolerance: float = 1e-5) -> ScanResult
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     m = geometry.m
-    residuals = np.empty((m, m), dtype=float)
-    for k, theta_wk in enumerate(geometry.write_angles):
-        for l, theta_rl in enumerate(geometry.write_angles):
-            residuals[k, l] = pmc_residual(theta_wk, theta_rl, geometry.stokes_angle)
+    radians = [math.radians(a) for a in geometry.write_angles]
+    cos = np.array([math.cos(a) for a in radians])
+    sin = np.array([math.sin(a) for a in radians])
+    s = math.radians(geometry.stokes_angle)
+    kx = cos[:, None] - cos[None, :] - math.cos(s)
+    ky = sin[:, None] - sin[None, :] - math.sin(s)
+    residuals = np.abs(np.hypot(kx, ky) - 1.0)
     directional = residuals <= tolerance
-    cross_pairs = tuple(
-        (k, l) for k in range(m) for l in range(m) if k != l and directional[k, l]
-    )
+    off_diagonal = directional & ~np.eye(m, dtype=bool)
+    cross_pairs = tuple(map(tuple, np.argwhere(off_diagonal).tolist()))
     cross_total = m * (m - 1)
     fraction = len(cross_pairs) / cross_total if cross_total else 0.0
     return ScanResult(

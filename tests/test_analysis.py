@@ -343,6 +343,18 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="tau_ref"):
             fit_decay([(0.7, 2.30), (30.0, 2.03)], tau_ref=tau_ref)
 
+    @pytest.mark.parametrize("tau_ref", [1e155, 1e300, -1e300])
+    @pytest.mark.parametrize("points", [
+        [(0.7, 2.30), (30.0, 2.03)],
+        [(0.7, 2.30), (15.0, 2.20), (30.0, 2.03)],
+        [(0.7, 2.30, 0.01), (30.0, 2.03, 0.01)],
+    ], ids=["two", "three", "errors"])
+    def test_overflowing_tau_ref_rejected_by_name(self, points, tau_ref):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tau_ref"):
+                fit_decay(points, tau_ref=tau_ref)
+
     def test_to_dict_round_trip_fields(self):
         fit = fit_decay([(0.7, 2.30), (30.0, 2.03)])
         payload = fit.to_dict()
@@ -409,6 +421,13 @@ class TestCalibrateVisibility:
         ]
         with pytest.raises(ValueError):
             calibrate_visibility(inverted, chi=CFG.chi, tau_ref=CFG.tau_ref)
+
+    @pytest.mark.parametrize("m", [1.9, 19.0, True, "19", 0])
+    def test_mode_count_must_be_a_whole_count(self, m):
+        targets = [dict(target) for target in self.PUBLISHED]
+        targets[0]["m"] = m
+        with pytest.raises(ValueError, match="target mode count"):
+            calibrate_visibility(targets, chi=CFG.chi, tau_ref=CFG.tau_ref)
 
     @pytest.mark.parametrize("key, value, name", [
         ("tau", math.nan, "target tau"), ("tau", math.inf, "target tau"),

@@ -7,7 +7,7 @@ import pytest
 
 from swpemux import engine
 from swpemux.analysis import CANONICAL_BELL, tomography_setting_pairs
-from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from swpemux.config import ExperimentConfig
 from swpemux.engine import run_coincidence_batch
 from swpemux.io import read_coincidence_csv, write_coincidence_csv
@@ -184,6 +184,17 @@ class TestDecay:
         assert "tau_ref" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_tau_ref_is_usage_error(self, tmp_path, capsys):
+        points = tmp_path / "pts.csv"
+        points.write_text("tau,s\n0.7,2.30\n30.0,2.03\n")
+        out = tmp_path / "x.json"
+        assert run_cli(
+            "decay", "--points", str(points), "--out", str(out), "--tau-ref", "1e300"
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "tau_ref" in err and "Warning" not in err
+        assert not out.exists()
+
 
 class TestPmc:
     def test_default_fan(self, tmp_path):
@@ -296,6 +307,18 @@ class TestCalibrate:
         out = tmp_path / "x.json"
         assert run_cli("calibrate", "--targets", str(targets), "--out", str(out)) == EXIT_USAGE
         assert "target S" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_mode_count_is_usage_error(self, tmp_path, capsys):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([
+            {"m": 1.9, "tau": 0.7, "s": 2.65},
+            {"m": 19, "tau": 0.7, "s": 2.30},
+            {"m": 19, "tau": 30.0, "s": 2.03},
+        ]))
+        out = tmp_path / "x.json"
+        assert run_cli("calibrate", "--targets", str(targets), "--out", str(out)) == EXIT_USAGE
+        assert "target mode count" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_list_targets_is_usage_error(self, tmp_path):
@@ -422,6 +445,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_omitted_option_takes_its_default_again(self, tmp_path):
+        argv = ["simulate", "--settings", "hv", "--format", "json"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run_cli(*argv, "--tau", "5.0", "--out", str(first)) == EXIT_OK
+        assert run_cli(*argv, "--out", str(second)) == EXIT_OK
+        assert load(first)["tau"] == 5.0
+        assert load(second)["tau"] == CFG.tau_ref
+
+    def test_usage_error_repeats(self):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["simulate"])
+            assert excinfo.value.code == 2
+
+    def test_other_subcommand_between_calls_changes_nothing(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli("simulate", "--out", str(first)) == EXIT_OK
+        assert run_cli("bell", "--counts", str(first), "--out", str(tmp_path / "s.json")) == EXIT_OK
+        assert run_cli("simulate", "--out", str(second)) == EXIT_OK
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_default_seed_is_stable_constant():

@@ -13,6 +13,7 @@ from swpemux.engine import (
     SettingPair,
     _pair_tables,
     _pure_tables,
+    _setting_streams,
     analytic_p_s,
     analytic_p_sas,
     derive_stream,
@@ -73,6 +74,23 @@ class TestStreamsAgainstFreshPhilox:
         for domain, s in [(0, 0), (1, 0), (0, 12), (15, 2**20 - 1)]:
             expected = fresh_stream(seed, domain, s).random(6)
             assert np.array_equal(derive_stream(seed, domain, s).random(6), expected)
+
+    @pytest.mark.parametrize("seed", [0, 61, 1905, 2**64 - 1])
+    @pytest.mark.parametrize("domain", [0, 1])
+    def test_setting_streams_are_derive_stream(self, seed, domain):
+        # an odd number of int32 draws leaves a buffered half word, which the
+        # next re-key must discard like a fresh Philox does
+        def draws(gen):
+            return (
+                gen.multinomial(1000, [0.1, 0.2, 0.3, 0.4]).tolist(),
+                int(gen.binomial(10**12, 0.37)),
+                gen.random(3).tobytes(),
+                gen.integers(0, 2**31, size=3, dtype=np.int32).tolist(),
+                gen.integers(0, 2**62, size=2).tolist(),
+            )
+
+        streams = list(map(draws, _setting_streams(seed, domain, 13)))
+        assert streams == [draws(derive_stream(seed, domain, s)) for s in range(13)]
 
     @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
     @pytest.mark.parametrize("plan", PLANS, ids=PLANS)

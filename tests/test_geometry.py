@@ -125,3 +125,33 @@ class TestScanGeometry:
         r = np.asarray(scan_geometry(BeamGeometry(angles)).residuals)
         r_m = np.asarray(scan_geometry(BeamGeometry(mirrored)).residuals)
         assert np.allclose(r, r_m, atol=1e-15)
+
+
+def scan_by_residual(angles, stokes_angle):
+    """The scan entry by entry through pmc_residual, the scalar reference."""
+    return np.array([[pmc_residual(wk, rl, stokes_angle) for rl in angles] for wk in angles])
+
+
+class TestScanAgainstScalarResidual:
+    @pytest.mark.parametrize("spacing", [1.0, 0.37, 2.0])
+    def test_canonical_fans_bitwise(self, spacing):
+        for m in range(1, 41):
+            angles = fan_angles(m, spacing)
+            scan = scan_geometry(BeamGeometry(angles))
+            assert scan.residuals.tobytes() == scan_by_residual(angles, 0.0).tobytes()
+
+    def test_random_fans_with_stokes_angle_bitwise(self):
+        rng = np.random.default_rng(20181)
+        for _ in range(300):
+            m = int(rng.integers(1, 41))
+            angles = tuple(rng.uniform(-89.0, 89.0, size=m).tolist())
+            stokes_angle = float(rng.uniform(-89.0, 89.0))
+            assert len(set(angles)) == m and stokes_angle != 0.0
+            geometry = BeamGeometry(angles, stokes_angle=stokes_angle)
+            scan = scan_geometry(geometry, tolerance=0.05)
+            expected = scan_by_residual(geometry.write_angles, stokes_angle)
+            assert scan.residuals.tobytes() == expected.tobytes()
+            assert scan.cross_directional_pairs == tuple(
+                (k, l) for k in range(m) for l in range(m)
+                if k != l and expected[k, l] <= 0.05
+            )
