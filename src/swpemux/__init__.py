@@ -6,7 +6,7 @@ The package is organized around a handful of layers:
 * :mod:`swpemux.config` - the experiment parameter set and its JSON format.
 * :mod:`swpemux.states` - polarization states, analyzer settings, projectors.
 * :mod:`swpemux.engine` - the exact per-trial outcome law and the batch and
-  single-trial samplers built on it (counter-based RNG, deterministic for a
+  coincidence samplers built on it (counter-based RNG, deterministic for a
   given seed).
 * :mod:`swpemux.analysis` - CHSH statistics, tomography, decay fits and
   visibility-model calibration.
@@ -42,7 +42,6 @@ from .engine import (
     OutcomeLaw,
     RunPlan,
     SettingPair,
-    TrialRecord,
     analytic_p_s,
     analytic_p_sas,
     derive_stream,
@@ -50,7 +49,6 @@ from .engine import (
     outcome_law,
     run_batch,
     run_coincidence_batch,
-    run_trial,
     visibility,
 )
 from .geometry import (
@@ -108,7 +106,6 @@ __all__ = [
     "SettingPair",
     "StrategyComparison",
     "TSIRELSON_BOUND",
-    "TrialRecord",
     "analytic_bell_s",
     "analytic_correlation",
     "analytic_p_s",
@@ -136,7 +133,6 @@ __all__ = [
     "projector",
     "run_batch",
     "run_coincidence_batch",
-    "run_trial",
     "scan_geometry",
     "stokes_marginal",
     "tomo_reconstruct",

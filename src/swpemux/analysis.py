@@ -2,8 +2,9 @@
 
 Everything here consumes the coincidence count tables produced by the trial
 engine (or read back from its CSV files) and returns plain numbers or small
-records. Counts may be floats: feeding exact probabilities instead of integer
-counts makes the estimators exact, which the tests use as an oracle.
+records, reading a table's count array by position. Counts may be floats:
+feeding exact probabilities instead of integer counts makes the estimators
+exact, which the tests use as an oracle.
 """
 from __future__ import annotations
 
@@ -80,16 +81,8 @@ class BellSettings:
 CANONICAL_BELL = BellSettings()
 
 
-def _stacked_counts(rows: Sequence[CoincidenceRow]) -> np.ndarray:
-    """The rows' counts (D1T1, D1T2, D2T1, D2T2), in row order, as one
-    (P, 4) float array."""
-    return np.array(
-        [(row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2) for row in rows], dtype=float
-    ).reshape(-1, 4)
-
-
 def _correlations(counts: np.ndarray) -> tuple:
-    """E and its binomial standard error for each row of a (P, 4) count
+    """E and its binomial standard error for each row of a (P, 4) float count
     array, as two (P,) arrays."""
     if (counts < 0).any():
         raise ValueError("coincidence counts must be non-negative")
@@ -108,11 +101,10 @@ def correlation_e(source) -> tuple:
     (D1T1, D1T2, D2T1, D2T2). E = (C11 + C22 - C12 - C21) / N.
     """
     if isinstance(source, CoincidenceRow):
-        counts = _stacked_counts([source])
-    else:
-        counts = np.asarray(source, dtype=float)
-        if counts.shape not in ((4,), (2, 2)):
-            raise ValueError(f"expected 4 coincidence counts, got shape {counts.shape}")
+        source = source.counts()
+    counts = np.asarray(source, dtype=float)
+    if counts.shape not in ((4,), (2, 2)):
+        raise ValueError(f"expected 4 coincidence counts, got shape {counts.shape}")
     values, errors = _correlations(counts.reshape(1, 4))
     return float(values[0]), float(errors[0])
 
@@ -120,12 +112,13 @@ def correlation_e(source) -> tuple:
 def bell_s(table: CoincidenceTable, settings: BellSettings = CANONICAL_BELL) -> tuple:
     """CHSH value S = E(s,a) - E(s,a') + E(s',a) + E(s',a') and its error.
 
-    The table must contain one row for each of the four setting pairs; errors
-    add in quadrature. The sign convention keeps the canonical angles on the
-    positive branch, so the quantum bound is +2 sqrt 2.
+    The table must contain one row for each of the four setting pairs, found
+    once per pair tuple; errors add in quadrature. The sign convention keeps
+    the canonical angles on the positive branch, so the quantum bound is
+    +2 sqrt 2.
     """
-    rows = [table.find(pair) for pair in settings.setting_pairs()]
-    values, errors = _correlations(_stacked_counts(rows))
+    positions = table.positions(settings.setting_pairs())
+    values, errors = _correlations(np.asarray(table.counts[positions, :4], dtype=float))
     e = values.tolist()
     value = e[0] - e[1] + e[2] + e[3]
     error = math.sqrt(sum(v ** 2 for v in errors.tolist()))
@@ -141,14 +134,24 @@ def tomography_setting_pairs() -> tuple:
     )
 
 
-def _basis_index(setting: MeasurementSetting) -> int:
-    index = _BASIS_INDEX.get(setting)
-    if index is not None:
-        return index
-    raise ValueError(
-        f"setting {setting.token()!r} is not one of the tomography bases "
-        "(linear 0, linear 45, circular R)"
-    )
+@functools.lru_cache(maxsize=64)
+def _tomography_cells(pairs: tuple) -> tuple:
+    """Pauli indices (j, k) of each pair's Stokes and anti-Stokes bases, as
+    two read-only arrays; a setting outside the bases or a repeated basis
+    pair is a ValueError. Memoized per pair tuple."""
+    cells = []
+    for pair in pairs:
+        for setting in (pair.stokes, pair.anti_stokes):
+            if setting not in _BASIS_INDEX:
+                raise ValueError(f"setting {setting.token()!r} is not one of the tomography "
+                                 "bases (linear 0, linear 45, circular R)")
+        cell = (_BASIS_INDEX[pair.stokes], _BASIS_INDEX[pair.anti_stokes])
+        if cell in cells:
+            raise ValueError(f"duplicate tomography row for pair {pair.tokens()}")
+        cells.append(cell)
+    j, k = np.array(cells, dtype=int).reshape(-1, 2).T + 1
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
 
 def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
@@ -161,25 +164,19 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
     trace but may have small negative eigenvalues on finite counts; follow
     with project_physical before computing fidelities.
     """
-    cells = []
-    for row in table.rows:
-        cell = (_basis_index(row.pair.stokes), _basis_index(row.pair.anti_stokes))
-        if cell in cells:
-            raise ValueError(f"duplicate tomography row for pair {row.pair.tokens()}")
-        cells.append(cell)
-    counts = _stacked_counts(table.rows)
+    j, k = _tomography_cells(table.pairs)
+    counts = np.asarray(table.counts[:, :4], dtype=float)
     if (counts < 0).any():
         raise ValueError("coincidence counts must be non-negative")
     totals = counts.sum(axis=1)
-    for row, total in zip(table.rows, totals.tolist()):
-        if total <= 0:
-            raise ValueError(f"tomography row {row.pair.tokens()} has zero coincidences")
-    if len(cells) < 9:
-        raise ValueError(f"tomography scan is missing {9 - len(cells)} basis pairs")
+    if (totals <= 0).any():
+        empty = table.pairs[int((totals <= 0).argmax())]
+        raise ValueError(f"tomography row {empty.tokens()} has zero coincidences")
+    if len(j) < 9:
+        raise ValueError(f"tomography scan is missing {9 - len(j)} basis pairs")
 
     p = counts / totals[:, None]
     two_arm, stokes, anti_stokes = (p[:, None, :] * _TERM_SIGNS).sum(axis=2).T
-    j, k = (np.array(cells) + 1).T
     correlators = np.zeros((4, 4))
     correlators[0, 0] = 1.0
     correlators[j, k] = two_arm
@@ -463,15 +460,9 @@ def analytic_bell_s(rho: np.ndarray, settings: BellSettings = CANONICAL_BELL) ->
 
 def exact_coincidence_table(rho: np.ndarray, pairs: Sequence[SettingPair]) -> CoincidenceTable:
     """CoincidenceTable holding exact outcome probabilities instead of
-    counts, for feeding the estimators their noiseless limit."""
-    table = CoincidenceTable()
-    for pair in pairs:
-        p = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
-        table.rows.append(
-            CoincidenceRow(
-                pair,
-                c_d1t1=p[0, 0], c_d1t2=p[0, 1], c_d2t1=p[1, 0], c_d2t2=p[1, 1],
-                n_d1=p[0, 0] + p[0, 1], n_d2=p[1, 0] + p[1, 1], n_total=1,
-            )
-        )
-    return table
+    counts, for feeding the estimators their noiseless limit (n_total 1)."""
+    counts = np.ones((len(pairs), 7))
+    for s, pair in enumerate(pairs):
+        counts[s, :4] = joint_probabilities(rho, pair.stokes, pair.anti_stokes).ravel()
+    np.add(counts[:, 0:4:2], counts[:, 1:4:2], out=counts[:, 4:6])
+    return CoincidenceTable.from_counts(pairs, counts)

@@ -186,10 +186,10 @@ def _cmd_bell(args) -> int:
             raise ValueError("--angles needs exactly four comma separated values")
         settings = analysis.BellSettings(*values)
     s_value, s_error = analysis.bell_s(table, settings)
+    pairs = settings.setting_pairs()
     correlations = []
-    for pair in settings.setting_pairs():
-        row = table.find(pair)
-        e_value, e_error = analysis.correlation_e(row)
+    for pair, counts in zip(pairs, table.counts[table.positions(pairs), :4]):
+        e_value, e_error = analysis.correlation_e(counts)
         correlations.append(
             {
                 "setting_s": pair.stokes.token(),

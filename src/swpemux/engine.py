@@ -16,26 +16,27 @@ P(D_i, T_j) for both samplers.
 Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
 gives the exact distribution of everything run_batch reports: the herald
 count is binomial, and the outcome cells and the herald-bin histogram are
-multinomial given it. One routine (_draw) draws those aggregates for n
-trains, at a cost that does not grow with n: run_batch calls it once per
-setting pair, and run_trial is its n = 1 case. run_coincidence_batch draws
-heralded coincidences from the stacked pair tables alone, into one (P, 4)
-count array.
+multinomial given it. run_batch draws those aggregates for n trains, once
+per setting pair, at a cost that does not grow with n; run_coincidence_batch
+draws heralded coincidences from the stacked pair tables alone. Both fill a
+CoincidenceTable's count array in place and check it in one expression.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
-a fixed order, so a batch is bitwise reproducible for a given seed. A batch
-builds one Philox generator and re-keys it for each setting pair by setting
-its state (counter 0, the pair's key, empty buffer), so the stream of pair s
-is still exactly derive_stream(seed, domain, s). Sampling runs on the calling
-thread; there is no thread count to choose.
+a fixed order, so a batch is bitwise reproducible for a given seed. Each
+thread keeps one Philox generator and re-keys it for each setting pair by
+setting its state (counter 0, the pair's key, empty buffer), so the stream
+of pair s is still exactly derive_stream(seed, domain, s) and no batch builds
+a generator. Sampling runs on the calling thread; there is no thread count
+to choose.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+import threading
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,34 +70,34 @@ def derive_stream(seed: int, domain: int, setting_index: int) -> np.random.Gener
     The 128-bit Philox key is seed | domain<<64 | setting<<68. Distinct keys
     give statistically independent counter-mode streams, so each setting
     pair of a batch draws from its own stream. The batch samplers do not
-    build one generator per pair: they re-key a single generator (see
+    build one generator per pair: they re-key their thread's generator (see
     _setting_streams), which yields exactly this stream.
     """
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, domain, setting_index)))
 
 
+# each thread's (bit generator, Generator, counter-and-key dict, state dict),
+# built by its first batch: at import, Philox's entropy imports cost about 4 ms
+_THREAD = threading.local()
+
+
 def _setting_streams(seed: int, domain: int, count: int):
     """Yield derive_stream(seed, domain, s) for s = 0, ..., count - 1.
 
-    One Philox generator is built and re-keyed for each s by setting its
-    state to counter 0, key s and an empty buffer, which is the state a fresh
-    Philox(key=...) starts in; building a Philox costs about ten times as
-    much, most of it a seed sequence that the key makes unused. The state
-    dict is built once per call and only its key changes between pairs (the
-    state setter copies the values and keeps no reference). Every item is
-    the same Generator object, valid until the next one is drawn.
+    The calling thread's Philox generator is re-keyed for each s by setting
+    its state to counter 0, key s and an empty buffer, which is the state a
+    fresh Philox(key=...) starts in; building a Philox costs about ten times
+    as much, most of it a seed sequence that the key makes unused. Each item
+    is the thread's one Generator, valid until the thread re-keys it. The
+    state setter copies the dicts' values and keeps no reference.
     """
-    bit_generator = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_generator)
-    counter_and_key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
-    state = {
-        "bit_generator": "Philox",
-        "state": counter_and_key,
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    if not hasattr(_THREAD, "parts"):
+        bit_generator = np.random.Philox(key=0)
+        counter_and_key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        state = {"bit_generator": "Philox", "state": counter_and_key, "buffer": (0, 0, 0, 0),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _THREAD.parts = (bit_generator, np.random.Generator(bit_generator), counter_and_key, state)
+    bit_generator, gen, counter_and_key, state = _THREAD.parts
     for s in range(count):
         key = _stream_key(seed, domain, s)
         counter_and_key["key"] = (key & _KEY_WORD, key >> 64)
@@ -197,6 +198,16 @@ class SettingPair:
     stokes: MeasurementSetting
     anti_stokes: MeasurementSetting
 
+    def __post_init__(self) -> None:
+        # the generated hash, computed once: pair tuples key the memos
+        object.__setattr__(self, "_hash", hash((self.stokes, self.anti_stokes)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (SettingPair, (self.stokes, self.anti_stokes))
+
     def tokens(self) -> tuple[str, str]:
         return (self.stokes.token(), self.anti_stokes.token())
 
@@ -266,24 +277,18 @@ class RunPlan:
         )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single write train.
+COUNT_COLUMNS = ("c_d1t1", "c_d1t2", "c_d2t1", "c_d2t2", "n_d1", "n_d2", "n_total")
 
-    herald_bin is 1-based. All herald and readout fields are None when no
-    click occurred; a trial that was never heralded cannot have a readout.
-    """
-
-    trial_index: int
-    herald_bin: Optional[int]
-    herald_detector: Optional[int]
-    herald_was_dark: bool
-    readout_detector: Optional[int]
-    storage_time: float
-
-    @property
-    def heralded(self) -> bool:
-        return self.herald_bin is not None
+# CoincidenceRow.validate's messages in order; _CHECK_OF_COLUMN maps violations to them
+_ROW_CHECKS = (
+    "coincidence counts must be non-negative",
+    "D1 coincidences exceed D1 herald singles",
+    "D2 coincidences exceed D2 herald singles",
+    "herald singles exceed the number of trials",
+    "total heralds exceed the number of trials",
+)
+_BOUNDS = np.array([4, 4, 5, 5, 6, 6])
+_CHECK_OF_COLUMN = (0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4)
 
 
 @dataclass
@@ -312,11 +317,7 @@ class CoincidenceRow:
         return self.c_d1t1 + self.c_d1t2 + self.c_d2t1 + self.c_d2t2
 
     def validate(self) -> None:
-        values = (
-            self.c_d1t1, self.c_d1t2, self.c_d2t1, self.c_d2t2,
-            self.n_d1, self.n_d2, self.n_total,
-        )
-        if any(v < 0 for v in values):
+        if any(getattr(self, c) < 0 for c in COUNT_COLUMNS):
             raise ValueError("coincidence counts must be non-negative")
         if self.c_d1t1 > self.n_d1 or self.c_d1t2 > self.n_d1:
             raise ValueError("D1 coincidences exceed D1 herald singles")
@@ -328,21 +329,69 @@ class CoincidenceRow:
             raise ValueError("total heralds exceed the number of trials")
 
 
-@dataclass
-class CoincidenceTable:
-    """Ordered coincidence rows, one per analyzer setting pair."""
+@functools.lru_cache(maxsize=256)
+def _positions(table_pairs: tuple, pairs: tuple) -> np.ndarray:
+    """Index of each of pairs' first row in table_pairs, memoized."""
+    for pair in pairs:
+        if pair not in table_pairs:
+            raise KeyError(f"no row for setting pair {pair.tokens()}")
+    positions = np.array([table_pairs.index(pair) for pair in pairs])
+    positions.flags.writeable = False
+    return positions
 
-    rows: list = field(default_factory=list)
+
+class CoincidenceTable:
+    """Coincidence counts of an ordered tuple of analyzer setting pairs:
+    row s of counts, a (P, 7) array in COUNT_COLUMNS order, belongs to
+    pairs[s]. Sampled counts are int64 and exact tables hold probabilities
+    as floats. Counts given as Python numbers (CoincidenceTable(rows), a
+    parsed CSV file) stay exact in an object array, however large; rows
+    derives the CoincidenceRow objects back."""
+
+    def __init__(self, rows: Iterable[CoincidenceRow] = ()) -> None:
+        rows = list(rows)
+        self.pairs = tuple(row.pair for row in rows)
+        counts = [[getattr(row, c) for c in COUNT_COLUMNS] for row in rows]
+        self.counts = np.array(counts, dtype=object).reshape(-1, 7)
+
+    @classmethod
+    def from_counts(cls, pairs: Iterable[SettingPair], counts: np.ndarray) -> "CoincidenceTable":
+        """Table over a (P, 7) count array, kept, not copied."""
+        table = cls.__new__(cls)
+        table.pairs, table.counts = tuple(pairs), counts
+        return table
+
+    @property
+    def rows(self) -> list:
+        """The table as CoincidenceRow objects, built on each access."""
+        return [CoincidenceRow(pair, *c) for pair, c in zip(self.pairs, self.counts.tolist())]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoincidenceTable):
+            return NotImplemented
+        return self.pairs == other.pairs and np.array_equal(self.counts, other.counts)
 
     def validate(self) -> None:
-        for row in self.rows:
-            row.validate()
+        """CoincidenceRow.validate of every row in one vector expression:
+        raises the message of the first failing check of the first failing
+        row, as validating the rows in order would."""
+        c = self.counts
+        total = c[:, 4] + c[:, 5]  # in int64 it can wrap, and then lies below n_d1
+        violations = np.empty((len(c), 14), dtype=bool)
+        np.less(c, 0, out=violations[:, :7])
+        np.greater(c[:, :6], c[:, _BOUNDS], out=violations[:, 7:13])
+        violations[:, 13] = (total > c[:, 6]) | (total < c[:, 4])
+        if violations.any():
+            first_row = violations[violations.any(axis=1).argmax()]
+            raise ValueError(_ROW_CHECKS[_CHECK_OF_COLUMN[first_row.argmax()]])
+
+    def positions(self, pairs: Sequence[SettingPair]) -> np.ndarray:
+        """Index of each pair's first row; KeyError names a missing pair."""
+        return _positions(self.pairs, tuple(pairs))
 
     def find(self, pair: SettingPair) -> CoincidenceRow:
-        for row in self.rows:
-            if row.pair == pair:
-                return row
-        raise KeyError(f"no row for setting pair {pair.tokens()}")
+        s = self.positions((pair,))[0]
+        return CoincidenceRow(self.pairs[s], *self.counts[s].tolist())
 
 
 @dataclass
@@ -367,8 +416,8 @@ class BatchResult:
 
 class OutcomeLaw(NamedTuple):
     """Exact law of one write train for one analyzer setting pair: everything
-    run_batch and run_trial sample from. Both arrays are shared by every
-    caller and read-only."""
+    run_batch samples from. Both arrays are shared by every caller and
+    read-only."""
 
     p_herald: float        # P(some bin clicks) = 1 - (1 - a)^m
     cells: np.ndarray      # P(cell | herald), {real, dark} x {D1, D2} x {T1, T2, no click}
@@ -410,8 +459,8 @@ def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> Outc
     D_i with the table's row sum when it does not. A dark herald lands on D1
     or D2 with probability 1/2 each (one detector alone, or both and a fair
     coin) and reads out an unpolarized background click. Memoized per
-    (config, tau, pair), so run_trial and repeated batches do not rebuild it;
-    the cache is bounded because sweeps visit arbitrary storage times.
+    (config, tau, pair), so repeated batches do not rebuild it; the cache is
+    bounded because sweeps visit arbitrary storage times.
     """
     table = _pair_tables(config, tau, (pair,)).reshape(2, 2)
     a, p_herald, p_real, p_read, p_bg = _trial_law(config, config.m)
@@ -426,93 +475,56 @@ def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> Outc
     return OutcomeLaw(p_herald, cells, bins)
 
 
-def _draw(
-    gen: np.random.Generator, n: int, law: OutcomeLaw
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, bins) of n write trains drawn from law, in the fixed order of
-    the reproducibility contract: the herald count ~ Binomial(n, p_herald),
-    then the (2, 2, 3) outcome cells ~ Multinomial(heralds, cells), then the
-    herald-bin histogram ~ Multinomial(heralds, bins)."""
-    heralds = int(gen.binomial(n, law.p_herald))
-    cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
-    return cells, gen.multinomial(heralds, law.bins)
-
-
-def run_trial(
-    config: ExperimentConfig,
-    tau: float,
-    pair: SettingPair,
-    rng: np.random.Generator,
-    trial_index: int = 0,
-) -> TrialRecord:
-    """Sample one write train from outcome_law and return its TrialRecord.
-
-    rng must be a stream dedicated to this trial (see derive_stream). The
-    trial is _draw's n = 1 case, with its draw order: a heralded train has
-    one outcome cell, which gives whether the herald was dark, the herald
-    detector and the readout detector, and one herald bin.
-    """
-    _check_storage_time(tau)
-    cells, bins = _draw(rng, 1, outcome_law(config, tau, pair))
-    if not bins.any():
-        return TrialRecord(trial_index, None, None, False, None, tau)
-    dark, detector, readout = np.unravel_index(cells.argmax(), cells.shape)
-    return TrialRecord(
-        trial_index=trial_index,
-        herald_bin=int(bins.argmax()) + 1,
-        herald_detector=int(detector) + 1,
-        herald_was_dark=bool(dark),
-        readout_detector=int(readout) + 1 if readout < 2 else None,
-        storage_time=tau,
-    )
-
-
 def run_batch(plan: RunPlan) -> BatchResult:
     """Run n_trials write trains per analyzer setting pair.
 
     The aggregates are drawn from the exact outcome law instead of simulating
-    every bin. Setting pair s draws its (cells, bins) with _draw from
-    derive_stream(seed, trials domain, s), through one generator re-keyed per
-    pair. The cost per pair is O(m), whatever n_trials is, and the result
-    depends only on the plan. Totals are Python integers.
+    every bin. Setting pair s draws from derive_stream(seed, trials domain,
+    s), through the thread's generator re-keyed per pair, in the fixed order
+    of the reproducibility contract: the herald count ~ Binomial(n_trials,
+    p_herald), then the (2, 2, 3) outcome cells ~ Multinomial(heralds,
+    cells), then the herald-bin histogram ~ Multinomial(heralds, bins). The
+    cells fill row s of the table's count array. The cost per pair is O(m),
+    whatever n_trials is, and the result depends only on the plan. Totals
+    are Python integers.
 
     p_s_hat is heralds/trials over the whole batch. p_sas_hat is
     coincidences/trials restricted to H/V-basis setting pairs when the plan
     contains any (readout success is polarization independent in this model,
     so other pairs estimate the same number); otherwise all pairs count.
     """
-    n = plan.n_trials
-    table = CoincidenceTable()
+    n, pairs = plan.n_trials, plan.settings
+    counts = np.empty((len(pairs), 7), dtype=np.int64)
     histogram = np.zeros(plan.config.m, dtype=np.int64)
     n_dark = 0
-    streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, len(plan.settings))
-    for pair, gen in zip(plan.settings, streams):
-        cells, bins = _draw(gen, n, outcome_law(plan.config, plan.tau, pair))
-        histogram += bins
-        (c11, c12, miss1), (c21, c22, miss2) = cells.sum(axis=0).tolist()
-        row = CoincidenceRow(
-            pair,
-            c_d1t1=c11, c_d1t2=c12, c_d2t1=c21, c_d2t2=c22,
-            n_d1=c11 + c12 + miss1, n_d2=c21 + c22 + miss2, n_total=n,
-        )
-        row.validate()
-        table.rows.append(row)
+    streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, len(pairs))
+    for s, (pair, gen) in enumerate(zip(pairs, streams)):
+        law = outcome_law(plan.config, plan.tau, pair)
+        heralds = int(gen.binomial(n, law.p_herald))
+        cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
+        histogram += gen.multinomial(heralds, law.bins)
+        by_detector = cells.sum(axis=0)  # (D1, D2) x (T1, T2, no readout)
+        counts[s, :4] = by_detector[:, :2].ravel()
+        counts[s, 4:6] = by_detector.sum(axis=1)
         n_dark += int(cells[1].sum())
+    counts[:, 6] = n
+    table = CoincidenceTable.from_counts(pairs, counts)
+    table.validate()
 
-    n_heralds = sum(row.n_d1 + row.n_d2 for row in table.rows)
-    n_coincidences = sum(row.n_coincidences for row in table.rows)
-    n_trials_total = n * len(plan.settings)
-    sas_rows = [row for row in table.rows if row.pair == HV_PAIR] or table.rows
-    p_sas_hat = sum(row.n_coincidences for row in sas_rows) / (n * len(sas_rows))
+    # per-pair sums are at most n < 2^63; the totals add them as Python ints
+    n_heralds = sum(counts[:, 4:6].sum(axis=1).tolist())
+    coincidences = counts[:, :4].sum(axis=1).tolist()
+    n_trials_total = n * len(pairs)
+    sas = [c for pair, c in zip(pairs, coincidences) if pair == HV_PAIR] or coincidences
     return BatchResult(
         table=table,
         herald_bin_histogram=histogram,
         n_trials_total=n_trials_total,
         n_heralds=n_heralds,
         n_dark_heralds=n_dark,
-        n_coincidences=n_coincidences,
+        n_coincidences=sum(coincidences),
         p_s_hat=n_heralds / n_trials_total,
-        p_sas_hat=p_sas_hat,
+        p_sas_hat=sum(sas) / (n * len(sas)),
         tau=plan.tau,
         seed=plan.seed,
     )
@@ -529,14 +541,14 @@ def run_coincidence_batch(
 
     This draws from the conditional law of run_batch given a real herald and
     a successful readout, the stacked pair tables P(D_i, T_j) that
-    outcome_law also reads, as one multinomial per pair into one (P, 4) count
-    array. Use it where published statistics are quoted per heralded
+    outcome_law also reads, as one multinomial per pair into the table's
+    count array. Use it where published statistics are quoted per heralded
     coincidence; the full per-trial engine would need about
     1/(p_s gamma eta_as) trials per coincidence to reach the same counts.
     Dark heralds are not part of the conditional law. Setting pair s draws
-    from derive_stream(seed, coincidence domain, s); one generator is
-    re-keyed per pair, so no pair builds its own. The array is validated
-    once and becomes the rows in one pass.
+    from derive_stream(seed, coincidence domain, s), through the thread's
+    generator re-keyed per pair. The herald singles are the row sums, and the
+    array is validated once.
     """
     if n_coincidences < 1:
         raise ValueError(f"n_coincidences must be at least 1, got {n_coincidences}")
@@ -545,15 +557,12 @@ def run_coincidence_batch(
     if not settings:
         raise ValueError("need at least one analyzer setting pair")
     probabilities = _pair_tables(config, tau, settings)
-    counts = np.empty((len(settings), 4), dtype=np.int64)
+    counts = np.empty((len(settings), 7), dtype=np.int64)
     streams = _setting_streams(seed, _DOMAIN_COINCIDENCE, len(settings))
     for s, gen in enumerate(streams):
-        counts[s] = gen.multinomial(n_coincidences, probabilities[s])
-    # CoincidenceRow.validate of every row: with n_d1 = c11 + c12 and
-    # n_d2 = c21 + c22 it holds iff the counts are >= 0 and sum to <= n
-    if counts.min() < 0 or counts.sum(axis=1).max() > n_coincidences:
-        raise ValueError("sampled coincidence counts do not form a valid table")
-    return CoincidenceTable([
-        CoincidenceRow(pair, c11, c12, c21, c22, c11 + c12, c21 + c22, n_coincidences)
-        for pair, (c11, c12, c21, c22) in zip(settings, counts.tolist())
-    ])
+        counts[s, :4] = gen.multinomial(n_coincidences, probabilities[s])
+    np.add(counts[:, 0:4:2], counts[:, 1:4:2], out=counts[:, 4:6])
+    counts[:, 6] = n_coincidences
+    table = CoincidenceTable.from_counts(settings, counts)
+    table.validate()
+    return table

@@ -13,20 +13,10 @@ import json
 import os
 from typing import Any, Iterable, Sequence
 
-from .engine import BatchResult, CoincidenceRow, CoincidenceTable, SettingPair
+from .engine import COUNT_COLUMNS, BatchResult, CoincidenceRow, CoincidenceTable, SettingPair
 from .util import atomic_write_text
 
-COINCIDENCE_COLUMNS = (
-    "setting_s",
-    "setting_a",
-    "c_d1t1",
-    "c_d1t2",
-    "c_d2t1",
-    "c_d2t2",
-    "n_d1",
-    "n_d2",
-    "n_total",
-)
+COINCIDENCE_COLUMNS = ("setting_s", "setting_a", *COUNT_COLUMNS)
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -37,14 +27,13 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def _coincidence_fields(row: CoincidenceRow) -> tuple:
-    """One row's values in COINCIDENCE_COLUMNS order."""
-    return (*row.pair.tokens(), row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2,
-            row.n_d1, row.n_d2, row.n_total)
+def _coincidence_fields(table: CoincidenceTable) -> list:
+    """The table's rows as values in COINCIDENCE_COLUMNS order."""
+    return [(*pair.tokens(), *counts) for pair, counts in zip(table.pairs, table.counts.tolist())]
 
 
 def coincidence_table_to_csv(table: CoincidenceTable) -> str:
-    return csv_text([COINCIDENCE_COLUMNS, *map(_coincidence_fields, table.rows)])
+    return csv_text([COINCIDENCE_COLUMNS, *_coincidence_fields(table)])
 
 
 def write_coincidence_csv(table: CoincidenceTable, path: str) -> None:
@@ -61,7 +50,7 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
         raise ValueError(
             f"unexpected coincidence CSV header {header!r}; expected {list(COINCIDENCE_COLUMNS)}"
         )
-    table = CoincidenceTable()
+    rows = []
     for line_number, fields in enumerate(reader, start=2):
         if not fields:
             continue
@@ -69,12 +58,11 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
             raise ValueError(f"line {line_number}: expected {len(COINCIDENCE_COLUMNS)} fields")
         pair = SettingPair.from_tokens(fields[0], fields[1])
         try:
-            numbers = [int(v) for v in fields[2:]]
+            rows.append(CoincidenceRow(pair, *[int(v) for v in fields[2:]]))
         except ValueError as exc:
             raise ValueError(f"line {line_number}: counts must be integers") from exc
-        row = CoincidenceRow(pair, *numbers)
-        row.validate()
-        table.rows.append(row)
+    table = CoincidenceTable(rows)
+    table.validate()
     return table
 
 
@@ -98,8 +86,8 @@ def read_json(path: str) -> Any:
 
 def batch_result_to_dict(result: BatchResult) -> dict:
     return {
-        "rows": [dict(zip(COINCIDENCE_COLUMNS, _coincidence_fields(row)))
-                 for row in result.table.rows],
+        "rows": [dict(zip(COINCIDENCE_COLUMNS, fields))
+                 for fields in _coincidence_fields(result.table)],
         "herald_bin_histogram": [int(v) for v in result.herald_bin_histogram],
         "n_trials_total": result.n_trials_total,
         "n_heralds": result.n_heralds,

@@ -49,6 +49,15 @@ class MeasurementSetting:
                 )
         elif self.transmit_hand not in ("R", "L"):
             raise ValueError(f"circular transmit handedness must be 'R' or 'L', got {self.transmit_hand!r}")
+        # the generated hash, computed once: settings key the engine's memos
+        object.__setattr__(self, "_hash", hash((self.kind, self.angle_deg, self.transmit_hand)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a str hash differs between processes
+        return (MeasurementSetting, (self.kind, self.angle_deg, self.transmit_hand))
 
     @staticmethod
     def linear(angle_deg: float) -> "MeasurementSetting":

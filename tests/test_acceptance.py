@@ -167,17 +167,17 @@ def test_criterion_06_tsirelson_property():
 
 
 def _sample_table(rho, pairs, n, rng):
-    table = CoincidenceTable()
+    rows = []
     for pair in pairs:
         p = np.clip(joint_probabilities(rho, pair.stokes, pair.anti_stokes), 0.0, None)
         c = rng.multinomial(n, (p / p.sum()).ravel())
-        table.rows.append(
+        rows.append(
             CoincidenceRow(
                 pair, int(c[0]), int(c[1]), int(c[2]), int(c[3]),
                 n_d1=int(c[0] + c[1]), n_d2=int(c[2] + c[3]), n_total=n,
             )
         )
-    return table
+    return CoincidenceTable(rows)
 
 
 def test_criterion_07_tomography_oracle():

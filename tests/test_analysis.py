@@ -79,17 +79,18 @@ class TestBellS:
             bell_s(table)
 
     def test_row_counts_match_the_array_path_bitwise(self):
-        # bell_s reads rows through a CoincidenceRow fast path; correlation_e
-        # on the row's count array is the generic path
+        # bell_s reads the table's count array by position; correlation_e
+        # on each row's count array is the generic path
         rng = np.random.default_rng(4141)
         pairs = CANONICAL_BELL.setting_pairs()
         for _ in range(200):
             top = 10 ** int(rng.integers(1, 10))
-            table = CoincidenceTable()
+            rows = []
             for pair in pairs:
                 c = [int(v) for v in rng.integers(1, top, size=4)]
-                table.rows.append(CoincidenceRow(
+                rows.append(CoincidenceRow(
                     pair, *c, n_d1=c[0] + c[1], n_d2=c[2] + c[3], n_total=sum(c)))
+            table = CoincidenceTable(rows)
             e = [correlation_e(np.asarray(row.counts(), dtype=float)) for row in table.rows]
             value = e[0][0] - e[1][0] + e[2][0] + e[3][0]
             error = math.sqrt(sum(v[1] ** 2 for v in e))
@@ -207,15 +208,16 @@ class TestTomography:
                 table = exact_coincidence_table(random_density(rng), pairs)
             else:
                 top = 10 ** int(rng.integers(1, 8))
-                table = CoincidenceTable()
+                rows = []
                 for pair in pairs:
                     c = [int(v) for v in rng.integers(0, top, size=4)]
                     if trial % 3 == 2:  # sparse rows: zero cells are common
                         c = [v if rng.random() < 0.5 else 0 for v in c]
                     c[int(rng.integers(4))] += 1
-                    table.rows.append(CoincidenceRow(
+                    rows.append(CoincidenceRow(
                         pair, *c, n_d1=c[0] + c[1], n_d2=c[2] + c[3], n_total=sum(c)))
-            table.rows = [table.rows[i] for i in rng.permutation(9)]
+                table = CoincidenceTable(rows)
+            table = CoincidenceTable([table.rows[i] for i in rng.permutation(9)])
             got = tomo_reconstruct(table)
             assert got.tobytes() == self.loop_inversion(table).tobytes()
 

@@ -1,5 +1,8 @@
 """Discrete-trial engine: analytic laws, sampling statistics, determinism."""
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from swpemux.config import ExperimentConfig
 from swpemux.engine import (
     HV_PAIR,
     CoincidenceRow,
+    CoincidenceTable,
     RunPlan,
     SettingPair,
     _pair_tables,
@@ -21,11 +25,16 @@ from swpemux.engine import (
     outcome_law,
     run_batch,
     run_coincidence_batch,
-    run_trial,
     visibility,
 )
 from swpemux.states import MeasurementSetting, bell_state, joint_probabilities
-from swpemux.analysis import CANONICAL_BELL, correlation_e, tomography_setting_pairs
+from swpemux.analysis import (
+    CANONICAL_BELL,
+    correlation_e,
+    exact_coincidence_table,
+    tomography_setting_pairs,
+)
+from swpemux.io import coincidence_table_to_csv, parse_coincidence_csv
 from swpemux.util import first_success_probability
 
 CFG = ExperimentConfig()
@@ -91,6 +100,40 @@ class TestStreamsAgainstFreshPhilox:
 
         streams = list(map(draws, _setting_streams(seed, domain, 13)))
         assert streams == [draws(derive_stream(seed, domain, s)) for s in range(13)]
+
+    def test_concurrent_batches_equal_sequential_ones(self):
+        # each thread re-keys its own generator: two threads sampling at once,
+        # switching every microsecond, get exactly the sequential tables
+        config, pairs = CFG.replace(m=7, dark_rate=2e-2), PLANS["bell+tomo"]
+
+        def work(seed):
+            out = []
+            for i in range(40):
+                table = run_coincidence_batch(config, 4.0, pairs, 50_000, seed + i)
+                result = run_batch(RunPlan(config, 4.0, pairs, 300_000, seed + i))
+                out.append((table, result.table, result.herald_bin_histogram.tolist(),
+                            result.n_dark_heralds))
+            return out
+
+        seeds = (61, 1905)
+        expected = [work(seed) for seed in seeds]
+        got = [None, None]
+
+        def run(i):
+            got[i] = work(seeds[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
     @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
     @pytest.mark.parametrize("plan", PLANS, ids=PLANS)
@@ -442,9 +485,6 @@ def _assert_same_law(counts, histogram, kernel, kernel_hist):
 
 # index in the _kernel_counts vector of a heralded record's
 # (herald detector, readout detector); None is no readout click
-_RECORD_OUTCOME = {(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4, (1, None): 5, (2, None): 6}
-
-
 class TestLawAgainstKernel:
     @pytest.mark.parametrize(
         "changes, pair",
@@ -473,6 +513,16 @@ class TestSettingPair:
     def test_token_round_trip(self):
         pair = SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.circular_r())
         assert SettingPair.from_tokens(*pair.tokens()) == pair
+
+    def test_hash_and_eq_are_the_generated_ones(self):
+        pairs = list(PLANS["bell+tomo"]) + [HV_PAIR, SettingPair.from_tokens("0.0", "0.0")]
+        for a in pairs:
+            assert hash(a) == hash((a.stokes, a.anti_stokes))
+            for b in pairs:
+                assert (a == b) == ((a.stokes, a.anti_stokes) == (b.stokes, b.anti_stokes))
+            assert b"_hash" not in pickle.dumps(a)
+            copy = pickle.loads(pickle.dumps(a))
+            assert copy == a and hash(copy) == hash(a)
 
 
 class TestRunPlan:
@@ -503,59 +553,6 @@ class TestRunPlan:
         data["extra"] = 1
         with pytest.raises(ValueError):
             RunPlan.from_dict(data)
-
-
-class TestRunTrial:
-    def test_deterministic(self):
-        a = run_trial(CFG, 0.7, HV_PAIR, np.random.default_rng(3), trial_index=9)
-        b = run_trial(CFG, 0.7, HV_PAIR, np.random.default_rng(3), trial_index=9)
-        assert a == b
-
-    def test_record_invariants(self):
-        rng = np.random.default_rng(0)
-        heralds = 0
-        for index in range(5000):
-            record = run_trial(CFG, 0.7, HV_PAIR, rng, trial_index=index)
-            assert record.trial_index == index
-            assert record.storage_time == 0.7
-            if record.heralded:
-                heralds += 1
-                assert 1 <= record.herald_bin <= CFG.m
-                assert record.herald_detector in (1, 2)
-                assert not record.herald_was_dark  # dark_rate is zero here
-            else:
-                assert record.herald_detector is None
-                assert record.readout_detector is None
-        assert heralds > 0
-
-    def test_herald_rate(self):
-        rng = np.random.default_rng(1)
-        n = 40_000
-        heralds = sum(
-            run_trial(CFG, 0.7, HV_PAIR, rng, trial_index=i).heralded for i in range(n)
-        )
-        p = analytic_p_s(CFG).exact
-        se = math.sqrt(p * (1.0 - p) / n)
-        assert abs(heralds / n - p) < 4.0 * se
-
-    def test_dark_counts_match_kernel(self):
-        # dark-dominated, so every cell-to-record mapping is exercised
-        cfg = CFG.replace(m=3, dark_rate=0.3)
-        pair = SettingPair(MeasurementSetting.circular_r(), MeasurementSetting.linear(0.0))
-        n = 20_000
-        rng = np.random.default_rng(11)
-        counts = np.zeros(8, dtype=np.int64)
-        histogram = np.zeros(cfg.m, dtype=np.int64)
-        for index in range(n):
-            record = run_trial(cfg, 0.7, pair, rng, trial_index=index)
-            if not record.heralded:
-                counts[0] += 1
-                continue
-            counts[_RECORD_OUTCOME[record.herald_detector, record.readout_detector]] += 1
-            counts[7] += record.herald_was_dark
-            histogram[record.herald_bin - 1] += 1
-        kernel, kernel_hist = _kernel_counts(cfg, pair, 200_000, 12)
-        _assert_same_law(counts, histogram, kernel, kernel_hist)
 
 
 class TestRunBatch:
@@ -637,6 +634,87 @@ class TestCoincidenceRow:
         row = CoincidenceRow(HV_PAIR, 10, 0, 0, 0, n_d1=5, n_d2=0, n_total=100)
         with pytest.raises(ValueError):
             row.validate()
+
+
+def _message(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _row_message(table):
+    """What validating the table's rows in order says: the reference."""
+    def check():
+        for row in table.rows:
+            row.validate()
+    return _message(check)
+
+
+def _probes(value, bound, kind):
+    """Values to put in one cell: around 0, around its bound and beyond."""
+    if kind == "float":
+        value, bound = float(value), float(bound)
+        up, down = math.nextafter(bound, math.inf), math.nextafter(bound, -math.inf)
+        return [-1e-300, -0.0, 0.0, value * 2.0, bound, up, down, 1.0, math.inf, math.nan]
+    value, bound = int(value), int(bound)
+    probes = [-1, 0, value - 1, value + 1, bound, bound + 1, 2 * bound]
+    if kind == "int64":
+        return [v for v in probes + [2**62 + 2**61, 2**63 - 1] if -2**63 <= v < 2**63]
+    return probes + [10**40]
+
+
+class TestVectorCheck:
+    """CoincidenceTable.validate against CoincidenceRow.validate of each row
+    in order: same verdict and same message, for tables that perturb one or
+    two cells of a valid int64, float or CSV-parsed (beyond int64) table."""
+
+    @staticmethod
+    def tables():
+        sampled = run_coincidence_batch(CFG, 4.0, PLANS["bell+tomo"], 10**6, 61)
+        batch = run_batch(RunPlan(CFG.replace(dark_rate=1e-2), 4.0, PLANS["tomo"], 10**9, 3))
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        exact = exact_coincidence_table(rho / np.trace(rho).real, PLANS["bell+tomo"])
+        huge = [CoincidenceRow(pair, 2**70 + s, 2**64, 3 * 2**63, 2**63, 2**71, 2**64 + 2**63 + s,
+                               2**72 + 7 * s) for s, pair in enumerate(PLANS["tomo"])]
+        parsed = parse_coincidence_csv(coincidence_table_to_csv(CoincidenceTable(huge)))
+        return {"sampled": (sampled, "int64"), "batch": (batch.table, "int64"),
+                "exact": (exact, "float"), "csv": (parsed, "object")}
+
+    def test_same_verdict_and_message(self):
+        rng = np.random.default_rng(2718)
+        bounds = (4, 4, 5, 5, 6, 6, 6)
+        for name, (table, kind) in self.tables().items():
+            assert table.counts.dtype == {"int64": np.int64, "float": float, "object": object}[kind]
+            assert _row_message(table) is None and _message(table.validate) is None
+            seen = set()
+            rows, _ = table.counts.shape
+            for s in range(rows):
+                for j in range(7):
+                    for value in _probes(table.counts[s, j], table.counts[s, bounds[j]], kind):
+                        for second in (None, int(rng.integers(rows))):
+                            counts = table.counts.copy()
+                            counts[s, j] = value
+                            if second is not None:  # a second fault, maybe in an earlier row
+                                t = int(rng.integers(7))
+                                counts[second, t] = rng.choice(
+                                    _probes(counts[second, t], counts[second, bounds[t]], kind))
+                            perturbed = CoincidenceTable.from_counts(table.pairs, counts)
+                            expected = _row_message(perturbed)
+                            assert _message(perturbed.validate) == expected, (name, s, j, value)
+                            seen.add(expected)
+            # every check of CoincidenceRow.validate was exercised
+            assert len(seen) == 6, (name, seen)
+
+    def test_int64_heralds_that_wrap_are_rejected(self):
+        # n_d1 + n_d2 = 1.5 * 2^63 wraps in int64; each single fits the trials
+        counts = np.array([[0, 0, 0, 0, 2**62 + 2**61, 2**62 + 2**61, 2**63 - 1]])
+        table = CoincidenceTable.from_counts((HV_PAIR,), counts)
+        assert _row_message(table) == "total heralds exceed the number of trials"
+        assert _message(table.validate) == _row_message(table)
 
 
 class TestCoincidenceSampler:

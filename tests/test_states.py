@@ -1,4 +1,6 @@
 """Polarization states, analyzer settings and projectors."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,23 @@ class TestMeasurementSetting:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             MeasurementSetting.from_token("Q")
+
+    def test_hash_and_eq_are_the_generated_ones(self):
+        settings = [MeasurementSetting.linear(a) for a in (0.0, -0.0, 22.5, 179.5)]
+        settings += [MeasurementSetting.circular_r(), MeasurementSetting.circular_l()]
+
+        def fields(setting):
+            return (setting.kind, setting.angle_deg, setting.transmit_hand)
+
+        for a in settings:
+            assert hash(a) == hash(fields(a))
+            for b in settings:
+                assert (a == b) == (fields(a) == fields(b))
+            # the stored hash of a str field differs between processes, so
+            # a pickle must rebuild it rather than carry it
+            assert b"_hash" not in pickle.dumps(a)
+            copy = pickle.loads(pickle.dumps(a))
+            assert copy == a and hash(copy) == hash(a)
 
 
 class TestProjector:
