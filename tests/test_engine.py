@@ -700,8 +700,8 @@ class TestVectorCheck:
                             counts[s, j] = value
                             if second is not None:  # a second fault, maybe in an earlier row
                                 t = int(rng.integers(7))
-                                counts[second, t] = rng.choice(
-                                    _probes(counts[second, t], counts[second, bounds[t]], kind))
+                                probes = _probes(counts[second, t], counts[second, bounds[t]], kind)
+                                counts[second, t] = probes[int(rng.integers(len(probes)))]
                             perturbed = CoincidenceTable.from_counts(table.pairs, counts)
                             expected = _row_message(perturbed)
                             assert _message(perturbed.validate) == expected, (name, s, j, value)
