@@ -6,7 +6,6 @@ a typo cannot silently fall back to a default.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -101,7 +100,7 @@ class ExperimentConfig:
             raise ValueError(f"rep_rate must be positive, got {self.rep_rate}")
 
     def replace(self, **changes: Any) -> "ExperimentConfig":
-        return dataclasses.replace(self, **changes)
+        return ExperimentConfig(**{**self.to_dict(), **changes})
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}

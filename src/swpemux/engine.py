@@ -18,8 +18,9 @@ gives the exact distribution of everything run_batch reports: the herald
 count is binomial, and the outcome cells and the herald-bin histogram are
 multinomial given it. run_batch draws those aggregates for n trains, once
 per setting pair, at a cost that does not grow with n; run_coincidence_batch
-draws heralded coincidences from the stacked pair tables alone. Both fill a
-CoincidenceTable's count array in place and check it in one expression.
+draws heralded coincidences from the stacked pair tables alone. Both build a
+CoincidenceTable's count array and check each row against the one row rule
+that CoincidenceRow.validate states.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -49,7 +50,7 @@ _DOMAIN_COINCIDENCE = 1
 
 _MAX_SEED = 1 << 64
 _MAX_SETTINGS = 1 << 20
-_MAX_TRIALS = 1 << 63  # the binomial draw takes a signed 64-bit trial count
+_MAX_TRIALS = 1 << 63  # the binomial and multinomial draws take a signed 64-bit count
 _KEY_WORD = (1 << 64) - 1
 
 
@@ -279,16 +280,21 @@ class RunPlan:
 
 COUNT_COLUMNS = ("c_d1t1", "c_d1t2", "c_d2t1", "c_d2t2", "n_d1", "n_d2", "n_total")
 
-# CoincidenceRow.validate's messages in order; _CHECK_OF_COLUMN maps violations to them
-_ROW_CHECKS = (
-    "coincidence counts must be non-negative",
-    "D1 coincidences exceed D1 herald singles",
-    "D2 coincidences exceed D2 herald singles",
-    "herald singles exceed the number of trials",
-    "total heralds exceed the number of trials",
-)
-_BOUNDS = np.array([4, 4, 5, 5, 6, 6])
-_CHECK_OF_COLUMN = (0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4)
+def _check_counts(c_d1t1, c_d1t2, c_d2t1, c_d2t2, n_d1, n_d2, n_total) -> None:
+    """The row rule of a coincidence table: raises the message of the first
+    failing check. On Python numbers sums cannot wrap, and a NaN fails no
+    comparison, so it passes each check on its own."""
+    if (c_d1t1 < 0 or c_d1t2 < 0 or c_d2t1 < 0 or c_d2t2 < 0
+            or n_d1 < 0 or n_d2 < 0 or n_total < 0):
+        raise ValueError("coincidence counts must be non-negative")
+    if c_d1t1 > n_d1 or c_d1t2 > n_d1:
+        raise ValueError("D1 coincidences exceed D1 herald singles")
+    if c_d2t1 > n_d2 or c_d2t2 > n_d2:
+        raise ValueError("D2 coincidences exceed D2 herald singles")
+    if n_d1 > n_total or n_d2 > n_total:
+        raise ValueError("herald singles exceed the number of trials")
+    if n_d1 + n_d2 > n_total:
+        raise ValueError("total heralds exceed the number of trials")
 
 
 @dataclass
@@ -317,16 +323,8 @@ class CoincidenceRow:
         return self.c_d1t1 + self.c_d1t2 + self.c_d2t1 + self.c_d2t2
 
     def validate(self) -> None:
-        if any(getattr(self, c) < 0 for c in COUNT_COLUMNS):
-            raise ValueError("coincidence counts must be non-negative")
-        if self.c_d1t1 > self.n_d1 or self.c_d1t2 > self.n_d1:
-            raise ValueError("D1 coincidences exceed D1 herald singles")
-        if self.c_d2t1 > self.n_d2 or self.c_d2t2 > self.n_d2:
-            raise ValueError("D2 coincidences exceed D2 herald singles")
-        if self.n_d1 > self.n_total or self.n_d2 > self.n_total:
-            raise ValueError("herald singles exceed the number of trials")
-        if self.n_d1 + self.n_d2 > self.n_total:
-            raise ValueError("total heralds exceed the number of trials")
+        _check_counts(self.c_d1t1, self.c_d1t2, self.c_d2t1, self.c_d2t2,
+                      self.n_d1, self.n_d2, self.n_total)
 
 
 @functools.lru_cache(maxsize=256)
@@ -372,18 +370,11 @@ class CoincidenceTable:
         return self.pairs == other.pairs and np.array_equal(self.counts, other.counts)
 
     def validate(self) -> None:
-        """CoincidenceRow.validate of every row in one vector expression:
-        raises the message of the first failing check of the first failing
-        row, as validating the rows in order would."""
-        c = self.counts
-        total = c[:, 4] + c[:, 5]  # in int64 it can wrap, and then lies below n_d1
-        violations = np.empty((len(c), 14), dtype=bool)
-        np.less(c, 0, out=violations[:, :7])
-        np.greater(c[:, :6], c[:, _BOUNDS], out=violations[:, 7:13])
-        violations[:, 13] = (total > c[:, 6]) | (total < c[:, 4])
-        if violations.any():
-            first_row = violations[violations.any(axis=1).argmax()]
-            raise ValueError(_ROW_CHECKS[_CHECK_OF_COLUMN[first_row.argmax()]])
+        """CoincidenceRow.validate of every row in order, on the counts as
+        Python numbers: raises the message of the first failing check of the
+        first failing row. An int64 herald sum cannot wrap here."""
+        for row in self.counts.tolist():
+            _check_counts(*row)
 
     def positions(self, pairs: Sequence[SettingPair]) -> np.ndarray:
         """Index of each pair's first row; KeyError names a missing pair."""
@@ -484,9 +475,10 @@ def run_batch(plan: RunPlan) -> BatchResult:
     of the reproducibility contract: the herald count ~ Binomial(n_trials,
     p_herald), then the (2, 2, 3) outcome cells ~ Multinomial(heralds,
     cells), then the herald-bin histogram ~ Multinomial(heralds, bins). The
-    cells fill row s of the table's count array. The cost per pair is O(m),
-    whatever n_trials is, and the result depends only on the plan. Totals
-    are Python integers.
+    cells, summed over real and dark heralds, form row s of the table's
+    count array; the counts and totals are Python integers until that array
+    is built. The cost per pair is O(m), whatever n_trials is, and the
+    result depends only on the plan.
 
     p_s_hat is heralds/trials over the whole batch. p_sas_hat is
     coincidences/trials restricted to H/V-basis setting pairs when the plan
@@ -494,26 +486,27 @@ def run_batch(plan: RunPlan) -> BatchResult:
     so other pairs estimate the same number); otherwise all pairs count.
     """
     n, pairs = plan.n_trials, plan.settings
-    counts = np.empty((len(pairs), 7), dtype=np.int64)
     histogram = np.zeros(plan.config.m, dtype=np.int64)
-    n_dark = 0
+    rows, coincidences = [], []
+    n_heralds = n_dark = 0
     streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, len(pairs))
-    for s, (pair, gen) in enumerate(zip(pairs, streams)):
+    for pair, gen in zip(pairs, streams):
         law = outcome_law(plan.config, plan.tau, pair)
         heralds = int(gen.binomial(n, law.p_herald))
-        cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
+        # {real, dark} x {D1, D2} x {T1, T2, no readout}, as Python ints
+        (r11, r12, r10, r21, r22, r20,
+         k11, k12, k10, k21, k22, k20) = gen.multinomial(heralds, law.cells.ravel()).tolist()
         histogram += gen.multinomial(heralds, law.bins)
-        by_detector = cells.sum(axis=0)  # (D1, D2) x (T1, T2, no readout)
-        counts[s, :4] = by_detector[:, :2].ravel()
-        counts[s, 4:6] = by_detector.sum(axis=1)
-        n_dark += int(cells[1].sum())
-    counts[:, 6] = n
-    table = CoincidenceTable.from_counts(pairs, counts)
+        row = [r11 + k11, r12 + k12, r21 + k21, r22 + k22,
+               r11 + r12 + r10 + k11 + k12 + k10, r21 + r22 + r20 + k21 + k22 + k20, n]
+        rows.append(row)
+        coincidences.append(row[0] + row[1] + row[2] + row[3])
+        n_heralds += row[4] + row[5]
+        n_dark += k11 + k12 + k10 + k21 + k22 + k20
+    # every count is at most n < 2^63
+    table = CoincidenceTable.from_counts(pairs, np.array(rows, dtype=np.int64))
     table.validate()
 
-    # per-pair sums are at most n < 2^63; the totals add them as Python ints
-    n_heralds = sum(counts[:, 4:6].sum(axis=1).tolist())
-    coincidences = counts[:, :4].sum(axis=1).tolist()
     n_trials_total = n * len(pairs)
     sas = [c for pair, c in zip(pairs, coincidences) if pair == HV_PAIR] or coincidences
     return BatchResult(
@@ -550,8 +543,8 @@ def run_coincidence_batch(
     generator re-keyed per pair. The herald singles are the row sums, and the
     array is validated once.
     """
-    if n_coincidences < 1:
-        raise ValueError(f"n_coincidences must be at least 1, got {n_coincidences}")
+    if not 1 <= n_coincidences < _MAX_TRIALS:
+        raise ValueError(f"n_coincidences must lie in [1, 2^63) per pair, got {n_coincidences}")
     _check_storage_time(tau)
     settings = tuple(settings)
     if not settings:

@@ -6,6 +6,7 @@ of this suite sees identical numbers.
 """
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def test_criterion_10_determinism(tmp_path):
             "--seed", str(DEFAULT_SEED), "--threads", threads,
         ])
         assert code == 0
-        simulate_outputs.append(open(sim_path, "rb").read())
+        simulate_outputs.append(Path(sim_path).read_bytes())
 
         rep_path = str(tmp_path / f"fig4_t{threads}.json")
         code = main([
@@ -254,7 +255,7 @@ def test_criterion_10_determinism(tmp_path):
             "--seed", str(DEFAULT_SEED), "--trials", "50000", "--threads", threads,
         ])
         assert code == 0
-        reproduce_outputs.append(open(rep_path, "rb").read())
+        reproduce_outputs.append(Path(rep_path).read_bytes())
 
     assert simulate_outputs[0] == simulate_outputs[1] == simulate_outputs[2]
     assert reproduce_outputs[0] == reproduce_outputs[1] == reproduce_outputs[2]

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +62,7 @@ class TestSimulate:
                 "simulate", "--out", out, "--trials", "60000", "--seed", "99",
                 "--threads", threads,
             ) == EXIT_OK
-            files.append(open(out, "rb").read())
+            files.append(Path(out).read_bytes())
         assert files[0] == files[1] == files[2]
 
     def test_same_seed_same_bytes(self, tmp_path):
@@ -69,7 +70,7 @@ class TestSimulate:
         b = str(tmp_path / "b.csv")
         run_cli("simulate", "--out", a, "--trials", "10000", "--seed", "123")
         run_cli("simulate", "--out", b, "--trials", "10000", "--seed", "123")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_config_file(self, tmp_path):
         config_path = str(tmp_path / "cfg.json")
@@ -213,7 +214,7 @@ class TestPmc:
     def test_csv_format(self, tmp_path):
         out = str(tmp_path / "pmc.csv")
         assert run_cli("pmc", "--out", out, "--m", "3", "--format", "csv") == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 4  # angle header plus three residual rows
 
     def test_duplicate_angles_is_usage_error(self, tmp_path):
@@ -439,6 +440,19 @@ class TestExitCodes:
     def test_zero_trials(self, tmp_path, argv):
         out = tmp_path / "x"
         assert run_cli(*argv, "--out", str(out), "--trials", "0") == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5"])
+    def test_coincidence_count_beyond_int64_is_named(self, tmp_path, capsys, monkeypatch,
+                                                     figure):
+        def no_draws(*args):
+            raise AssertionError("a rejected count must not reach the draws")
+
+        monkeypatch.setattr(engine, "_setting_streams", no_draws)
+        out = tmp_path / "x.json"
+        assert run_cli("reproduce", "--figure", figure, "--out", str(out),
+                       "--trials", str(2**63)) == EXIT_USAGE
+        assert "n_coincidences must lie in [1, 2^63)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_subcommand_is_argparse_error(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swpemux.config import ExperimentConfig
+from swpemux.engine import HV_PAIR, outcome_law
 
 
 def test_defaults():
@@ -94,6 +95,38 @@ def test_replace_revalidates():
     assert cfg.replace(m=5).m == 5
     with pytest.raises(ValueError):
         cfg.replace(chi=0.0)
+
+
+class TestReplace:
+    def test_unknown_field_is_type_error(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig().replace(bogus=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("chi", 0.0), ("theta", 91.0), ("eta_d", 1.5), ("v1", 0.0), ("beta", -0.2),
+        ("tau_c", 0.0), ("tau_ref", float("nan")), ("rep_rate", float("inf")), ("m", 0),
+    ])
+    def test_out_of_range_value_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ExperimentConfig().replace(**{name: value})
+
+    @pytest.mark.parametrize("m", [19.0, True])
+    def test_non_integral_mode_count_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ExperimentConfig().replace(m=m)
+
+    def test_no_changes_gives_an_equal_new_object(self):
+        cfg = ExperimentConfig(m=7, chi=0.02, dark_rate=1e-3)
+        copy = cfg.replace()
+        assert copy is not cfg
+        assert copy == cfg and hash(copy) == hash(cfg)
+
+    def test_outcome_law_memo_is_hit(self):
+        cfg = ExperimentConfig(m=5, chi=0.0123)
+        law = outcome_law(cfg, 0.7, HV_PAIR)
+        hits = outcome_law.cache_info().hits
+        assert outcome_law(cfg.replace(m=cfg.m), 0.7, HV_PAIR) is law
+        assert outcome_law.cache_info().hits == hits + 1
 
 
 class TestFromDict:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from swpemux import engine
 from swpemux.config import ExperimentConfig
 from swpemux.engine import (
     HV_PAIR,
@@ -717,7 +718,29 @@ class TestVectorCheck:
         assert _message(table.validate) == _row_message(table)
 
 
+@pytest.mark.parametrize("nan_column, negative_column",
+                         [(j, k) for j in range(7) for k in range(j + 1, 7)])
+def test_nan_does_not_hide_a_later_negative_count(nan_column, negative_column):
+    # min(nan, -1.0) is nan, so a min(row) < 0 shortcut would pass this row
+    row = [0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 10.0]
+    row[nan_column], row[negative_column] = math.nan, -1.0
+    table = CoincidenceTable.from_counts((HV_PAIR,), np.array([row]))
+    with pytest.raises(ValueError, match="coincidence counts must be non-negative"):
+        table.validate()
+    with pytest.raises(ValueError, match="coincidence counts must be non-negative"):
+        table.rows[0].validate()
+
+
 class TestCoincidenceSampler:
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 2**64])
+    def test_count_outside_int64_is_named(self, monkeypatch, n):
+        def no_draws(*args):
+            raise AssertionError("a rejected count must not reach the draws")
+
+        monkeypatch.setattr(engine, "_setting_streams", no_draws)
+        with pytest.raises(ValueError, match=r"n_coincidences must lie in \[1, 2\^63\)"):
+            run_coincidence_batch(CFG, 0.7, (HV_PAIR,), n, 1)
+
     def test_deterministic(self):
         pairs = CANONICAL_BELL.setting_pairs()
         a = run_coincidence_batch(CFG, 0.7, pairs, 10_000, 6)

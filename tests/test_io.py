@@ -1,5 +1,6 @@
 """File formats: coincidence CSV, batch JSON, decay point files."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +80,7 @@ class TestBatchJson:
     def test_json_is_sorted_and_stable(self, tmp_path):
         path = str(tmp_path / "x.json")
         write_json({"b": 1, "a": 2}, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
 
@@ -117,7 +118,7 @@ class TestAtomicWrite:
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "one\n")
         atomic_write_text(path, "two\n")
-        assert open(path).read() == "two\n"
+        assert Path(path).read_text() == "two\n"
 
     def test_no_partial_file_on_failure(self, tmp_path):
         path = str(tmp_path / "missing_dir" / "out.txt")
