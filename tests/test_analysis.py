@@ -1,5 +1,7 @@
 """Estimators: CHSH, tomography, physicality projection, decay fit, calibration."""
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +42,21 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def with_nan(rho: np.ndarray, index: tuple) -> np.ndarray:
+    spoiled = np.array(rho, dtype=complex)
+    spoiled[index] = math.nan
+    return spoiled
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+# sha256 of a 4x4 complex matrix of numpy's default NaN, recorded before the
+# estimators' checks and reductions were rewritten
+ALL_NAN_4X4 = "9447548f9ede2c5e87f258ff415305ae357e1f509957263939ad694649a97660"
+
+
 class TestCorrelationE:
     def test_known_counts(self):
         e, err = correlation_e([[30, 10], [10, 50]])
@@ -58,6 +75,14 @@ class TestCorrelationE:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             correlation_e([[1, -1], [0, 2]])
+
+    def test_nan_does_not_hide_a_negative_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            correlation_e([math.nan, -1, 2, 3])
+
+    def test_all_nan_row_passes_through(self):
+        e, err = correlation_e([math.nan] * 4)
+        assert math.isnan(e) and math.isnan(err)
 
 
 class TestBellS:
@@ -167,6 +192,22 @@ class TestTomography:
         with pytest.raises(ValueError, match="missing"):
             tomo_reconstruct(table)
 
+    def test_empty_table_reports_nine_missing_pairs(self):
+        with pytest.raises(ValueError, match="missing 9 basis pairs"):
+            tomo_reconstruct(CoincidenceTable())
+
+    def test_nan_row_passes_and_a_zero_or_negative_row_does_not(self):
+        pairs = tomography_setting_pairs()
+        counts = exact_coincidence_table(bell_state(30.0), pairs).counts.copy()
+        counts[4, :4] = math.nan
+        assert digest(tomo_reconstruct(CoincidenceTable.from_counts(pairs, counts))) == ALL_NAN_4X4
+        counts[6, :4] = 0.0
+        with pytest.raises(ValueError, match=re.escape(f"row {pairs[6].tokens()} has zero")):
+            tomo_reconstruct(CoincidenceTable.from_counts(pairs, counts))
+        counts[7, 2] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            tomo_reconstruct(CoincidenceTable.from_counts(pairs, counts))
+
     def test_non_tomography_basis_rejected(self):
         table = exact_coincidence_table(bell_state(45.0), CANONICAL_BELL.setting_pairs())
         with pytest.raises(ValueError):
@@ -257,6 +298,17 @@ class TestProjectPhysical:
         cleaned = project_physical(spoiled)
         assert validate_density(cleaned) == []
 
+    @pytest.mark.parametrize("rho, index, expected", [
+        # eigh returns a NaN eigenvalue here, and finite ones with NaN vectors below
+        (np.eye(4) / 4.0, (1, 1), ALL_NAN_4X4),
+        (bell_state(45.0), (0, 0),
+         "072111725b88cb822db1e47881cb27d14440e3e956457d5b8ca5e4ac4419f1c0"),
+    ])
+    def test_nan_entry_keeps_its_bytes(self, rho, index, expected):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            cleaned = project_physical(with_nan(rho, index))
+        assert digest(cleaned) == expected
+
 
 class TestFidelity:
     def test_pure_state_overlap(self):
@@ -273,6 +325,13 @@ class TestFidelity:
         sigma = random_density(rng)
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
         assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho), abs=1e-10)
+
+    @pytest.mark.parametrize("index", [(0, 0), (1, 1), (1, 2)])
+    def test_nan_entry_raises(self, index):
+        spoiled = with_nan(np.eye(4) / 4.0, index)
+        for args in ((spoiled, bell_state(45.0)), (np.diag([0.1, 0.2, 0.3, 0.4]), spoiled)):
+            with pytest.raises(np.linalg.LinAlgError):
+                fidelity(*args)
 
     def test_werner_against_bell_target(self):
         # mixture rule: overlap of V-weighted mixture with its pure target

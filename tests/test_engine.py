@@ -102,6 +102,19 @@ class TestStreamsAgainstFreshPhilox:
         streams = list(map(draws, _setting_streams(seed, domain, 13)))
         assert streams == [draws(derive_stream(seed, domain, s)) for s in range(13)]
 
+    @pytest.mark.parametrize("seed, domain, field", [(-1, 0, "seed"), (2**64, 0, "seed"),
+                                                     (0, 16, "domain")])
+    def test_first_stream_checks_seed_and_domain(self, seed, domain, field):
+        with pytest.raises(ValueError, match=f"{field} must lie in"):
+            next(_setting_streams(seed, domain, 3))
+
+    @pytest.mark.parametrize("seed, domain", [(2**64 - 1, 15), (0, 0), (61, 1)])
+    def test_key_words_are_the_stream_key(self, seed, domain):
+        for s, gen in enumerate(_setting_streams(seed, domain, 13)):
+            key = engine._stream_key(seed, domain, s)
+            words = gen.bit_generator.state["state"]["key"].tolist()
+            assert words == [key & (2**64 - 1), key >> 64]
+
     def test_concurrent_batches_equal_sequential_ones(self):
         # each thread re-keys its own generator: two threads sampling at once,
         # switching every microsecond, get exactly the sequential tables
