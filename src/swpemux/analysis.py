@@ -41,6 +41,10 @@ _PAULI_PRODUCTS = (
 # correlator, the Stokes-arm term and the anti-Stokes-arm term
 _TERM_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
+# Pauli indices 4 j + k of the single-arm correlators (j, 0) and (0, k)
+_SINGLE_ARM_CELLS = np.array([4, 8, 12, 1, 2, 3])
+_FLOOR_SCALE = 64.0 * np.finfo(float).eps  # fidelity's relative eigenvalue floor
+
 TOMOGRAPHY_BASES = (
     MeasurementSetting.linear(0.0),    # H/V, observable diag(1, -1)
     MeasurementSetting.linear(45.0),   # D/A
@@ -82,12 +86,12 @@ CANONICAL_BELL = BellSettings()
 
 
 def _correlations(counts: np.ndarray) -> tuple:
-    """E and its binomial standard error for each row of a (P, 4) float count
-    array, as two (P,) arrays."""
-    if (counts < 0).any():
+    """E and its binomial standard error for each row of a (P >= 1, 4) float
+    count array, as two (P,) arrays; fmin skips NaN, so NaN hides no negative."""
+    if np.fmin.reduce(counts, axis=None) < 0:
         raise ValueError("coincidence counts must be non-negative")
-    totals = counts.sum(axis=1)
-    if (totals <= 0).any():
+    totals = np.add.reduce(counts, axis=1)
+    if np.fmin.reduce(totals) <= 0:
         raise ValueError("cannot estimate a correlation from zero coincidences")
     values = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / totals
     errors = np.sqrt(np.maximum(0.0, (1.0 - values * values) / totals))
@@ -136,9 +140,11 @@ def tomography_setting_pairs() -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _tomography_cells(pairs: tuple) -> tuple:
-    """Pauli indices (j, k) of each pair's Stokes and anti-Stokes bases, as
-    two read-only arrays; a setting outside the bases or a repeated basis
-    pair is a ValueError. Memoized per pair tuple."""
+    """Pauli index 4 j + k of each pair's Stokes and anti-Stokes bases and,
+    for a full scan (else None), the (3, 6) row groups whose columns list in
+    row order the three rows with Stokes basis 1, 2, 3, then anti-Stokes basis
+    1, 2, 3, indexing the (P, 3) terms flattened. Both read-only; a setting
+    outside the bases or a repeated basis pair is a ValueError. Memoized."""
     cells = []
     for pair in pairs:
         for setting in (pair.stokes, pair.anti_stokes):
@@ -150,8 +156,14 @@ def _tomography_cells(pairs: tuple) -> tuple:
             raise ValueError(f"duplicate tomography row for pair {pair.tokens()}")
         cells.append(cell)
     j, k = np.array(cells, dtype=int).reshape(-1, 2).T + 1
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
+    two_arm = 4 * j + k
+    two_arm.flags.writeable = False
+    if len(cells) < 9:
+        return two_arm, None
+    by_j, by_k = (np.argsort(x, kind="stable").reshape(3, 3).T for x in (j, k))
+    groups = np.concatenate([3 * by_j + 1, 3 * by_k + 2], axis=1)
+    groups.flags.writeable = False
+    return two_arm, groups
 
 
 def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
@@ -164,28 +176,28 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
     trace but may have small negative eigenvalues on finite counts; follow
     with project_physical before computing fidelities.
     """
-    j, k = _tomography_cells(table.pairs)
+    two_arm, groups = _tomography_cells(table.pairs)
     counts = np.asarray(table.counts[:, :4], dtype=float)
-    if (counts < 0).any():
+    # fmin skips NaN as in _correlations; an empty table is missing 9 pairs
+    if counts.size and np.fmin.reduce(counts, axis=None) < 0:
         raise ValueError("coincidence counts must be non-negative")
-    totals = counts.sum(axis=1)
-    if (totals <= 0).any():
+    totals = np.add.reduce(counts, axis=1)
+    if totals.size and np.fmin.reduce(totals) <= 0:
         empty = table.pairs[int((totals <= 0).argmax())]
         raise ValueError(f"tomography row {empty.tokens()} has zero coincidences")
-    if len(j) < 9:
-        raise ValueError(f"tomography scan is missing {9 - len(j)} basis pairs")
+    if len(two_arm) < 9:
+        raise ValueError(f"tomography scan is missing {9 - len(two_arm)} basis pairs")
 
     p = counts / totals[:, None]
-    two_arm, stokes, anti_stokes = (p[:, None, :] * _TERM_SIGNS).sum(axis=2).T
-    correlators = np.zeros((4, 4))
-    correlators[0, 0] = 1.0
-    correlators[j, k] = two_arm
-    # add.at adds the single-arm terms one row after another, in row order
-    np.add.at(correlators[:, 0], j, stokes / 3.0)
-    np.add.at(correlators[0], k, anti_stokes / 3.0)
+    terms = np.add.reduce(p[:, None, :] * _TERM_SIGNS, axis=2)  # a column per sign row
+    correlators = np.zeros(16)
+    correlators[0] = 1.0
+    correlators[two_arm] = terms[:, 0]
+    # a sum over a group's first axis adds its three rows' terms in row order
+    correlators[_SINGLE_ARM_CELLS] = np.add.reduce(terms.ravel()[groups] / 3.0, axis=0)
 
     # the sum over the first axis adds the terms in order, term (0, 0) first
-    rho = (correlators.reshape(16, 1, 1) * _PAULI_PRODUCTS).sum(axis=0)
+    rho = np.add.reduce(correlators[:, None, None] * _PAULI_PRODUCTS, axis=0)
     return rho / 4.0
 
 
@@ -202,7 +214,8 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     hermitized = (rho + rho.conj().T) / 2.0
     eigenvalues, vectors = np.linalg.eigh(hermitized)
-    if float(eigenvalues.min()) >= -1e-14:
+    # a reduction, never an end of the array: eigh leaves NaN input unsorted
+    if np.minimum.reduce(eigenvalues) >= -1e-14:
         return rho.copy()
     w = eigenvalues.copy()
     while (w < 0.0).any():
@@ -232,14 +245,14 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     if rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
         raise ValueError("fidelity needs two square matrices of equal shape")
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
     inner_eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     # rounding noise near 0 would contribute sqrt(eps) ~ 1e-8 per eigenvalue;
     # a relative floor keeps rank-deficient (pure) inputs exact
-    floor = 64.0 * np.finfo(float).eps * max(inner_eigs.max(), 0.0)
+    floor = _FLOOR_SCALE * max(np.maximum.reduce(inner_eigs), 0.0)
     inner_eigs[inner_eigs < floor] = 0.0
-    value = float(np.sqrt(inner_eigs).sum() ** 2)
+    value = float(np.add.reduce(np.sqrt(inner_eigs)) ** 2)
     return min(max(value, 0.0), 1.0)
 
 

@@ -24,12 +24,12 @@ that CoincidenceRow.validate states.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
-a fixed order, so a batch is bitwise reproducible for a given seed. Each
-thread keeps one Philox generator and re-keys it for each setting pair by
-setting its state (counter 0, the pair's key, empty buffer), so the stream
-of pair s is still exactly derive_stream(seed, domain, s) and no batch builds
-a generator. Sampling runs on the calling thread; there is no thread count
-to choose.
+a fixed order, so a batch is bitwise reproducible for a given seed. A batch
+checks its seed, domain and last setting index once; each thread keeps one
+Philox generator and re-keys it per pair by setting its state (counter 0,
+key words (seed, domain | s << 4), empty buffer), so the stream of pair s is
+exactly derive_stream(seed, domain, s) and no batch builds a generator.
+Sampling runs on the calling thread; there is no thread count to choose.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .states import MeasurementSetting, bell_state, joint_probabilities, werner_state
-from .util import ProbabilityPair, first_success_probability
+from .util import ProbabilityPair, as_count, first_success_probability
 
 _DOMAIN_TRIALS = 0
 _DOMAIN_COINCIDENCE = 1
@@ -51,7 +51,6 @@ _DOMAIN_COINCIDENCE = 1
 _MAX_SEED = 1 << 64
 _MAX_SETTINGS = 1 << 20
 _MAX_TRIALS = 1 << 63  # the binomial and multinomial draws take a signed 64-bit count
-_KEY_WORD = (1 << 64) - 1
 
 
 def _stream_key(seed: int, domain: int, setting_index: int) -> int:
@@ -86,12 +85,13 @@ def _setting_streams(seed: int, domain: int, count: int):
     """Yield derive_stream(seed, domain, s) for s = 0, ..., count - 1.
 
     The calling thread's Philox generator is re-keyed for each s by setting
-    its state to counter 0, key s and an empty buffer, which is the state a
-    fresh Philox(key=...) starts in; building a Philox costs about ten times
-    as much, most of it a seed sequence that the key makes unused. Each item
-    is the thread's one Generator, valid until the thread re-keys it. The
-    state setter copies the dicts' values and keeps no reference.
+    its state to counter 0, the key words (seed, domain | s << 4) and an
+    empty buffer, the state a fresh Philox(key=...) starts in; building a
+    Philox costs about ten times as much, most of it an unused seed sequence.
+    Each item is the thread's one Generator, valid until the thread re-keys
+    it. The state setter copies the dicts' values and keeps no reference.
     """
+    _stream_key(seed, domain, count - 1)  # checks every key of the batch at once
     if not hasattr(_THREAD, "parts"):
         bit_generator = np.random.Philox(key=0)
         counter_and_key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
@@ -100,8 +100,7 @@ def _setting_streams(seed: int, domain: int, count: int):
         _THREAD.parts = (bit_generator, np.random.Generator(bit_generator), counter_and_key, state)
     bit_generator, gen, counter_and_key, state = _THREAD.parts
     for s in range(count):
-        key = _stream_key(seed, domain, s)
-        counter_and_key["key"] = (key & _KEY_WORD, key >> 64)
+        counter_and_key["key"] = (seed, domain | s << 4)
         bit_generator.state = state
         yield gen
 
@@ -273,8 +272,8 @@ class RunPlan:
             config=ExperimentConfig.from_dict(data["config"]),
             tau=float(data["tau"]),
             settings=tuple(pairs),
-            n_trials=int(data["n_trials"]),
-            seed=int(data["seed"]),
+            n_trials=as_count("n_trials", data["n_trials"]),
+            seed=as_count("seed", data["seed"], minimum=0),
         )
 
 
@@ -437,8 +436,10 @@ def _pair_tables(
     non-negative and every row sums to 1, so callers need no guard against
     empty ports."""
     v = visibility(config, config.m, tau)
-    tables = v * _pure_tables(config.theta, pairs) + (1.0 - v) / 4.0
-    return tables / tables.sum(axis=1, keepdims=True)
+    tables = v * _pure_tables(config.theta, pairs)
+    tables += (1.0 - v) / 4.0
+    tables /= np.add.reduce(tables, axis=1, keepdims=True)
+    return tables
 
 
 @functools.lru_cache(maxsize=256)

@@ -49,6 +49,9 @@ def fan_angles(m: int, spacing_deg: float = 1.0) -> tuple:
         raise ValueError(f"fan size must be at least 1, got {m}")
     if spacing_deg <= 0.0:
         raise ValueError(f"fan spacing must be positive, got {spacing_deg}")
+    # the widest angle, checked before any is built; false for NaN or inf spacing
+    if not math.ceil(m / 2) * spacing_deg < 90.0:
+        raise ValueError("fan does not fit inside (-90, 90) degrees")
     angles = []
     step = 1
     while len(angles) < m:
@@ -56,8 +59,6 @@ def fan_angles(m: int, spacing_deg: float = 1.0) -> tuple:
         if len(angles) < m:
             angles.append(-step * spacing_deg)
         step += 1
-    if not all(-90.0 < a < 90.0 for a in angles):
-        raise ValueError("fan does not fit inside (-90, 90) degrees")
     return tuple(angles)
 
 

@@ -17,8 +17,8 @@ class ProbabilityPair(NamedTuple):
     linear: float
 
 
-def as_count(name: str, value) -> int:
-    """value as a plain int of at least 1. Any non-bool integral value,
+def as_count(name: str, value, minimum: int = 1) -> int:
+    """value as a plain int of at least minimum. Any non-bool integral value,
     numpy integers included, passes through operator.index; configs store the
     returned int, so their JSON output stays plain."""
     try:
@@ -27,8 +27,8 @@ def as_count(name: str, value) -> int:
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {count}")
     return count
 
 

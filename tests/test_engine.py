@@ -1,6 +1,7 @@
 """Discrete-trial engine: analytic laws, sampling statistics, determinism."""
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -107,6 +108,12 @@ class TestStreamsAgainstFreshPhilox:
     def test_first_stream_checks_seed_and_domain(self, seed, domain, field):
         with pytest.raises(ValueError, match=f"{field} must lie in"):
             next(_setting_streams(seed, domain, 3))
+
+    def test_first_stream_checks_the_last_setting_index(self):
+        # checked once per batch, before any pair draws
+        message = re.escape("setting index must lie in [0, 2^20), got 1048576")
+        with pytest.raises(ValueError, match=message):
+            next(_setting_streams(0, 0, 2**20 + 1))
 
     @pytest.mark.parametrize("seed, domain", [(2**64 - 1, 15), (0, 0), (61, 1)])
     def test_key_words_are_the_stream_key(self, seed, domain):
@@ -560,6 +567,25 @@ class TestRunPlan:
         base.update(kwargs)
         with pytest.raises(ValueError):
             RunPlan(**base)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_trials", 2.5), ("seed", 7.9), ("n_trials", True), ("seed", True),
+        ("n_trials", "12"), ("seed", "12"),
+    ])
+    def test_from_dict_never_truncates_a_count(self, field, value):
+        data = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunPlan.from_dict(data)
+
+    def test_from_dict_takes_integral_counts_and_seed_zero(self):
+        data = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1).to_dict()
+        data.update(n_trials=np.int64(12), seed=0)
+        plan = RunPlan.from_dict(data)
+        assert (plan.n_trials, plan.seed) == (12, 0) and type(plan.n_trials) is int
+        data["seed"] = -1
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            RunPlan.from_dict(data)
 
     def test_unknown_key_rejected(self):
         plan = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1)

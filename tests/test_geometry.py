@@ -1,5 +1,7 @@
 """Write-beam fan geometry and phase matching residuals."""
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +74,22 @@ class TestFanAngles:
             fan_angles(0)
         with pytest.raises(ValueError):
             fan_angles(5, spacing_deg=0.0)
+
+    @pytest.mark.parametrize("m, spacing", [(179, 1.0), (180, 1.0), (19, 9.5), (3, math.nan),
+                                            (1, math.inf), (2.5, 45.0)])
+    def test_fan_wider_than_the_half_plane_rejected(self, m, spacing):
+        with pytest.raises(ValueError, match=re.escape("fan does not fit inside (-90, 90)")):
+            fan_angles(m, spacing_deg=spacing)
+
+    def test_widest_fitting_fan_is_built(self):
+        assert fan_angles(178)[-2:] == (89.0, -89.0)
+        assert fan_angles(2.5, spacing_deg=44.0) == (44.0, -44.0, 88.0)
+
+    def test_oversized_fan_rejected_before_any_angle_is_built(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="does not fit"):
+            fan_angles(10**12)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestBeamGeometry:

@@ -6,6 +6,7 @@ Werner pair state.
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
 """
+import atexit
 import dataclasses
 import math
 import os
@@ -45,9 +46,11 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 # Hypothesis caches the literals of the code under test in its storage
 # directory even without an example database, and it does so while pytest
-# collects; keep that directory out of the working tree. It is removed when
-# the interpreter exits.
+# collects; keep that directory out of the working tree. It is removed
+# explicitly when the interpreter exits, not left to the implicit cleanup
+# that warns of a leaked directory.
 _STORAGE = tempfile.TemporaryDirectory(prefix="swpemux-hypothesis-")
+atexit.register(_STORAGE.cleanup)
 set_hypothesis_home_dir(_STORAGE.name)
 
 
