@@ -89,7 +89,7 @@ class TestFanAngles:
         start = time.perf_counter()
         with pytest.raises(ValueError, match="does not fit"):
             fan_angles(10**12)
-        assert time.perf_counter() - start < 0.05
+        assert time.perf_counter() - start < 0.1
 
 
 class TestBeamGeometry:
