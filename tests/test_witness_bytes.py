@@ -6,7 +6,8 @@ before the witness point was computed as array operations over its setting
 pairs; the fig2/fig5 and simulate digests were recorded before run_batch and
 run_trial were given one shared draw routine; the pmc and link digests were
 recorded before the PMC scan became one array expression and the CLI began
-sharing one parser per process. Those rewrites, and any later
+sharing one parser per process; the fig2 variants were recorded before fig2
+stopped calling run_batch and drew only its herald counts. Those rewrites, and any later
 change that claims byte-identical output, must reproduce them bit for bit.
 The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
 included) on x86-64: eigh, solve and the BLAS kernels OpenBLAS picks for the
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from swpemux import analysis, engine
-from swpemux.cli import EXIT_OK, main
+from swpemux.cli import EXIT_OK, EXIT_RUNTIME, main
 from swpemux.config import ExperimentConfig
 from swpemux.states import bell_state
 
@@ -29,6 +30,18 @@ FIGURES = {
     "fig3": "bacf6f06d7f58fb906a43c23656e993936cf475268b4494c624713a3339d49a6",
     "fig4": "9f3570cfa5c723e143eff16ff228cfaecb4b3ec1daf9e870632186c26338cac7",
     "fig5": "f2ea956a7163b1e408377e664d1f341e65769ec3ccc14f61dda1910a5d75f25d",
+}
+# reproduce fig2 off the default run: under dark_rate = 3e-3, at the
+# benchmark's 5e4 trials, and at 100 trials, where the m = 1 row draws no
+# herald and the ratio is NaN; all three miss the ratio window and exit 1
+FIG2_VARIANTS = {
+    "dark": ("0a1e597e8a38826b46832957a026c88008e9bd8e3c8805058358c2edb346f822", []),
+    "trials-50000": (
+        "55416ebd4aa373e48dbf87ee118053ca0503dc9c69e207234687f5ebad1b9fbd", ["--trials", "50000"]
+    ),
+    "trials-100": (
+        "d1342d36e3d6b0ea6ad27fa95d6880d64c2c6b676f242783db61509a8189899b", ["--trials", "100"]
+    ),
 }
 ANALYSES = {
     "bell": "789624c5d20361f10d7f10a9f5e19c982fdb886699be096301668fe166d3f049",
@@ -77,6 +90,18 @@ def test_reproduce_figure_bytes(tmp_path, figure):
     out = tmp_path / f"{figure}.json"
     assert main(["reproduce", "--figure", figure, "--out", str(out)]) == EXIT_OK
     assert sha256_file(out) == FIGURES[figure]
+
+
+@pytest.mark.parametrize("name", sorted(FIG2_VARIANTS))
+def test_reproduce_fig2_variant_bytes(tmp_path, name):
+    digest, argv = FIG2_VARIANTS[name]
+    if name == "dark":
+        config = tmp_path / "dark.json"
+        ExperimentConfig(dark_rate=3e-3).save(str(config))
+        argv = ["--config", str(config)]
+    out = tmp_path / "fig2.json"
+    assert main(["reproduce", "--figure", "fig2", "--out", str(out)] + argv) == EXIT_RUNTIME
+    assert sha256_file(out) == digest
 
 
 @pytest.mark.parametrize("kind", sorted(ANALYSES))
