@@ -20,7 +20,8 @@ multinomial given it. run_batch draws those aggregates for n trains, once
 per setting pair, at a cost that does not grow with n; run_coincidence_batch
 draws heralded coincidences from the stacked pair tables alone. Both build a
 CoincidenceTable's count array and check each row against the one row rule
-that CoincidenceRow.validate states.
+that CoincidenceRow.validate states. herald_fraction draws only the herald
+count, the first draw of each pair's stream, so it equals run_batch's p_s_hat.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -234,12 +235,15 @@ class RunPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "settings", tuple(self.settings))
+        # integers by name first (n_trials with no minimum: its range check names [1, 2^63))
+        object.__setattr__(self, "n_trials", as_count("n_trials", self.n_trials, -math.inf))
+        object.__setattr__(self, "seed", as_count("seed", self.seed, minimum=0))
         _check_storage_time(self.tau)
         if not self.settings:
             raise ValueError("a run plan needs at least one analyzer setting pair")
         if not 1 <= self.n_trials < _MAX_TRIALS:
             raise ValueError(f"n_trials must lie in [1, 2^63) per pair, got {self.n_trials}")
-        if not 0 <= self.seed < _MAX_SEED:
+        if self.seed >= _MAX_SEED:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if len(self.settings) >= _MAX_SETTINGS:
             raise ValueError("too many setting pairs for the stream layout")
@@ -265,15 +269,13 @@ class RunPlan:
         missing = sorted(known - set(data))
         if missing:
             raise ValueError(f"run plan is missing keys: {', '.join(missing)}")
-        pairs = []
-        for entry in data["settings"]:
-            pairs.append(SettingPair.from_tokens(entry["stokes"], entry["anti_stokes"]))
         return RunPlan(
             config=ExperimentConfig.from_dict(data["config"]),
             tau=float(data["tau"]),
-            settings=tuple(pairs),
-            n_trials=as_count("n_trials", data["n_trials"]),
-            seed=as_count("seed", data["seed"], minimum=0),
+            settings=[SettingPair.from_tokens(e["stokes"], e["anti_stokes"])
+                      for e in data["settings"]],
+            n_trials=data["n_trials"],
+            seed=data["seed"],
         )
 
 
@@ -522,6 +524,15 @@ def run_batch(plan: RunPlan) -> BatchResult:
         tau=plan.tau,
         seed=plan.seed,
     )
+
+
+def herald_fraction(plan: RunPlan) -> float:
+    """run_batch(plan).p_s_hat, bitwise: each pair draws its herald count first,
+    Binomial(n_trials, p_herald), and skips the draws and the table after it."""
+    n, count = plan.n_trials, len(plan.settings)
+    p_herald = _trial_law(plan.config, plan.config.m)[1]
+    streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, count)
+    return sum(int(gen.binomial(n, p_herald)) for gen in streams) / (n * count)
 
 
 def run_coincidence_batch(

@@ -49,8 +49,11 @@ def fan_angles(m: int, spacing_deg: float = 1.0) -> tuple:
         raise ValueError(f"fan size must be at least 1, got {m}")
     if spacing_deg <= 0.0:
         raise ValueError(f"fan spacing must be positive, got {spacing_deg}")
-    # the widest angle, checked before any is built; false for NaN or inf spacing
-    if not math.ceil(m / 2) * spacing_deg < 90.0:
+    try:  # the widest angle, checked before any is built; false for NaN or inf spacing
+        fits = math.ceil(m / 2) * spacing_deg < 90.0
+    except OverflowError:  # m / 2 is beyond a float: far too wide
+        fits = False
+    if not fits:
         raise ValueError("fan does not fit inside (-90, 90) degrees")
     angles = []
     step = 1

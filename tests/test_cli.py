@@ -222,6 +222,12 @@ class TestPmc:
             "pmc", "--out", str(tmp_path / "x.json"), "--angles", "1,1"
         ) == EXIT_USAGE
 
+    def test_fan_size_beyond_float_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run_cli("pmc", "--out", str(out), "--m", "1" + "0" * 400) == EXIT_USAGE
+        assert "fan does not fit inside (-90, 90) degrees" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
         out = tmp_path / "x.json"
@@ -354,13 +360,13 @@ class TestReproduce:
 
     def test_fig2_rows_draw_from_distinct_seeds(self, tmp_path, monkeypatch):
         seeds = []
-        run_batch = engine.run_batch
+        herald_fraction = engine.herald_fraction
 
-        def recording_run_batch(plan):
+        def recording_herald_fraction(plan):
             seeds.append(plan.seed)
-            return run_batch(plan)
+            return herald_fraction(plan)
 
-        monkeypatch.setattr(engine, "run_batch", recording_run_batch)
+        monkeypatch.setattr(engine, "herald_fraction", recording_herald_fraction)
         run_cli("reproduce", "--figure", "fig2", "--out", str(tmp_path / "fig2.json"),
                 "--trials", "20000")
         assert len(seeds) == CFG.m

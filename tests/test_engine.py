@@ -587,6 +587,23 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="seed must be at least 0"):
             RunPlan.from_dict(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_trials", 2.5), ("seed", 7.9), ("n_trials", True), ("seed", True),
+        ("n_trials", "12"), ("seed", "12"),
+    ])
+    def test_constructor_never_truncates_a_count(self, field, value):
+        base = dict(config=CFG, tau=0.7, settings=(HV_PAIR,), n_trials=10, seed=1)
+        base[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunPlan(**base)
+
+    def test_constructor_takes_integral_counts_and_seed_zero(self):
+        plan = RunPlan(CFG, 0.7, (HV_PAIR,), np.int64(12), 0)
+        assert (plan.n_trials, plan.seed) == (12, 0) and type(plan.n_trials) is int
+        for n in (0, -1):  # an integer out of range names the range
+            with pytest.raises(ValueError, match=re.escape("n_trials must lie in [1, 2^63)")):
+                RunPlan(CFG, 0.7, (HV_PAIR,), n, 0)
+
     def test_unknown_key_rejected(self):
         plan = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1)
         data = plan.to_dict()

@@ -76,7 +76,7 @@ class TestFanAngles:
             fan_angles(5, spacing_deg=0.0)
 
     @pytest.mark.parametrize("m, spacing", [(179, 1.0), (180, 1.0), (19, 9.5), (3, math.nan),
-                                            (1, math.inf), (2.5, 45.0)])
+                                            (1, math.inf), (2.5, 45.0), (10**400, 1.0)])
     def test_fan_wider_than_the_half_plane_rejected(self, m, spacing):
         with pytest.raises(ValueError, match=re.escape("fan does not fit inside (-90, 90)")):
             fan_angles(m, spacing_deg=spacing)

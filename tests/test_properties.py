@@ -1,7 +1,7 @@
 """Property tests: physical projection, tomography inversion, config JSON
 and its rejection of non-finite values, the outcome law, the validity of
-sampled rows, the coincidence CSV round trip and the closed forms of the
-Werner pair state.
+sampled rows, the herald-only sampler against run_batch, the coincidence CSV
+round trip and the closed forms of the Werner pair state.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -30,9 +30,11 @@ from swpemux.config import ExperimentConfig
 from swpemux.engine import (
     CoincidenceRow,
     CoincidenceTable,
+    HV_PAIR,
     RunPlan,
     SettingPair,
     effective_pair_state,
+    herald_fraction,
     outcome_law,
     run_batch,
     run_coincidence_batch,
@@ -177,6 +179,24 @@ def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
             row.validate()
             assert row.n_total == n
     assert all(row.n_coincidences == n for row in coincidences.rows)
+
+
+@PROPERTY
+@given(
+    configs,
+    storage_times,
+    st.lists(setting_pairs, min_size=1, max_size=13),
+    st.integers(1, 2**40),
+    st.integers(0, 2**64 - 1),
+)
+@example(ExperimentConfig(dark_rate=3e-3), 0.7, [HV_PAIR], 50_000, 2**64 - 1)
+@example(ExperimentConfig(eta_d=0.0), 0.7, [HV_PAIR], 2**40, 0)  # a = 0: no heralds
+@example(ExperimentConfig(dark_rate=1.0), 0.7, [HV_PAIR] * 13, 2**40, 1)  # a = 1: all herald
+def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pairs, n, seed):
+    """fig2 reads p_s_hat from herald_fraction: the herald counts must be
+    the very draws run_batch makes first, so the float is the same bits."""
+    plan = RunPlan(config, tau, pairs, n, seed)
+    assert herald_fraction(plan).hex() == run_batch(plan).p_s_hat.hex()
 
 
 analyzers = st.one_of(
