@@ -7,8 +7,9 @@ pairs; the fig2/fig5 and simulate digests were recorded before run_batch and
 run_trial were given one shared draw routine; the pmc and link digests were
 recorded before the PMC scan became one array expression and the CLI began
 sharing one parser per process; the fig2 variants were recorded before fig2
-stopped calling run_batch and drew only its herald counts. Those rewrites, and any later
-change that claims byte-identical output, must reproduce them bit for bit.
+stopped calling run_batch and drew only its herald counts. Those rewrites,
+and any later change that claims byte-identical output, must reproduce them
+bit for bit.
 The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
 included) on x86-64: eigh, solve and the BLAS kernels OpenBLAS picks for the
 CPU can round differently on another build or processor, and there a
