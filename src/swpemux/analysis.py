@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +52,7 @@ TOMOGRAPHY_BASES = (
 _BASIS_INDEX = {basis: index for index, basis in enumerate(TOMOGRAPHY_BASES)}
 
 
-@dataclass(frozen=True)
-class BellSettings:
+class BellSettings(NamedTuple):
     """The four analyzer angles of a CHSH measurement, in degrees.
 
     Defaults are the canonical set: the unprimed/primed Stokes angles and the
@@ -256,8 +254,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Result of the exponential CHSH decay fit.
 
     tau_c is the fitted coherence time (microseconds, +inf when the data do

@@ -461,6 +461,9 @@ _FIGURES = {
 
 
 def _cmd_reproduce(args) -> int:
+    # every figure's seed range, checked before any row seed wraps it
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
     config = _load_config(args.config)
     rows, checks = _FIGURES[args.figure](config, args.seed, args.trials)
     passed = all(c["passed"] for c in checks)

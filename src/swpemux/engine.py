@@ -298,8 +298,7 @@ def _check_counts(c_d1t1, c_d1t2, c_d2t1, c_d2t2, n_d1, n_d2, n_total) -> None:
         raise ValueError("total heralds exceed the number of trials")
 
 
-@dataclass
-class CoincidenceRow:
+class CoincidenceRow(NamedTuple):
     """Counts for one analyzer setting pair.
 
     c_dXtY counts coincidences between Stokes detector X and anti-Stokes
@@ -386,8 +385,7 @@ class CoincidenceTable:
         return CoincidenceRow(self.pairs[s], *self.counts[s].tolist())
 
 
-@dataclass
-class BatchResult:
+class BatchResult(NamedTuple):
     """Aggregate outcome of run_batch."""
 
     table: CoincidenceTable

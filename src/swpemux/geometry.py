@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
+
+# largest fan: scan_geometry builds (m, m) float arrays, 8 MB each at this size
+MAX_BEAMS = 1024
 
 
 @dataclass(frozen=True)
@@ -26,6 +29,8 @@ class BeamGeometry:
         object.__setattr__(self, "write_angles", tuple(float(a) for a in self.write_angles))
         if not self.write_angles:
             raise ValueError("geometry needs at least one write beam")
+        if len(self.write_angles) > MAX_BEAMS:
+            raise ValueError(f"geometry takes at most {MAX_BEAMS} write beams, got {self.m}")
         for angle in self.write_angles + (self.stokes_angle,):
             if not -90.0 < angle < 90.0:
                 raise ValueError(f"beam angles must lie in (-90, 90) degrees, got {angle}")
@@ -49,12 +54,12 @@ def fan_angles(m: int, spacing_deg: float = 1.0) -> tuple:
         raise ValueError(f"fan size must be at least 1, got {m}")
     if spacing_deg <= 0.0:
         raise ValueError(f"fan spacing must be positive, got {spacing_deg}")
-    try:  # the widest angle, checked before any is built; false for NaN or inf spacing
-        fits = math.ceil(m / 2) * spacing_deg < 90.0
-    except OverflowError:  # m / 2 is beyond a float: far too wide
-        fits = False
-    if not fits:
+    # the widest angle, false for NaN or inf spacing; m is clamped so that
+    # m / 2 stays a float, and a fan above MAX_BEAMS that fits fails below
+    if not math.ceil(min(m, MAX_BEAMS + 1) / 2) * spacing_deg < 90.0:
         raise ValueError("fan does not fit inside (-90, 90) degrees")
+    if m > MAX_BEAMS:
+        raise ValueError(f"fan size must be at most {MAX_BEAMS} beams, got {m}")
     angles = []
     step = 1
     while len(angles) < m:
@@ -86,8 +91,7 @@ def pmc_residual(theta_wk: float, theta_rl: float, theta_s: float) -> float:
     return abs(float(np.hypot(k[0], k[1])) - 1.0)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Residual matrix over (written mode k, read beam l) and its
     classification against the directionality tolerance."""
 

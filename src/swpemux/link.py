@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .util import ProbabilityPair, as_count, first_success_probability
 
@@ -74,8 +75,7 @@ def p_link_multiplexed(p1: float, m: int) -> ProbabilityPair:
     return ProbabilityPair(first_success_probability(p1, m), m * p1)
 
 
-@dataclass(frozen=True)
-class EntanglementTimeReport:
+class EntanglementTimeReport(NamedTuple):
     """Average times to herald one entangled pair over the half link.
 
     Attempt cycles are paced by the signaling time L0/c; the write-train
@@ -116,8 +116,7 @@ def avg_entanglement_time(link: LinkConfig) -> EntanglementTimeReport:
     )
 
 
-@dataclass(frozen=True)
-class FeedbackReport:
+class FeedbackReport(NamedTuple):
     """Success statistics of N feed-forward retries."""
 
     p_exact: float
@@ -142,8 +141,7 @@ def feedback_success(fb: FeedbackConfig) -> FeedbackReport:
     )
 
 
-@dataclass(frozen=True)
-class StrategyComparison:
+class StrategyComparison(NamedTuple):
     """Side-by-side of N-retry feed-forward against an m-mode train with the
     same per-attempt success probability and pacing."""
 

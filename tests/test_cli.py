@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from swpemux import engine
+from swpemux import engine, geometry
 from swpemux.analysis import CANONICAL_BELL, tomography_setting_pairs
 from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from swpemux.config import ExperimentConfig
 from swpemux.engine import run_coincidence_batch
+from swpemux.geometry import MAX_BEAMS
 from swpemux.io import read_coincidence_csv, write_coincidence_csv
 
 CFG = ExperimentConfig()
@@ -228,6 +229,20 @@ class TestPmc:
         assert "fan does not fit inside (-90, 90) degrees" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--m", str(MAX_BEAMS + 1), "--spacing", "0.01"),
+        ("--angles", ",".join(str(0.01 * (k + 1)) for k in range(MAX_BEAMS + 1))),
+    ], ids=["m", "angles"])
+    def test_fan_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("an oversized fan reached scan_geometry")
+
+        monkeypatch.setattr(geometry, "scan_geometry", no_scan)
+        out = tmp_path / "x.json"
+        assert run_cli("pmc", "--out", str(out), *argv) == EXIT_USAGE
+        assert f"at most {MAX_BEAMS}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
         out = tmp_path / "x.json"
@@ -391,6 +406,16 @@ class TestReproduce:
                        "--seed", str(2**64 - 1), "--trials", "20000")
         assert code != EXIT_USAGE
         assert load(out)["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "fig5"])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, figure, seed):
+        out = tmp_path / f"{figure}.json"
+        code = run_cli("reproduce", "--figure", figure, "--out", str(out),
+                       "--seed", str(seed), "--trials", "100")
+        assert code == EXIT_USAGE
+        assert f"seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

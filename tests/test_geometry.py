@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from swpemux.geometry import (
+    MAX_BEAMS,
     BeamGeometry,
     anti_stokes_wavevector,
     fan_angles,
@@ -91,6 +92,11 @@ class TestFanAngles:
             fan_angles(10**12)
         assert time.perf_counter() - start < 0.1
 
+    def test_fan_above_the_cap_rejected(self):
+        assert len(fan_angles(MAX_BEAMS, spacing_deg=0.01)) == MAX_BEAMS
+        with pytest.raises(ValueError, match=f"at most {MAX_BEAMS} beams, got {MAX_BEAMS + 1}"):
+            fan_angles(MAX_BEAMS + 1, spacing_deg=0.01)
+
 
 class TestBeamGeometry:
     def test_m_property(self):
@@ -106,6 +112,12 @@ class TestBeamGeometry:
             BeamGeometry((95.0,))
         with pytest.raises(ValueError):
             BeamGeometry((1.0,), stokes_angle=90.0)
+
+    def test_more_beams_than_the_cap_rejected(self):
+        angles = [0.01 * (k + 1) for k in range(MAX_BEAMS + 1)]
+        assert BeamGeometry(angles[:MAX_BEAMS]).m == MAX_BEAMS
+        with pytest.raises(ValueError, match=f"at most {MAX_BEAMS} write beams, got {MAX_BEAMS + 1}"):
+            BeamGeometry(angles)
 
 
 class TestScanGeometry:

@@ -1,0 +1,90 @@
+"""Shape of the result records: immutable NamedTuples with pinned fields.
+
+Result records are built positionally (CoincidenceTable.rows, the CSV
+reader), so their field order is part of the API. Types whose constructor
+validates its input stay dataclasses, whose __post_init__ a NamedTuple's
+_make and _replace would skip.
+"""
+import dataclasses
+
+import pytest
+
+import swpemux
+from swpemux.analysis import CANONICAL_BELL, BellSettings, DecayFit, fit_decay
+from swpemux.config import ExperimentConfig
+from swpemux.engine import HV_PAIR, BatchResult, CoincidenceRow, RunPlan, run_batch
+from swpemux.geometry import BeamGeometry, ScanResult, fan_angles, scan_geometry
+from swpemux.link import (
+    EntanglementTimeReport,
+    FeedbackConfig,
+    FeedbackReport,
+    LinkConfig,
+    StrategyComparison,
+    avg_entanglement_time,
+    feedback_success,
+    feedback_vs_multiplexed_report,
+)
+
+FIELDS = {
+    CoincidenceRow: ("pair", "c_d1t1", "c_d1t2", "c_d2t1", "c_d2t2", "n_d1", "n_d2", "n_total"),
+    BatchResult: ("table", "herald_bin_histogram", "n_trials_total", "n_heralds",
+                  "n_dark_heralds", "n_coincidences", "p_s_hat", "p_sas_hat", "tau", "seed"),
+    BellSettings: ("theta_s", "theta_s_prime", "theta_a", "theta_a_prime"),
+    DecayFit: ("tau_c", "v_ref", "lifetime_chsh", "covariance", "tau_ref"),
+    ScanResult: ("residuals", "tolerance", "directional", "cross_directional_pairs",
+                 "cross_directional_fraction"),
+    EntanglementTimeReport: ("communication_time_us", "t_single_us", "t_multiplexed_linear_us",
+                             "t_multiplexed_exact_us", "speedup_linear", "speedup_exact",
+                             "overflowed"),
+    FeedbackReport: ("p_exact", "p_linear", "total_time_us", "n_deterministic"),
+    StrategyComparison: ("n_attempts", "m", "p_attempt", "p_feedback", "p_multiplexed",
+                         "time_feedback_us", "time_multiplexed_us",
+                         "required_memory_lifetime_feedback_us",
+                         "required_memory_lifetime_multiplexed_us", "equivalent"),
+}
+
+VALIDATED = {"ExperimentConfig", "MeasurementSetting", "SettingPair", "RunPlan",
+             "BeamGeometry", "LinkConfig", "FeedbackConfig"}
+
+
+def _records() -> list:
+    """One record of each type, as the library returns it."""
+    config = ExperimentConfig()
+    result = run_batch(RunPlan(config, config.tau_ref, (HV_PAIR,), 1000, 7))
+    fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19)
+    return [
+        result.table.rows[0],
+        result,
+        CANONICAL_BELL,
+        fit_decay([(10.0, 2.6), (40.0, 2.2)], tau_ref=10.0),
+        scan_geometry(BeamGeometry(fan_angles(3))),
+        avg_entanglement_time(LinkConfig()),
+        feedback_success(fb),
+        feedback_vs_multiplexed_report(fb, 19),
+    ]
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_field_order_is_pinned(cls):
+    assert cls._fields == FIELDS[cls]
+
+
+def test_defaults_are_kept():
+    assert CoincidenceRow._field_defaults == {name: 0 for name in FIELDS[CoincidenceRow][1:]}
+    assert BellSettings() == BellSettings(0.0, 45.0, 22.5, 67.5)
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable_tuples(record):
+    assert type(record) in FIELDS
+    assert record == tuple(record) and record._asdict().keys() == set(record._fields)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[-1], 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_only_validated_types_are_dataclasses():
+    exported = [getattr(swpemux, name) for name in swpemux.__all__]
+    assert {obj.__name__ for obj in exported
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)} == VALIDATED
