@@ -7,7 +7,9 @@ pairs; the fig2/fig5 and simulate digests were recorded before run_batch and
 run_trial were given one shared draw routine; the pmc and link digests were
 recorded before the PMC scan became one array expression and the CLI began
 sharing one parser per process; the fig2 variants were recorded before fig2
-stopped calling run_batch and drew only its herald counts. Those rewrites,
+stopped calling run_batch and drew only its herald counts; the projection
+digests were recorded before every Hermitian eigen-solve went through one
+memoized helper. Those rewrites,
 and any later change that claims byte-identical output, must reproduce them
 bit for bit.
 The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
@@ -24,7 +26,7 @@ import pytest
 from swpemux import analysis, engine
 from swpemux.cli import EXIT_OK, EXIT_RUNTIME, main
 from swpemux.config import ExperimentConfig
-from swpemux.states import bell_state
+from swpemux.states import bell_state, werner_state
 
 FIGURES = {
     "fig2": "d61dfd5d6802d3f5216cfe5f31125a1b02d61a074c4934bf58052eb86bc6c4ef",
@@ -79,6 +81,34 @@ TABLES = {
     ),
 }
 LIBRARY_GRID = "72977f06d81a6008767772d887261d842530aea430e345290c14d67e5cf36753"
+# project_physical of a 50-sample-per-basis tomography at m = 1, tau = 0, and
+# its fidelity against the Bell target, per seed: at that sample size the raw
+# matrix always has a negative eigenvalue, so the redistribution loop runs and
+# fidelity solves a matrix the projection changed
+PROJECTED = {
+    0: "c0fdee8141597c17780990f717d92bf7c56b01ecc2cfc9e868615d2644b6288d",
+    1: "3f1fbefa6f220065b8f8cef5d4e0d74b49578f3aa2301c061b4838c0f3656370",
+    2: "138aec2dec9f405e4ef55c9bf30ae5eff5dd5ddda0927447716b6321b052d235",
+    3: "d99dcef6378b25b99edb4ef11f24f888cad5347a1c909e6e9f7f9342e911bfcb",
+    4: "88da38dee1a03bea445b01a12a69278e8bacfd99a0fcd8baa478ca35ab78ac35",
+    5: "4fb18680480414ba3b7d9e145ff86ac40b1f95ad5f81af753a4aef259f61cd01",
+    6: "63df926528c0209440b6d5b80f69fd543424ee1c78865443d6fa2bece463d6a3",
+    7: "2dac2870efdfef54344c6dfad1c7be260d344ffe1f222aa432d2d632bac404f7",
+    8: "6922514b16f031346abc39a915795499a323bfc712d77cb2822508d1742c5bcc",
+    9: "49d5a9a5f3d94e1da774235308f35ec101a587d586e6a012a9ba7eade32dcc84",
+    10: "8483e9de1e33a7b58b439e465d24044a9f88a926084215edc4ef0fe57df6a24b",
+    11: "0c13a6f0a556bbb7a9e982875d8b265ad09bbd5c7730165bd4b134f8564491f6",
+    12: "1ef78851f9b9f8a211adad94166bec3ed24711265e23d08a478349a8821a1e4a",
+    13: "f1da46dad9864ebef9b0e17e6e53ae3d565ae63f4db8c2b9eafaf24e95ea219f",
+    14: "3ef05310cddf0ddc3b8d10774df9c7eae092060776d865b43cdfc6590c8f4946",
+    15: "9120d8e206beccdb2a863ab17ae30aeb992216653500de1fea5410bda97394d8",
+    16: "2e479932daa6710c3885f7eee08cbeb6156537cfed3a1f556d2407d6350312bf",
+    17: "d2a0f552d312b526f9b7a126f72bac0f5b9204cb7e628e73b4981c03cfa8a4c9",
+    18: "a2c115b87bbbcba1a22fc4e1cfba5326002305a268c3e0c867d8cce3ead3d9fc",
+    19: "e893cc5f889e53ecc2e7e3e75133a2b834f56a7f70fcc2b86993a8e642f6ed77",
+}
+# the 20 projected matrices' fidelities against the mixed target werner(45, 0.8)
+MIXED_TARGET = "54af3f69264d686930e432fac29fdd193fb47b250001a8ffb70e5754ced8d7d7"
 
 
 def sha256_file(path):
@@ -152,3 +182,29 @@ def test_library_witness_grid_bytes():
             fid = analysis.fidelity(rho, target)
             digest.update(repr((s, s_err, fid, np.ascontiguousarray(rho).tobytes())).encode())
     assert digest.hexdigest() == LIBRARY_GRID
+
+
+def projected_tomography(seed):
+    """(raw, projected) tomography matrices at 50 samples per basis, m = 1."""
+    config = ExperimentConfig().replace(m=1)
+    table = engine.run_coincidence_batch(
+        config, 0.0, analysis.tomography_setting_pairs(), 50, seed
+    )
+    raw = analysis.tomo_reconstruct(table)
+    return raw, analysis.project_physical(raw)
+
+
+@pytest.mark.parametrize("seed", sorted(PROJECTED))
+def test_projected_tomography_bytes(seed):
+    raw, rho = projected_tomography(seed)
+    assert not np.array_equal(rho, raw)
+    fid = analysis.fidelity(rho, bell_state(45.0))
+    assert hashlib.sha256(rho.tobytes() + repr(fid).encode()).hexdigest() == PROJECTED[seed]
+
+
+def test_fidelity_against_mixed_target_bytes():
+    target = werner_state(45.0, 0.8)
+    digest = hashlib.sha256()
+    for seed in sorted(PROJECTED):
+        digest.update(repr(analysis.fidelity(projected_tomography(seed)[1], target)).encode())
+    assert digest.hexdigest() == MIXED_TARGET
