@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engine import CoincidenceRow, CoincidenceTable, SettingPair
-from .states import MeasurementSetting, joint_probabilities
+from .states import MeasurementSetting, _eigh, _eigvalsh, joint_probabilities
 from .util import as_count
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -211,7 +211,7 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     hermitized = (rho + rho.conj().T) / 2.0
-    eigenvalues, vectors = np.linalg.eigh(hermitized)
+    eigenvalues, vectors = _eigh(hermitized)
     # a reduction, never an end of the array: eigh leaves NaN input unsorted
     if np.minimum.reduce(eigenvalues) >= -1e-14:
         return rho.copy()
@@ -240,12 +240,14 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
-        raise ValueError("fidelity needs two square matrices of equal shape")
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    if rho.ndim != 2 or rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
+        raise ValueError(
+            f"fidelity needs two square matrices of equal shape, got {rho.shape} and {sigma.shape}"
+        )
+    w, v = _eigh((rho + rho.conj().T) / 2.0)
     sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
-    inner_eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    inner_eigs = _eigvalsh((inner + inner.conj().T) / 2.0)
     # rounding noise near 0 would contribute sqrt(eps) ~ 1e-8 per eigenvalue;
     # a relative floor keeps rank-deficient (pure) inputs exact
     floor = _FLOOR_SCALE * max(np.maximum.reduce(inner_eigs), 0.0)

@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, engine, geometry, io, link
 from .config import ExperimentConfig
 from .engine import RunPlan, SettingPair
-from .states import bell_state, validate_density
+from .states import _eigvalsh, bell_state, validate_density
 from .util import atomic_write_text
 
 # Fixed documented default seed; pass --seed to change it.
@@ -224,7 +224,7 @@ def _cmd_tomo(args) -> int:
     payload = {
         "rho_raw": _rho_payload(raw),
         "rho": _rho_payload(physical),
-        "eigenvalues": [float(v) for v in np.linalg.eigvalsh(physical)],
+        "eigenvalues": [float(v) for v in _eigvalsh(physical)],
         "fidelity_vs_target": analysis.fidelity(physical, target),
         "target_theta": config.theta,
     }

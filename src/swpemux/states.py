@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -136,6 +137,58 @@ def werner_state(theta_deg: float, visibility: float) -> np.ndarray:
     return visibility * bell_state(theta_deg) + (1.0 - visibility) * np.eye(4, dtype=complex) / 4.0
 
 
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# the floating-point state np.linalg's eigen-solvers run LAPACK under
+_LAPACK_ERRSTATE = dict(
+    call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+# (dtype, shape, bytes) of the last matrix _eigh solved, with its read-only
+# eigenvalues and eigenvectors; replaced in one assignment, so a reader in
+# another thread sees a whole old entry or a whole new one
+_eigh_memo = (None, None, b"", None, None)
+
+
+def _eigh(h: np.ndarray) -> tuple:
+    """Eigenvalues (ascending) and eigenvectors of the complex Hermitian
+    (..., M, M) array h, bitwise equal to np.linalg.eigh(h).
+
+    Calls the LAPACK gufunc that np.linalg.eigh wraps, without the wrapper's
+    argument checks, which cost about a quarter of a 4x4 solve; callers pass
+    complex arrays with square trailing axes. The errstate is the one
+    np.linalg sets: it turns LAPACK's non-convergence flag into LinAlgError
+    and silences the gufunc's other floating-point warnings, so errors and
+    warnings stay those of np.linalg.eigh. The last solve is memoized on the
+    array's bytes, so that fidelity on a matrix project_physical left
+    unchanged does not solve it again; a hit needs equal bytes, never the
+    same object, and the returned arrays are read-only.
+    """
+    global _eigh_memo
+    memo = _eigh_memo
+    key = h.tobytes()
+    if memo[2] == key and memo[1] == h.shape and memo[0] == h.dtype:
+        return memo[3], memo[4]
+    with np.errstate(**_LAPACK_ERRSTATE):
+        w, v = _umath_linalg.eigh_lo(h, signature="D->dD")
+    w.flags.writeable = False
+    v.flags.writeable = False
+    _eigh_memo = (h.dtype, h.shape, key, w, v)
+    return w, v
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of the complex Hermitian (..., M, M) array h,
+    bitwise equal to np.linalg.eigvalsh(h); see _eigh for why the gufunc is
+    called directly and why its errstate must stay. Not memoized, and never
+    a stand-in for _eigh's eigenvalues: LAPACK's eigenvalues-only solve
+    differs from _eigh's in the last bits."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+
+
 def validate_density(rho: np.ndarray, *, tol: float = 1e-12, eig_tol: float = 1e-10) -> list:
     """Diagnostic check of the two-qubit density matrix invariants.
 
@@ -157,7 +210,7 @@ def validate_density(rho: np.ndarray, *, tol: float = 1e-12, eig_tol: float = 1e
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > tol:
         violations.append(f"trace must be 1 within {tol}, got {trace}")
-    eigenvalues = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    eigenvalues = _eigvalsh((rho_c + rho_c.conj().T) / 2.0)
     if float(eigenvalues.min()) < -eig_tol:
         violations.append(f"negative eigenvalue {eigenvalues.min():.3e}")
     return violations

@@ -333,6 +333,19 @@ class TestFidelity:
             with pytest.raises(np.linalg.LinAlgError):
                 fidelity(*args)
 
+    @pytest.mark.parametrize("rho, sigma", [
+        (np.ones(4) / 4.0, np.ones(4) / 4.0),
+        (np.array(1.0), np.array(1.0)),
+        (np.ones((4, 4, 4)) / 4.0, np.ones((4, 4, 4)) / 4.0),
+        (np.ones((4, 2)), np.ones((4, 2))),
+        (np.eye(4) / 4.0, np.eye(2) / 2.0),
+        (np.eye(4) / 4.0, np.ones(16) / 16.0),
+    ], ids=["1-d", "0-d", "stack", "not-square", "sizes-differ", "flat-sigma"])
+    def test_shapes_checked_at_the_boundary(self, rho, sigma):
+        message = re.escape(f"got {rho.shape} and {sigma.shape}")
+        with pytest.raises(ValueError, match=f"two square matrices of equal shape, {message}"):
+            fidelity(rho, sigma)
+
     def test_werner_against_bell_target(self):
         # mixture rule: overlap of V-weighted mixture with its pure target
         assert fidelity(werner_state(45.0, 0.8), bell_state(45.0)) == pytest.approx(
