@@ -188,8 +188,8 @@ class TestMemo:
     def test_two_threads_get_single_threaded_results(self):
         matrices = (RANDOM[2], RANDOM[3])
         expected = [np.linalg.eigh(h) for h in matrices]
-        barrier = threading.Barrier(2)
-        failures = []
+        barrier = threading.Barrier(2, timeout=60)
+        failures, finished = [], []
 
         def worker(first):
             barrier.wait()
@@ -198,6 +198,7 @@ class TestMemo:
                 w, v = _eigh(matrices[which])
                 if not (same_bytes(w, expected[which][0]) and same_bytes(v, expected[which][1])):
                     failures.append((first, k))
+            finished.append(first)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -206,7 +207,9 @@ class TestMemo:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1]
         assert failures == []
