@@ -473,18 +473,22 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(out), "--trials", "0") == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "fig5"])
     def test_coincidence_count_beyond_int64_is_named(self, tmp_path, capsys, monkeypatch,
                                                      figure):
+        # fig2 draws herald counts out of n_trials, the others coincidences
+        count = "n_trials" if figure == "fig2" else "n_coincidences"
+
         def no_draws(*args):
             raise AssertionError("a rejected count must not reach the draws")
 
         monkeypatch.setattr(engine, "_setting_streams", no_draws)
         out = tmp_path / "x.json"
-        assert run_cli("reproduce", "--figure", figure, "--out", str(out),
-                       "--trials", str(2**63)) == EXIT_USAGE
-        assert "n_coincidences must lie in [1, 2^63)" in capsys.readouterr().err
-        assert not out.exists()
+        for trials in (2**63, -1):
+            assert run_cli("reproduce", "--figure", figure, "--out", str(out),
+                           "--trials", str(trials)) == EXIT_USAGE
+            assert f"{count} must lie in [1, 2^63)" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_subcommand_is_argparse_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,9 +7,10 @@ pairs; the fig2/fig5 and simulate digests were recorded before run_batch and
 run_trial were given one shared draw routine; the pmc and link digests were
 recorded before the PMC scan became one array expression and the CLI began
 sharing one parser per process; the fig2 variants were recorded before fig2
-stopped calling run_batch and drew only its herald counts; the projection
-digests were recorded before every Hermitian eigen-solve went through one
-memoized helper. Those rewrites,
+stopped calling run_batch and drew only its herald counts, and the m, eta_d
+and dark_rate ones before fig2 stopped building a configuration and a run
+plan per row; the projection digests were recorded before every Hermitian
+eigen-solve went through one memoized helper. Those rewrites,
 and any later change that claims byte-identical output, must reproduce them
 bit for bit.
 The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
@@ -34,16 +35,41 @@ FIGURES = {
     "fig4": "9f3570cfa5c723e143eff16ff228cfaecb4b3ec1daf9e870632186c26338cac7",
     "fig5": "f2ea956a7163b1e408377e664d1f341e65769ec3ccc14f61dda1910a5d75f25d",
 }
-# reproduce fig2 off the default run: under dark_rate = 3e-3, at the
+# reproduce fig2 off the default run, as (digest, configuration fields changed
+# from the defaults, extra arguments): under dark_rate = 3e-3, at the
 # benchmark's 5e4 trials, and at 100 trials, where the m = 1 row draws no
-# herald and the ratio is NaN; all three miss the ratio window and exit 1
+# herald and the ratio is NaN; at 5e4 trials, a sweep that ends at m = 7, a
+# one-row sweep whose endpoints coincide, eta_d = 0 (a = 0: no heralds, a NaN
+# ratio) and dark_rate = 1 (a = 1: every trial heralds). All seven miss the
+# ratio window and exit 1
 FIG2_VARIANTS = {
-    "dark": ("0a1e597e8a38826b46832957a026c88008e9bd8e3c8805058358c2edb346f822", []),
+    "dark": (
+        "0a1e597e8a38826b46832957a026c88008e9bd8e3c8805058358c2edb346f822",
+        {"dark_rate": 3e-3}, [],
+    ),
     "trials-50000": (
-        "55416ebd4aa373e48dbf87ee118053ca0503dc9c69e207234687f5ebad1b9fbd", ["--trials", "50000"]
+        "55416ebd4aa373e48dbf87ee118053ca0503dc9c69e207234687f5ebad1b9fbd",
+        {}, ["--trials", "50000"],
     ),
     "trials-100": (
-        "d1342d36e3d6b0ea6ad27fa95d6880d64c2c6b676f242783db61509a8189899b", ["--trials", "100"]
+        "d1342d36e3d6b0ea6ad27fa95d6880d64c2c6b676f242783db61509a8189899b",
+        {}, ["--trials", "100"],
+    ),
+    "m-7": (
+        "24c8429e0225eedc328fc6bfa4ff48b6e9011344e42777414610efd43e8e24e5",
+        {"m": 7}, ["--trials", "50000"],
+    ),
+    "m-1": (
+        "d75e33d46da4e5c88a42f13b41a58bf0e0819a7956979dbdcde43264f37e121e",
+        {"m": 1}, ["--trials", "50000"],
+    ),
+    "eta_d-0": (
+        "d581d47c42dc876b682e2f9c66cb6df29b9577aed807be1fc75d4e9ff4627a00",
+        {"eta_d": 0.0}, ["--trials", "50000"],
+    ),
+    "dark_rate-1": (
+        "354ea9a4bab350cf6f8e41dfd4fca53c582a548ac78537b687d011776b7a7030",
+        {"dark_rate": 1.0}, ["--trials", "50000"],
     ),
 }
 ANALYSES = {
@@ -125,11 +151,11 @@ def test_reproduce_figure_bytes(tmp_path, figure):
 
 @pytest.mark.parametrize("name", sorted(FIG2_VARIANTS))
 def test_reproduce_fig2_variant_bytes(tmp_path, name):
-    digest, argv = FIG2_VARIANTS[name]
-    if name == "dark":
-        config = tmp_path / "dark.json"
-        ExperimentConfig(dark_rate=3e-3).save(str(config))
-        argv = ["--config", str(config)]
+    digest, changes, argv = FIG2_VARIANTS[name]
+    if changes:
+        config = tmp_path / "config.json"
+        ExperimentConfig(**changes).save(str(config))
+        argv = argv + ["--config", str(config)]
     out = tmp_path / "fig2.json"
     assert main(["reproduce", "--figure", "fig2", "--out", str(out)] + argv) == EXIT_RUNTIME
     assert sha256_file(out) == digest
