@@ -344,32 +344,26 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """Herald probability versus mode count; the multiplexing gain.
 
     The endpoints default to 10^9 trials, where the ratio's standard error
-    (below 0.02) is small against the [18.5, 19.0] window; each row draws
-    only its herald count (engine.herald_fraction), one binomial whatever the
-    trial count. Each m draws from its own seed, so the rows' errors are
-    independent. A run whose m = 1 row drew no heralds has no ratio (NaN)
-    and fails the ratio check.
+    (below 0.02) is small against the [18.5, 19.0] window. Each row evaluates
+    the law once (engine.analytic_p_s at its m), and its exact probability is
+    the parameter of the row's one binomial herald draw
+    (engine.herald_fraction), whatever the trial count. Each m draws from its
+    own seed, so the rows' errors are independent. A run whose m = 1 row drew
+    no heralds has no ratio (NaN) and fails the ratio check.
     """
     endpoint_trials = 1_000_000_000 if trials is None else trials
     sweep_trials = min(endpoint_trials, 1_000_000)
     rows = []
     estimates = {}
     for m in range(1, config.m + 1):
-        cfg_m = config.replace(m=m)
         n = endpoint_trials if m in (1, config.m) else sweep_trials
-        plan = RunPlan(cfg_m, config.tau_ref, (engine.HV_PAIR,), n, _row_seed(seed, m))
-        p_hat = engine.herald_fraction(plan)
-        analytic = engine.analytic_p_s(cfg_m)
+        law = engine.analytic_p_s(config, m)
+        p_hat = engine.herald_fraction(law.exact, n, _row_seed(seed, m))
         rows.append(
-            {
-                "m": m,
-                "trials": n,
-                "p_s_hat": p_hat,
-                "p_s_exact": analytic.exact,
-                "p_s_linear": analytic.linear,
-            }
+            {"m": m, "trials": n, "p_s_hat": p_hat, "p_s_exact": law.exact,
+             "p_s_linear": law.linear}
         )
-        estimates[m] = (p_hat, n, analytic.exact)
+        estimates[m] = (p_hat, n, law.exact)
     ratio = estimates[config.m][0] / estimates[1][0] if estimates[1][0] > 0.0 else math.nan
     checks = [_check("p_s_ratio_m19_vs_m1", ratio, 18.5, 19.0)]
     for m in (1, config.m):

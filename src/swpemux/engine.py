@@ -20,8 +20,8 @@ multinomial given it. run_batch draws those aggregates for n trains, once
 per setting pair, at a cost that does not grow with n; run_coincidence_batch
 draws heralded coincidences from the stacked pair tables alone. Both build a
 CoincidenceTable's count array and check each row against the one row rule
-that CoincidenceRow.validate states. herald_fraction draws only the herald
-count, the first draw of each pair's stream, so it equals run_batch's p_s_hat.
+that CoincidenceRow.validate states. herald_fraction makes run_batch's first
+draw, one herald count, from the herald probability (analytic_p_s) alone.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -115,6 +115,11 @@ def _check_storage_time(tau: float) -> None:
         raise ValueError(f"storage time tau must be finite and non-negative, got {tau}")
 
 
+def _check_draw_count(name: str, count: int) -> None:
+    if not 1 <= count < _MAX_TRIALS:
+        raise ValueError(f"{name} must lie in [1, 2^63) per pair, got {count}")
+
+
 def visibility(
     config: ExperimentConfig, m: Optional[int] = None, tau: Optional[float] = None
 ) -> float:
@@ -123,14 +128,11 @@ def visibility(
 
     The cross-mode background divides the single-mode visibility by
     1 + beta (m - 1) chi, and memory decay contributes
-    exp(-(tau - tau_ref)/tau_c). The result is clamped to [0, 1].
+    exp(-(tau - tau_ref)/tau_c). The result is clamped to [0, 1]. An explicit
+    m must be an integer of at least 1.
     """
-    if m is None:
-        m = config.m
-    if tau is None:
-        tau = config.tau_ref
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = config.m if m is None else as_count("m", m)
+    tau = config.tau_ref if tau is None else tau
     _check_storage_time(tau)
     base = config.v1 / (1.0 + config.beta * (m - 1) * config.chi)
     if base <= 0.0:  # the quotient can underflow to 0, where log would raise
@@ -150,7 +152,7 @@ def effective_pair_state(
 
 
 def _trial_law(config: ExperimentConfig, m: int) -> tuple:
-    """(a, p_herald, p_real, p_read, p_background) of an m-bin train.
+    """(a, p_herald, p_real, p_read, p_background) of an m-bin train (never config.m).
 
     A bin clicks with probability a = 1 - (1 - chi eta_d)(1 - d)^2, from a
     real photon or a dark count on either detector (written so that
@@ -172,8 +174,10 @@ def _trial_law(config: ExperimentConfig, m: int) -> tuple:
 def analytic_p_s(config: ExperimentConfig, m: Optional[int] = None) -> ProbabilityPair:
     """Per-train herald probability 1 - (1 - a)^m, with the linear
     approximation m a for reporting; a is the dark-inclusive probability that
-    a bin clicks (chi eta_d when dark_rate is 0)."""
-    m = config.m if m is None else m
+    a bin clicks (chi eta_d when dark_rate is 0). An explicit m must be an
+    integer of at least 1; the exact value is bitwise the p_herald of
+    outcome_law for config.replace(m=m)."""
+    m = config.m if m is None else as_count("m", m)
     a, p_herald = _trial_law(config, m)[:2]
     return ProbabilityPair(p_herald, m * a)
 
@@ -181,8 +185,9 @@ def analytic_p_s(config: ExperimentConfig, m: Optional[int] = None) -> Probabili
 def analytic_p_sas(config: ExperimentConfig, m: Optional[int] = None) -> ProbabilityPair:
     """Per-train heralded coincidence probability: herald probability times
     the readout click probability, gamma eta_as after a real herald and the
-    background probability after a dark one."""
-    m = config.m if m is None else m
+    background probability after a dark one. An explicit m must be an integer
+    of at least 1."""
+    m = config.m if m is None else as_count("m", m)
     a, p_herald, p_real, p_read, p_background = _trial_law(config, m)
     readout = p_real * p_read + (1.0 - p_real) * p_background
     return ProbabilityPair(p_herald * readout, m * a * readout)
@@ -241,8 +246,7 @@ class RunPlan:
         _check_storage_time(self.tau)
         if not self.settings:
             raise ValueError("a run plan needs at least one analyzer setting pair")
-        if not 1 <= self.n_trials < _MAX_TRIALS:
-            raise ValueError(f"n_trials must lie in [1, 2^63) per pair, got {self.n_trials}")
+        _check_draw_count("n_trials", self.n_trials)
         if self.seed >= _MAX_SEED:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if len(self.settings) >= _MAX_SETTINGS:
@@ -435,7 +439,7 @@ def _pair_tables(
     pair s's Werner table V J_pure + (1 - V)/4, normalized. Every entry is
     non-negative and every row sums to 1, so callers need no guard against
     empty ports."""
-    v = visibility(config, config.m, tau)
+    v = visibility(config, tau=tau)
     tables = v * _pure_tables(config.theta, pairs)
     tables += (1.0 - v) / 4.0
     tables /= np.add.reduce(tables, axis=1, keepdims=True)
@@ -524,13 +528,15 @@ def run_batch(plan: RunPlan) -> BatchResult:
     )
 
 
-def herald_fraction(plan: RunPlan) -> float:
-    """run_batch(plan).p_s_hat, bitwise: each pair draws its herald count first,
-    Binomial(n_trials, p_herald), and skips the draws and the table after it."""
-    n, count = plan.n_trials, len(plan.settings)
-    p_herald = _trial_law(plan.config, plan.config.m)[1]
-    streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, count)
-    return sum(int(gen.binomial(n, p_herald)) for gen in streams) / (n * count)
+def herald_fraction(p_herald: float, n_trials: int, seed: int) -> float:
+    """Binomial(n_trials, p_herald) / n_trials, drawn from derive_stream(seed,
+    trials domain, 0): run_batch's first draw, so with p_herald =
+    analytic_p_s(config).exact it is a one-pair plan's p_s_hat, bitwise.
+    n_trials is checked as RunPlan checks it, before any draw."""
+    n = as_count("n_trials", n_trials, -math.inf)  # by name first, then [1, 2^63)
+    _check_draw_count("n_trials", n)
+    gen = next(_setting_streams(seed, _DOMAIN_TRIALS, 1))
+    return int(gen.binomial(n, p_herald)) / n
 
 
 def run_coincidence_batch(
@@ -553,8 +559,7 @@ def run_coincidence_batch(
     generator re-keyed per pair. The herald singles are the row sums, and the
     array is validated once.
     """
-    if not 1 <= n_coincidences < _MAX_TRIALS:
-        raise ValueError(f"n_coincidences must lie in [1, 2^63) per pair, got {n_coincidences}")
+    _check_draw_count("n_coincidences", n_coincidences)
     _check_storage_time(tau)
     settings = tuple(settings)
     if not settings:

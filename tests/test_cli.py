@@ -377,15 +377,35 @@ class TestReproduce:
         seeds = []
         herald_fraction = engine.herald_fraction
 
-        def recording_herald_fraction(plan):
-            seeds.append(plan.seed)
-            return herald_fraction(plan)
+        def recording_herald_fraction(p_herald, n_trials, seed):
+            seeds.append(seed)
+            return herald_fraction(p_herald, n_trials, seed)
 
         monkeypatch.setattr(engine, "herald_fraction", recording_herald_fraction)
         run_cli("reproduce", "--figure", "fig2", "--out", str(tmp_path / "fig2.json"),
                 "--trials", "20000")
         assert len(seeds) == CFG.m
         assert len(set(seeds)) == CFG.m
+
+    def test_fig2_rows_build_no_config_or_plan(self, tmp_path, monkeypatch):
+        # a row is one law evaluation, one re-key and one binomial
+        def not_built(*args, **kwargs):
+            raise AssertionError("a fig2 row must not build a configuration or a run plan")
+
+        monkeypatch.setattr(ExperimentConfig, "replace", not_built)
+        monkeypatch.setattr(engine.RunPlan, "__post_init__", not_built)
+        rekeys = []
+        setting_streams = engine._setting_streams
+
+        def counting_setting_streams(seed, domain, count):
+            rekeys.append(count)
+            return setting_streams(seed, domain, count)
+
+        monkeypatch.setattr(engine, "_setting_streams", counting_setting_streams)
+        out = tmp_path / "fig2.json"
+        run_cli("reproduce", "--figure", "fig2", "--out", str(out), "--trials", "20000")
+        assert out.exists()
+        assert rekeys == [1] * CFG.m
 
     def test_fig2_without_m1_heralds_fails_cleanly(self, tmp_path):
         # at 100 trials the m = 1 row draws no heralds, so there is no ratio

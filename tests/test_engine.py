@@ -227,6 +227,27 @@ class TestVisibility:
         assert visibility(cfg, tau=1e6) == visibility(cfg, tau=0.7)
 
 
+@pytest.mark.parametrize("m", [0, -1, 2.5, True])
+@pytest.mark.parametrize("law", [analytic_p_s, analytic_p_sas, visibility, effective_pair_state])
+def test_explicit_mode_count_is_checked(law, m):
+    with pytest.raises(ValueError, match=r"^m must be (at least 1|an integer), got"):
+        law(CFG, m)
+
+
+def test_law_tables_leave_the_config_mode_count_unchecked(monkeypatch):
+    # config.m was checked when the config was built: the per-point path of
+    # the witness sweeps passes no m, so it checks no count again
+    def no_check(*args):
+        raise AssertionError("the law tables must not check a count")
+
+    v = visibility(CFG, CFG.m, 0.123)
+    monkeypatch.setattr(engine, "as_count", no_check)
+    pair = CANONICAL_BELL.setting_pairs()[2]
+    assert _pair_tables(CFG, 0.123, (pair,)).shape == (1, 4)
+    assert outcome_law(CFG, 0.123, pair).p_herald == analytic_p_s(CFG).exact
+    assert visibility(CFG, tau=0.123) == v
+
+
 def test_effective_pair_state_is_werner():
     rho = effective_pair_state(CFG, tau=0.7)
     v = visibility(CFG)
@@ -610,6 +631,20 @@ class TestRunPlan:
         data["extra"] = 1
         with pytest.raises(ValueError):
             RunPlan.from_dict(data)
+
+
+class TestHeraldFraction:
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 2.5, True, "12"])
+    def test_trial_count_is_checked_as_run_plan_checks_it(self, monkeypatch, n):
+        with pytest.raises(ValueError) as plan_error:
+            RunPlan(CFG, 0.7, (HV_PAIR,), n, 1)
+
+        def no_draws(*args):
+            raise AssertionError("a rejected count must not reach the draws")
+
+        monkeypatch.setattr(engine, "_setting_streams", no_draws)
+        with pytest.raises(ValueError, match=re.escape(str(plan_error.value))):
+            engine.herald_fraction(0.5, n, 1)
 
 
 class TestRunBatch:

@@ -33,6 +33,7 @@ from swpemux.engine import (
     HV_PAIR,
     RunPlan,
     SettingPair,
+    analytic_p_s,
     effective_pair_state,
     herald_fraction,
     outcome_law,
@@ -193,10 +194,20 @@ def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
 @example(ExperimentConfig(eta_d=0.0), 0.7, [HV_PAIR], 2**40, 0)  # a = 0: no heralds
 @example(ExperimentConfig(dark_rate=1.0), 0.7, [HV_PAIR] * 13, 2**40, 1)  # a = 1: all herald
 def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pairs, n, seed):
-    """fig2 reads p_s_hat from herald_fraction: the herald counts must be
-    the very draws run_batch makes first, so the float is the same bits."""
-    plan = RunPlan(config, tau, pairs, n, seed)
-    assert herald_fraction(plan).hex() == run_batch(plan).p_s_hat.hex()
+    """fig2 reads p_s_hat from herald_fraction at analytic_p_s's exact value:
+    the herald count must be the very draw run_batch makes first for pair 0,
+    so the float is the same bits, and analytic_p_s at each m must be the
+    p_herald that outcome_law gives run_batch at that m."""
+    batch = run_batch(RunPlan(config, tau, pairs, n, seed))
+    fraction = herald_fraction(analytic_p_s(config).exact, n, seed)
+    if len(pairs) == 1:
+        assert fraction.hex() == batch.p_s_hat.hex()
+    else:
+        n_d1, n_d2 = batch.table.counts[0, 4:6].tolist()
+        assert fraction.hex() == ((n_d1 + n_d2) / n).hex()
+    for m in range(1, config.m + 1):
+        law = outcome_law(config.replace(m=m), tau, pairs[0])
+        assert analytic_p_s(config, m).exact.hex() == law.p_herald.hex()
 
 
 analyzers = st.one_of(
