@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -540,6 +541,51 @@ class TestSharedParser:
         assert run_cli("bell", "--counts", str(first), "--out", str(tmp_path / "s.json")) == EXIT_OK
         assert run_cli("simulate", "--out", str(second)) == EXIT_OK
         assert second.read_bytes() == first.read_bytes()
+
+
+# (argv, exit code, sha256 prefix of stdout, sha256 prefix of stderr), recorded
+# with COLUMNS=80 before main parsed a subcommand's arguments with its own
+# parser alone; the help texts and usage errors must not change.
+PARSER_OUTCOMES = [
+    ([], 2, "e3b0c44298fc1c14", "fd44578eb50b4c55"),
+    (["--help"], 0, "6d0231c70dc3bc8e", "e3b0c44298fc1c14"),
+    (["-h"], 0, "6d0231c70dc3bc8e", "e3b0c44298fc1c14"),
+    (["bogus"], 2, "e3b0c44298fc1c14", "72b415bd4d39dbef"),
+    (["--", "reproduce"], 2, "e3b0c44298fc1c14", "940c44bf2fefce14"),
+    (["reproduce"], 2, "e3b0c44298fc1c14", "85920408369369fd"),
+    (["reproduce", "-h"], 0, "c341b93ea57016c9", "e3b0c44298fc1c14"),
+    (["reproduce", "--figure", "fig9", "--out", "out.json"],
+     2, "e3b0c44298fc1c14", "7b163302958aa35e"),
+    (["reproduce", "--figure", "fig2", "--out", "out.json", "--nope"],
+     2, "e3b0c44298fc1c14", "adf91f7f1d50d226"),
+    (["reproduce", "--figure", "fig2", "--out", "out.json", "extra", "more"],
+     2, "e3b0c44298fc1c14", "163ee887c34c60c0"),
+    (["reproduce", "--fig", "fig2", "--trials", "1000", "--out", "out.json"],
+     1, "e3b0c44298fc1c14", "5c09a6b3c019b69d"),
+    (["reproduce", "--figure", "fig2", "--out", "out.json", "--trials", "x"],
+     2, "e3b0c44298fc1c14", "032b00dcd129bbd1"),
+    (["reproduce", "--figure=fig2", "--trials=1000", "--seed=7", "--out=out.json"],
+     1, "e3b0c44298fc1c14", "5c09a6b3c019b69d"),
+    (["reproduce", "--figure=fig9", "--out=out.json"], 2, "e3b0c44298fc1c14", "7b163302958aa35e"),
+    (["simulate", "--trials", "100", "--out", "out.csv", "--", "extra"],
+     2, "e3b0c44298fc1c14", "b5341b7935761686"),
+    (["simulate", "--", "--out", "out.csv"], 2, "e3b0c44298fc1c14", "42e423a71cbdf5bf"),
+    (["link", "--out", "out.json", "--he"], 0, "bf5fe63f8976b1d5", "e3b0c44298fc1c14"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha, stderr_sha", PARSER_OUTCOMES,
+                         ids=[" ".join(case[0]) or "empty" for case in PARSER_OUTCOMES])
+def test_parser_outcome_is_pinned(tmp_path, capsys, monkeypatch, argv, code, stdout_sha, stderr_sha):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (got, digest(out), digest(err)) == (code, stdout_sha, stderr_sha), (out, err)
 
 
 def test_default_seed_is_stable_constant():
