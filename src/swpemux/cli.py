@@ -8,7 +8,9 @@ compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
 
 main reuses one argument parser per process: build_parser builds it on the
 first call and returns the same object afterwards, so repeated in-process
-calls (tests, the benchmark, library scripts) pay only for parsing.
+calls (tests, the benchmark, library scripts) pay only for parsing. An argv
+that starts with a subcommand is parsed by that subcommand's parser alone:
+the full parse's result and messages in one argparse pass.
 """
 from __future__ import annotations
 
@@ -71,7 +73,6 @@ def _add_common(parser: argparse.ArgumentParser, *, trials: Optional[int] = None
                         dest="fmt", help="output format")
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The swpemux argument parser, built once per process.
 
@@ -80,6 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_argument, set_defaults or similar), because that would change every
     later call in the process.
     """
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple:
+    """The swpemux parser and its subcommand-name -> subparser map."""
     parser = argparse.ArgumentParser(
         prog="swpemux",
         description="Monte Carlo simulator and analysis tools for a temporally "
@@ -151,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the preset's trial/sample count")
     p.add_argument("--threads", type=int, default=1)
 
-    return parser
+    return parser, sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +492,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in subparsers:
+        args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     try:
         # --threads changes nothing, but a count below 1 is still bad input
         if getattr(args, "threads", 1) < 1:

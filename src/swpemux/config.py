@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .util import as_count, atomic_write_text
+from .util import as_count, atomic_write_text, json_dumps
 
 _FIELDS = (
     "m",
@@ -124,7 +124,7 @@ class ExperimentConfig:
         return ExperimentConfig(**kwargs)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_dumps(self.to_dict())
 
     @staticmethod
     def loads(text: str) -> "ExperimentConfig":

@@ -14,7 +14,7 @@ import os
 from typing import Any, Iterable, Sequence
 
 from .engine import COUNT_COLUMNS, BatchResult, CoincidenceRow, CoincidenceTable, SettingPair
-from .util import atomic_write_text
+from .util import atomic_write_text, json_dumps
 
 COINCIDENCE_COLUMNS = ("setting_s", "setting_a", *COUNT_COLUMNS)
 
@@ -69,10 +69,6 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
 def read_coincidence_csv(path: str) -> CoincidenceTable:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return parse_coincidence_csv(handle.read())
-
-
-def json_dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
 def write_json(payload: Any, path: str) -> None:

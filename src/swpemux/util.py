@@ -1,10 +1,13 @@
-"""Small shared helpers used across the package."""
+"""Small shared helpers used across the package: the indented JSON text
+of every output (json_dumps, from json's C encoder, which json.dumps skips
+when indent is set) and the atomic file write (os calls, no tempfile)."""
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
-import tempfile
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 
@@ -51,14 +54,29 @@ def first_success_probability(p: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+               | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0))
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never see
-    a partially written file and failed runs leave the old file intact."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    """Write text to path as UTF-8 via a fresh .tmp.<random>~ file (mode
+    0o600) beside it and a rename, so readers never see a partially written
+    file and failed runs leave the old file intact."""
+    data = text.encode("utf-8")
+    directory = os.path.dirname(os.path.abspath(path))
+    while True:
+        tmp_path = os.path.join(directory, f".tmp.{os.urandom(4).hex()}~")
+        try:
+            fd = os.open(tmp_path, _TEMP_FLAGS, 0o600)
+            break
+        except FileExistsError:
+            pass
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -66,3 +84,37 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(level: int):
+    """json's C encoder for a container of scalars whose items sit at this
+    indent level: it joins and writes them as json's indenting encoder does."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * level, True, False, True)
+
+
+def _json_text(o, level: int, open_ids: set) -> str:
+    is_dict = isinstance(o, dict)
+    values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
+    inner = "\n" + "  " * (level + 1)
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        text = "".join(_flat_encoder(level + 1)(o, 0))
+        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1] if values else text
+    if id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(o))
+    if is_dict:  # each key as json writes it, cut from the text of {key: 0}
+        items = ["".join(_flat_encoder(0)({key: 0}, 0))[1:-4] + ": "
+                 + _json_text(value, level + 1, open_ids) for key, value in sorted(o.items())]
+    else:
+        items = [_json_text(value, level + 1, open_ids) for value in o]
+    open_ids.remove(id(o))
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+
+def json_dumps(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\\n",
+    byte for byte and with the same errors, from json's C encoder."""
+    return _json_text(payload, 0, set()) + "\n"

@@ -1,7 +1,14 @@
-"""File formats: coincidence CSV, batch JSON, decay point files."""
+"""File formats: coincidence CSV, batch JSON, decay point files, the
+indented JSON encoder and the atomic file write."""
 import json
+import math
+import os
+import re
+import stat
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swpemux.analysis import CANONICAL_BELL
@@ -18,7 +25,7 @@ from swpemux.io import (
     write_coincidence_csv,
     write_json,
 )
-from swpemux.util import atomic_write_text
+from swpemux.util import atomic_write_text, json_dumps
 
 CFG = ExperimentConfig()
 
@@ -124,3 +131,105 @@ class TestAtomicWrite:
         path = str(tmp_path / "missing_dir" / "out.txt")
         with pytest.raises(OSError):
             atomic_write_text(path, "data")
+
+    def test_write_error_keeps_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "old\n")
+
+        def failing_write(fd, data):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", failing_write)
+            with pytest.raises(OSError, match="No space left"):
+                atomic_write_text(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_unencodable_text_leaves_directory_unchanged(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(path), "lone \ud800 surrogate")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text() == "old\n"
+
+    def test_file_mode_is_0o600(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        path.chmod(0o644)
+        atomic_write_text(str(path), "new\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_bytes() == b"new\n"
+
+    def test_concurrent_writes_leave_exactly_their_targets(self, tmp_path):
+        def write_all(worker):
+            for k in range(25):
+                atomic_write_text(str(tmp_path / f"{worker}-{k}.txt"), f"{worker} {k} \u00e9\n")
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(write_all, range(4)))
+        names = {f"{worker}-{k}.txt" for worker in range(4) for k in range(25)}
+        assert set(os.listdir(tmp_path)) == names
+        for name in names:
+            worker, k = name[:-4].split("-")
+            assert (tmp_path / name).read_text(encoding="utf-8") == f"{worker} {k} \u00e9\n"
+
+
+def _indented_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+def _circular_list():
+    items = [1]
+    items.append(items)
+    return items
+
+
+def _circular_dict():
+    inner = {"b": 1}
+    outer = {"a": inner}
+    inner["c"] = outer
+    return outer
+
+
+class TestJsonDumps:
+    def test_c_encoder_is_available(self):
+        # util.json_dumps writes through json's C encoder; a Python build
+        # without the _json accelerator leaves this None
+        assert json.encoder.c_make_encoder is not None
+
+    @pytest.mark.parametrize("keys", [
+        (3, 2.5, -0.0, math.inf, -math.inf, 2**70),
+        (True, False),
+        (None,),
+        (np.float64(0.1), 7),
+    ])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_keys_convert_as_json_converts_them(self, keys, nested):
+        payload = {key: ([k] if nested else k) for k, key in enumerate(keys)}
+        assert json_dumps(payload) == _indented_json(payload)
+        assert json_dumps({"outer": payload}) == _indented_json({"outer": payload})
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.int64(3),
+        lambda: {"counts": [np.int64(3)]},
+        lambda: [{1, 2}],
+        lambda: {"a": set()},
+        lambda: {(1, 2): 1},
+        lambda: {(1, 2): [1], "a": [2]},
+        lambda: {1: 1, "a": 2},
+        lambda: {1: [1], "a": [2]},
+        _circular_list,
+        _circular_dict,
+    ])
+    def test_errors_are_json_errors(self, make):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _indented_json(make())
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            json_dumps(make())
+
+    def test_repeated_container_is_not_circular(self):
+        shared = {"x": [1.5]}
+        payload = {"a": shared, "b": [shared, shared]}
+        assert json_dumps(payload) == _indented_json(payload)

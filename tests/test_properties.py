@@ -1,13 +1,15 @@
 """Property tests: physical projection, tomography inversion, config JSON
 and its rejection of non-finite values, the outcome law, the validity of
 sampled rows, the herald-only sampler against run_batch, the coincidence CSV
-round trip and the closed forms of the Werner pair state.
+round trip, the closed forms of the Werner pair state and the indented JSON
+text against json.dumps.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
 """
 import atexit
 import dataclasses
+import json
 import math
 import os
 import tempfile
@@ -43,7 +45,7 @@ from swpemux.engine import (
 )
 from swpemux.io import read_coincidence_csv, write_coincidence_csv
 from swpemux.states import MeasurementSetting, bell_state
-from swpemux.util import first_success_probability
+from swpemux.util import first_success_probability, json_dumps
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -253,3 +255,28 @@ def test_first_success_probability_is_monotone(p, q, n, k):
     (p, q), (n, k) = sorted((p, q)), sorted((n, k))
     assert first_success_probability(p, n) <= first_success_probability(q, n)
     assert first_success_probability(p, n) <= first_success_probability(p, k)
+
+
+# keys and strings with newlines, quotes, brackets, escapes and non-ASCII text
+_json_strings = st.text(st.sampled_from('ab \n\t"\\[]{},:\u00e9\u2028\u65e5\U0001f600'), max_size=5)
+_json_scalars = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70, -(2**70), True, False, None]),
+    st.floats(), st.floats().map(np.float64), st.integers(), _json_strings,
+)
+json_payloads = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_json_strings, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(json_payloads)
+@example({"data": [{"m": 1, "p": 0.5}, {}, []], "passed": False, "\n[": ({"x": ()},)})
+@example([[[]], {"a": {"b": {"c": [math.nan, -0.0, np.float64(1e300)]}}}])
+def test_json_dumps_is_indented_json_dumps_bytewise(payload):
+    assert json_dumps(payload) == json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
