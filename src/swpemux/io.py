@@ -3,7 +3,9 @@
 All writers produce deterministic bytes for deterministic inputs: fixed
 column order, sorted JSON keys, shortest-round-trip float formatting and a
 plain \\n line terminator. Every emitted format parses back through the
-matching reader in this module.
+matching reader in this module. JSON text is util.json_dumps's (json.dumps
+with indent=2 and sorted keys, from json's C encoder), and every file is
+written by util.atomic_write_text.
 """
 from __future__ import annotations
 
