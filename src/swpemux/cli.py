@@ -9,8 +9,7 @@ compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
 main reuses one argument parser per process: build_parser builds it on the
 first call and returns the same object afterwards, so repeated in-process
 calls (tests, the benchmark, library scripts) pay only for parsing. An argv
-that starts with a subcommand is parsed by that subcommand's parser alone:
-the full parse's result and messages in one argparse pass.
+that starts with a subcommand is parsed by that subcommand's parser alone.
 """
 from __future__ import annotations
 
@@ -86,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _parsers() -> tuple:
-    """The swpemux parser and its subcommand-name -> subparser map."""
     parser = argparse.ArgumentParser(
         prog="swpemux",
         description="Monte Carlo simulator and analysis tools for a temporally "

@@ -1,8 +1,8 @@
-"""Small shared helpers used across the package: the indented JSON text
-of every output (json_dumps, from json's C encoder, which json.dumps skips
-when indent is set) and the atomic file write (os calls, no tempfile)."""
+"""Small shared helpers used across the package, including the JSON text
+(json's C encoder) and the atomic write (os calls) of every output file."""
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -54,23 +54,19 @@ def first_success_probability(p: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-p))
 
 
-_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
-               | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0))
-
-
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path as UTF-8 via a fresh .tmp.<random>~ file (mode
-    0o600) beside it and a rename, so readers never see a partially written
-    file and failed runs leave the old file intact."""
+    """Write text to path as UTF-8 via a fresh .tmp.<random>~ file (mode 0o600)
+    beside it and a rename, so readers never see a partially written file and
+    failed runs leave the old file intact."""
     data = text.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
+    flags = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+             | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0))
     while True:
         tmp_path = os.path.join(directory, f".tmp.{os.urandom(4).hex()}~")
-        try:
-            fd = os.open(tmp_path, _TEMP_FLAGS, 0o600)
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp_path, flags, 0o600)
             break
-        except FileExistsError:
-            pass
     try:
         try:
             while data:
@@ -79,17 +75,15 @@ def atomic_write_text(path: str, text: str) -> None:
             os.close(fd)
         os.replace(tmp_path, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_path)
-        except OSError:
-            pass
         raise
 
 
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(level: int):
-    """json's C encoder for a container of scalars whose items sit at this
-    indent level: it joins and writes them as json's indenting encoder does."""
+    # json's indenting encoder joins items at this level with this separator
+    # and writes scalars and keys as its C encoder does
     return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * level, True, False, True)
 
@@ -97,21 +91,22 @@ def _flat_encoder(level: int):
 def _json_text(o, level: int, open_ids: set) -> str:
     is_dict = isinstance(o, dict)
     values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
-    inner = "\n" + "  " * (level + 1)
     if not any(isinstance(v, (dict, list, tuple)) for v in values):
-        text = "".join(_flat_encoder(level + 1)(o, 0))
-        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1] if values else text
-    if id(o) in open_ids:
+        text = "".join(_flat_encoder(level + 1)(o, 0))  # a scalar, or a container of scalars
+    elif id(o) in open_ids:
         raise ValueError("Circular reference detected")
-    open_ids.add(id(o))
-    if is_dict:  # each key as json writes it, cut from the text of {key: 0}
-        items = ["".join(_flat_encoder(0)({key: 0}, 0))[1:-4] + ": "
-                 + _json_text(value, level + 1, open_ids) for key, value in sorted(o.items())]
     else:
-        items = [_json_text(value, level + 1, open_ids) for value in o]
-    open_ids.remove(id(o))
-    brackets = "{}" if is_dict else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+        open_ids.add(id(o))
+        if is_dict:  # each key as json writes it, cut from the text of {key: 0}
+            items = ["".join(_flat_encoder(0)({key: 0}, 0))[1:-4] + ": "
+                     + _json_text(value, level + 1, open_ids) for key, value in sorted(o.items())]
+        else:
+            items = [_json_text(value, level + 1, open_ids) for value in o]
+        open_ids.remove(id(o))
+        text = ("{%s}" if is_dict else "[%s]") % (",\n" + "  " * (level + 1)).join(items)
+    if not values:
+        return text
+    return text[0] + "\n" + "  " * (level + 1) + text[1:-1] + "\n" + "  " * level + text[-1]
 
 
 def json_dumps(payload) -> str:
