@@ -12,7 +12,8 @@ from swpemux import (
     LinkConfig,
     avg_entanglement_time,
     communication_time,
-    feedback_vs_multiplexed_report,
+    feedback_success,
+    p_link_multiplexed,
 )
 
 link = LinkConfig()
@@ -34,7 +35,8 @@ print("rarer successes push the speedup toward the full mode count m = 19")
 
 # retry loop with matched per-attempt probability: provably the same series
 fb = FeedbackConfig(eta=0.1, chi=0.01, n_attempts=19)
-cmp = feedback_vs_multiplexed_report(fb, 19)
-print(f"\nfeed-forward retries vs one multiplexed train at eta*chi = {cmp.p_attempt}:")
-print(f"  P(success) {cmp.p_feedback} == {cmp.p_multiplexed}: {cmp.equivalent}")
-print(f"  both occupy the memory for {cmp.time_feedback_us:.1f} us")
+retries = feedback_success(fb)
+train = p_link_multiplexed(fb.eta * fb.chi, fb.n_attempts)
+print(f"\nfeed-forward retries vs one multiplexed train at eta*chi = {fb.eta * fb.chi}:")
+print(f"  P(success) {retries.p_exact} == {train.exact}: {retries.p_exact == train.exact}")
+print(f"  both occupy the memory for {retries.total_time_us:.1f} us")

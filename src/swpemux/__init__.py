@@ -4,7 +4,8 @@ spin-wave / photon entanglement source and its repeater elementary link.
 The package is organized around a handful of layers:
 
 * :mod:`swpemux.config` - the experiment parameter set and its JSON format.
-* :mod:`swpemux.states` - polarization states, analyzer settings, projectors.
+* :mod:`swpemux.states` - polarization states, analyzer settings and their
+  joint outcome probabilities.
 * :mod:`swpemux.engine` - the exact per-trial outcome law and the batch and
   coincidence samplers built on it (counter-based RNG, deterministic for a
   given seed).
@@ -12,8 +13,8 @@ The package is organized around a handful of layers:
   visibility-model calibration.
 * :mod:`swpemux.geometry` - write-beam fan geometry and phase matching
   residuals.
-* :mod:`swpemux.link` - elementary-link timing and the feed-forward retry
-  equivalence.
+* :mod:`swpemux.link` - elementary-link timing and feed-forward retry
+  statistics.
 * :mod:`swpemux.cli` - the ``swpemux`` command line tool.
 """
 from .analysis import (
@@ -26,7 +27,6 @@ from .analysis import (
     bell_s,
     calibrate_visibility,
     correlation_e,
-    exact_coincidence_table,
     fidelity,
     fit_decay,
     project_physical,
@@ -54,7 +54,6 @@ from .engine import (
 from .geometry import (
     BeamGeometry,
     ScanResult,
-    anti_stokes_wavevector,
     fan_angles,
     pmc_residual,
     scan_geometry,
@@ -64,11 +63,9 @@ from .link import (
     FeedbackConfig,
     FeedbackReport,
     LinkConfig,
-    StrategyComparison,
     avg_entanglement_time,
     communication_time,
     feedback_success,
-    feedback_vs_multiplexed_report,
     p_link_multiplexed,
 )
 from .states import (
@@ -76,8 +73,6 @@ from .states import (
     MeasurementSetting,
     bell_state,
     joint_probabilities,
-    projector,
-    stokes_marginal,
     validate_density,
     werner_state,
 )
@@ -104,13 +99,11 @@ __all__ = [
     "RunPlan",
     "ScanResult",
     "SettingPair",
-    "StrategyComparison",
     "TSIRELSON_BOUND",
     "analytic_bell_s",
     "analytic_correlation",
     "analytic_p_s",
     "analytic_p_sas",
-    "anti_stokes_wavevector",
     "avg_entanglement_time",
     "bell_s",
     "bell_state",
@@ -119,10 +112,8 @@ __all__ = [
     "correlation_e",
     "derive_stream",
     "effective_pair_state",
-    "exact_coincidence_table",
     "fan_angles",
     "feedback_success",
-    "feedback_vs_multiplexed_report",
     "fidelity",
     "fit_decay",
     "joint_probabilities",
@@ -130,11 +121,9 @@ __all__ = [
     "p_link_multiplexed",
     "pmc_residual",
     "project_physical",
-    "projector",
     "run_batch",
     "run_coincidence_batch",
     "scan_geometry",
-    "stokes_marginal",
     "tomo_reconstruct",
     "tomography_setting_pairs",
     "validate_density",

@@ -399,11 +399,16 @@ def calibrate_visibility(
         raise ValueError("calibration needs exactly three targets")
     parsed = []
     for entry in targets:
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"calibration target must be an object, got {entry!r}")
         missing = {"m", "tau", "s"} - set(entry)
         if missing:
             raise ValueError(f"calibration target is missing keys: {sorted(missing)}")
         m = as_count("target mode count", entry["m"])
-        tau, s = float(entry["tau"]), float(entry["s"])
+        try:
+            tau, s = float(entry["tau"]), float(entry["s"])
+        except TypeError:
+            raise ValueError(f"target tau and S must be numbers, got {entry!r}") from None
         if not math.isfinite(tau):
             raise ValueError(f"target tau must be finite, got {tau}")
         if not (math.isfinite(s) and s > 0):
@@ -469,12 +474,3 @@ def analytic_bell_s(rho: np.ndarray, settings: BellSettings = CANONICAL_BELL) ->
     values = [analytic_correlation(rho, pair) for pair in pairs]
     return values[0] - values[1] + values[2] + values[3]
 
-
-def exact_coincidence_table(rho: np.ndarray, pairs: Sequence[SettingPair]) -> CoincidenceTable:
-    """CoincidenceTable holding exact outcome probabilities instead of
-    counts, for feeding the estimators their noiseless limit (n_total 1)."""
-    counts = np.ones((len(pairs), 7))
-    for s, pair in enumerate(pairs):
-        counts[s, :4] = joint_probabilities(rho, pair.stokes, pair.anti_stokes).ravel()
-    np.add(counts[:, 0:4:2], counts[:, 1:4:2], out=counts[:, 4:6])
-    return CoincidenceTable.from_counts(pairs, counts)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import analysis, engine, geometry, io, link
 from .config import ExperimentConfig
-from .engine import RunPlan, SettingPair
-from .states import _eigvalsh, bell_state, validate_density
+from .engine import RunPlan
+from .states import BASIS, _eigvalsh, bell_state, validate_density
 from .util import atomic_write_text
 
 # Fixed documented default seed; pass --seed to change it.
@@ -209,7 +209,7 @@ def _cmd_bell(args) -> int:
 
 def _rho_payload(rho: np.ndarray) -> dict:
     return {
-        "basis": list("HH HV VH VV".split()),
+        "basis": list(BASIS),
         "re": [[float(v) for v in row] for row in rho.real],
         "im": [[float(v) for v in row] for row in rho.imag],
     }

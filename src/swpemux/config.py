@@ -25,8 +25,6 @@ _FIELDS = (
     "tau_c",
     "tau_ref",
     "dark_rate",
-    "delta_t_train",
-    "rep_rate",
 )
 
 
@@ -45,8 +43,6 @@ class ExperimentConfig:
     tau_c          memory coherence time, microseconds
     tau_ref        storage time at which v1 is quoted, microseconds
     dark_rate      dark-count probability per detector per gate
-    delta_t_train  duration of one write train, microseconds
-    rep_rate       write-train repetition rate, 1/s
 
     eta_d, eta_as and gamma default to round placeholder values chosen so the
     product scales match the published coincidence rates; they are meant to be
@@ -64,8 +60,6 @@ class ExperimentConfig:
     tau_c: float = 235.0
     tau_ref: float = 0.7
     dark_rate: float = 0.0
-    delta_t_train: float = 7.0
-    rep_rate: float = 4.6e4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", as_count("m", self.m))
@@ -74,7 +68,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         # the range checks below let these through as NaN or inf; tau_c = inf
         # is allowed and means no memory decay
-        for name in ("beta", "tau_ref", "delta_t_train", "rep_rate"):
+        for name in ("beta", "tau_ref"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -94,10 +88,6 @@ class ExperimentConfig:
             raise ValueError(f"tau_c must be positive, got {self.tau_c}")
         if self.tau_ref < 0.0:
             raise ValueError(f"tau_ref must be non-negative, got {self.tau_ref}")
-        if not self.delta_t_train > 0.0:
-            raise ValueError(f"delta_t_train must be positive, got {self.delta_t_train}")
-        if not self.rep_rate > 0.0:
-            raise ValueError(f"rep_rate must be positive, got {self.rep_rate}")
 
     def replace(self, **changes: Any) -> "ExperimentConfig":
         return ExperimentConfig(**{**self.to_dict(), **changes})

@@ -38,7 +38,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -252,36 +252,6 @@ class RunPlan:
         if len(self.settings) >= _MAX_SETTINGS:
             raise ValueError("too many setting pairs for the stream layout")
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "tau": self.tau,
-            "settings": [
-                {"stokes": p.stokes.token(), "anti_stokes": p.anti_stokes.token()}
-                for p in self.settings
-            ],
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "RunPlan":
-        known = {"config", "tau", "settings", "n_trials", "seed"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown run plan keys: {', '.join(unknown)}")
-        missing = sorted(known - set(data))
-        if missing:
-            raise ValueError(f"run plan is missing keys: {', '.join(missing)}")
-        return RunPlan(
-            config=ExperimentConfig.from_dict(data["config"]),
-            tau=float(data["tau"]),
-            settings=[SettingPair.from_tokens(e["stokes"], e["anti_stokes"])
-                      for e in data["settings"]],
-            n_trials=data["n_trials"],
-            seed=data["seed"],
-        )
-
 
 COUNT_COLUMNS = ("c_d1t1", "c_d1t2", "c_d2t1", "c_d2t2", "n_d1", "n_d2", "n_total")
 
@@ -383,10 +353,6 @@ class CoincidenceTable:
     def positions(self, pairs: Sequence[SettingPair]) -> np.ndarray:
         """Index of each pair's first row; KeyError names a missing pair."""
         return _positions(self.pairs, tuple(pairs))
-
-    def find(self, pair: SettingPair) -> CoincidenceRow:
-        s = self.positions((pair,))[0]
-        return CoincidenceRow(self.pairs[s], *self.counts[s].tolist())
 
 
 class BatchResult(NamedTuple):

@@ -70,25 +70,18 @@ def fan_angles(m: int, spacing_deg: float = 1.0) -> tuple:
     return tuple(angles)
 
 
-def anti_stokes_wavevector(theta_wk: float, theta_rl: float, theta_s: float) -> np.ndarray:
-    """In-plane anti-Stokes wavevector selected by reading the spin wave
-    written at theta_wk (heralded along theta_s) with the read beam
-    antiparallel to the write beam at theta_rl. Angles in degrees; the
-    result is in units of the optical wavenumber."""
-    wk = math.radians(theta_wk)
-    rl = math.radians(theta_rl)
-    s = math.radians(theta_s)
-    return np.array(
-        [math.cos(wk) - math.cos(rl) - math.cos(s), math.sin(wk) - math.sin(rl) - math.sin(s)]
-    )
-
-
 def pmc_residual(theta_wk: float, theta_rl: float, theta_s: float) -> float:
-    """Distance of the selected anti-Stokes wavevector from the free-photon
-    shell, | ||k_as|| - 1 |. Zero means the retrieval is directional
-    (phase matched); a nonzero residual suppresses the emission."""
-    k = anti_stokes_wavevector(theta_wk, theta_rl, theta_s)
-    return abs(float(np.hypot(k[0], k[1])) - 1.0)
+    """Distance of the anti-Stokes wavevector from the free-photon shell,
+    | ||k_as|| - 1 |. Reading the spin wave written at theta_wk (heralded
+    along theta_s) with the read beam antiparallel to the write beam at
+    theta_rl selects k_as = (cos wk - cos rl - cos s, sin wk - sin rl - sin s)
+    in units of the optical wavenumber; angles are in degrees. Zero means the
+    retrieval is directional (phase matched); a nonzero residual suppresses
+    the emission."""
+    wk, rl, s = math.radians(theta_wk), math.radians(theta_rl), math.radians(theta_s)
+    kx = math.cos(wk) - math.cos(rl) - math.cos(s)
+    ky = math.sin(wk) - math.sin(rl) - math.sin(s)
+    return abs(float(np.hypot(kx, ky)) - 1.0)
 
 
 class ScanResult(NamedTuple):
@@ -107,9 +100,9 @@ def scan_geometry(geometry: BeamGeometry, tolerance: float = 1e-5) -> ScanResult
 
     The matrix is one array expression over the fan: the cosine and sine of
     each write angle and of the Stokes angle are taken once, and k_as is
-    (cos wk - cos rl - cos s, sin wk - sin rl - sin s) as in
-    anti_stokes_wavevector, in the same operation order, so every entry is
-    bitwise equal to its pmc_residual.
+    (cos wk - cos rl - cos s, sin wk - sin rl - sin s) as in pmc_residual,
+    in the same operation order, so every entry is bitwise equal to its
+    pmc_residual.
 
     The diagonal (read the mode with its own antiparallel beam) is phase
     matched by construction. Off-diagonal entries should all be above the

@@ -112,12 +112,15 @@ def read_decay_points(path: str) -> list:
             raise ValueError("decay point JSON must be a list of objects")
         points = []
         for entry in data:
+            if not isinstance(entry, dict):
+                raise ValueError(f"each decay point must be an object, got {entry!r}")
             if "tau" not in entry or "s" not in entry:
                 raise ValueError("each decay point needs 'tau' and 's'")
-            if "s_err" in entry and entry["s_err"] is not None:
-                points.append((float(entry["tau"]), float(entry["s"]), float(entry["s_err"])))
-            else:
-                points.append((float(entry["tau"]), float(entry["s"])))
+            keys = ("tau", "s", "s_err") if entry.get("s_err") is not None else ("tau", "s")
+            try:
+                points.append(tuple(float(entry[key]) for key in keys))
+            except TypeError:
+                raise ValueError(f"decay point values must be numbers, got {entry!r}") from None
         return points
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -129,9 +132,11 @@ def read_decay_points(path: str) -> list:
             raise ValueError("decay point CSV header must start with tau,s")
         with_errors = len(header) > 2 and header[2] == "s_err"
         points = []
-        for fields in reader:
+        for line_number, fields in enumerate(reader, start=2):
             if not fields:
                 continue
+            if len(fields) < 2:
+                raise ValueError(f"line {line_number}: expected at least 2 fields (tau,s)")
             if with_errors and len(fields) > 2 and fields[2].strip():
                 points.append((float(fields[0]), float(fields[1]), float(fields[2])))
             else:

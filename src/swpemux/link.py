@@ -1,9 +1,12 @@
 """Elementary-link budget for the memory-based repeater segment.
 
 Covers the fiber signaling time over half the link, the entanglement
-probability with and without multiplexing, and the equivalence between an
-m-mode train and N feed-forward retries of a single mode. Times are
-microseconds, distances kilometers.
+probability with and without multiplexing, and the success statistics of N
+feed-forward retries of a single mode. An m-mode train and m retries with the
+same per-attempt probability share one geometric series,
+first_success_probability, so feedback_success(...).p_exact equals
+p_link_multiplexed(eta chi, m).exact. Times are microseconds, distances
+kilometers.
 """
 from __future__ import annotations
 
@@ -138,55 +141,4 @@ def feedback_success(fb: FeedbackConfig) -> FeedbackReport:
         p_linear=fb.n_attempts * p_attempt,
         total_time_us=fb.n_attempts * fb.delta_t,
         n_deterministic=n_det,
-    )
-
-
-class StrategyComparison(NamedTuple):
-    """Side-by-side of N-retry feed-forward against an m-mode train with the
-    same per-attempt success probability and pacing."""
-
-    n_attempts: int
-    m: int
-    p_attempt: float
-    p_feedback: float
-    p_multiplexed: float
-    time_feedback_us: float
-    time_multiplexed_us: float
-    required_memory_lifetime_feedback_us: float
-    required_memory_lifetime_multiplexed_us: float
-    equivalent: bool
-
-
-def feedback_vs_multiplexed_report(fb: FeedbackConfig, config) -> StrategyComparison:
-    """Compare N feed-forward retries against one m-mode write train.
-
-    config supplies the mode count: anything with an .m attribute (LinkConfig,
-    the experiment configuration) or a plain integer. Requires
-    n_attempts == m; both strategies then share the per-attempt probability
-    eta chi and the attempt spacing delta_t, so their success probabilities
-    and wall-clock times are identical by construction: one geometric kernel,
-    first_success_probability, backs both. The memory must survive the full
-    retry train either way, which is also the multiplexed train duration.
-    With eta = 0 no attempt can succeed, and both probabilities are 0.
-    """
-    m = config if isinstance(config, int) else config.m
-    if m != fb.n_attempts:
-        raise ValueError(
-            f"comparison needs matching attempt counts, got N={fb.n_attempts} and m={m}"
-        )
-    p_attempt = fb.eta * fb.chi
-    feedback = feedback_success(fb)
-    time_feedback = feedback.total_time_us
-    time_multiplexed = m * fb.delta_t
-    return StrategyComparison(
-        n_attempts=fb.n_attempts,
-        m=m,
-        p_attempt=p_attempt,
-        p_feedback=feedback.p_exact,
-        p_multiplexed=first_success_probability(p_attempt, m),
-        time_feedback_us=time_feedback,
-        time_multiplexed_us=time_multiplexed,
-        required_memory_lifetime_feedback_us=time_feedback,
-        required_memory_lifetime_multiplexed_us=time_multiplexed,
-        equivalent=True,
     )

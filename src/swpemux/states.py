@@ -15,9 +15,6 @@ from numpy.linalg import _umath_linalg
 
 BASIS = ("HH", "HV", "VH", "VV")
 
-TRANSMIT = "transmit"
-REFLECT = "reflect"
-
 KIND_LINEAR = "linear"
 KIND_CIRCULAR = "circular"
 
@@ -101,18 +98,6 @@ def _port_kets(setting: MeasurementSetting) -> np.ndarray:
     r_ket = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
     l_ket = r_ket.conj()
     return np.array([r_ket, l_ket] if setting.transmit_hand == "R" else [l_ket, r_ket])
-
-
-def projector(setting: MeasurementSetting, outcome: str) -> np.ndarray:
-    """Rank-1 projector for one analyzer port.
-
-    outcome is "transmit" or "reflect". The two ports are orthogonal and sum
-    to the identity (within one floating point rounding of cos^2 + sin^2).
-    """
-    if outcome not in (TRANSMIT, REFLECT):
-        raise ValueError(f"outcome must be {TRANSMIT!r} or {REFLECT!r}, got {outcome!r}")
-    ket = _port_kets(setting)[0 if outcome == TRANSMIT else 1]
-    return np.outer(ket, ket.conj())
 
 
 def bell_state(theta_deg: float) -> np.ndarray:
@@ -236,8 +221,3 @@ def joint_probabilities(
     kets = (kets_s[:, None, :, None] * kets_a[None, :, None, :]).reshape(2, 2, 4)
     return np.maximum(np.einsum("ijk,kl,ijl->ij", kets.conj(), rho, kets).real, 0.0)
 
-
-def stokes_marginal(rho: np.ndarray) -> np.ndarray:
-    """Reduced state of the Stokes arm (partial trace over the anti-Stokes factor)."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("iaja->ij", r)

@@ -16,7 +16,6 @@ from swpemux.analysis import (
     TSIRELSON_BOUND,
     bell_s,
     calibrate_visibility,
-    exact_coincidence_table,
     fidelity,
     fit_decay,
     project_physical,
@@ -46,6 +45,8 @@ from swpemux.link import (
     p_link_multiplexed,
 )
 from swpemux.states import bell_state, joint_probabilities
+
+from oracles import exact_coincidence_table
 
 CFG = ExperimentConfig()
 

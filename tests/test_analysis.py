@@ -16,7 +16,6 @@ from swpemux.analysis import (
     bell_s,
     calibrate_visibility,
     correlation_e,
-    exact_coincidence_table,
     fidelity,
     fit_decay,
     project_physical,
@@ -32,6 +31,8 @@ from swpemux.engine import (
     visibility,
 )
 from swpemux.states import bell_state, validate_density, werner_state
+
+from oracles import exact_coincidence_table
 
 CFG = ExperimentConfig()
 

@@ -198,6 +198,20 @@ class TestDecay:
         assert "tau_ref" in err and "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("pts.json", "[1, 2]", "each decay point must be an object, got 1"),
+        ("pts.json", '[{"tau": null, "s": 2.3}, {"tau": 30.0, "s": 2.03}]',
+         "decay point values must be numbers"),
+        ("pts.csv", "tau,s\n0.7,2.30\n30.0\n", "line 3: expected at least 2 fields"),
+    ], ids=["not-an-object", "null-tau", "one-field-row"])
+    def test_malformed_points_are_usage_errors(self, tmp_path, capsys, name, text, message):
+        points = tmp_path / name
+        points.write_text(text)
+        out = tmp_path / "x.json"
+        assert run_cli("decay", "--points", str(points), "--out", str(out)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPmc:
     def test_default_fan(self, tmp_path):
@@ -344,6 +358,14 @@ class TestCalibrate:
         assert "target mode count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_object_target_is_usage_error(self, tmp_path, capsys):
+        targets = tmp_path / "targets.json"
+        targets.write_text("[1, 2, 3]")
+        out = tmp_path / "x.json"
+        assert run_cli("calibrate", "--targets", str(targets), "--out", str(out)) == EXIT_USAGE
+        assert "calibration target must be an object, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_list_targets_is_usage_error(self, tmp_path):
         targets = tmp_path / "targets.json"
         targets.write_text(json.dumps({"m": 1}))
@@ -455,7 +477,7 @@ class TestExitCodes:
         ) == EXIT_USAGE
 
     @pytest.mark.parametrize("key, value", [
-        ("beta", math.nan), ("tau_ref", math.nan), ("rep_rate", math.inf),
+        ("beta", math.nan), ("tau_ref", math.nan),
     ])
     def test_non_finite_config_value_is_named(self, tmp_path, capsys, key, value):
         config_path = tmp_path / "cfg.json"
@@ -465,6 +487,17 @@ class TestExitCodes:
             "--config", str(config_path), "--trials", "10",
         ) == EXIT_USAGE
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["delta_t_train", "rep_rate"])
+    def test_removed_config_key_is_usage_error(self, tmp_path, capsys, key):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({key: 7.0}))
+        out = tmp_path / "x.csv"
+        assert run_cli(
+            "simulate", "--out", str(out), "--config", str(config_path), "--trials", "10",
+        ) == EXIT_USAGE
+        assert f"unknown configuration keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed(self, tmp_path):
         assert run_cli(

@@ -21,8 +21,6 @@ def test_defaults():
     assert cfg.tau_c == 235.0
     assert cfg.tau_ref == 0.7
     assert cfg.dark_rate == 0.0
-    assert cfg.delta_t_train == 7.0
-    assert cfg.rep_rate == 4.6e4
 
 
 @pytest.mark.parametrize(
@@ -45,8 +43,8 @@ def test_defaults():
         {"tau_c": -5.0},
         {"tau_ref": -0.1},
         {"dark_rate": -1e-6},
-        {"delta_t_train": 0.0},
-        {"rep_rate": 0.0},
+        {"dark_rate": 1.5},
+        {"eta_d": -0.1},
     ],
 )
 def test_validation_rejects(changes):
@@ -61,8 +59,6 @@ def test_validation_rejects(changes):
         ("beta", float("inf")),
         ("tau_ref", float("nan")),
         ("tau_ref", float("inf")),
-        ("delta_t_train", float("inf")),
-        ("rep_rate", float("inf")),
     ],
 )
 def test_non_finite_value_rejected_by_name(name, value):
@@ -104,7 +100,7 @@ class TestReplace:
 
     @pytest.mark.parametrize("name, value", [
         ("chi", 0.0), ("theta", 91.0), ("eta_d", 1.5), ("v1", 0.0), ("beta", -0.2),
-        ("tau_c", 0.0), ("tau_ref", float("nan")), ("rep_rate", float("inf")), ("m", 0),
+        ("tau_c", 0.0), ("tau_ref", float("nan")), ("m", 0),
     ])
     def test_out_of_range_value_is_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} "):

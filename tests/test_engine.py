@@ -33,11 +33,12 @@ from swpemux.states import MeasurementSetting, bell_state, joint_probabilities
 from swpemux.analysis import (
     CANONICAL_BELL,
     correlation_e,
-    exact_coincidence_table,
     tomography_setting_pairs,
 )
 from swpemux.io import coincidence_table_to_csv, parse_coincidence_csv
 from swpemux.util import first_success_probability
+
+from oracles import exact_coincidence_table
 
 CFG = ExperimentConfig()
 
@@ -568,10 +569,6 @@ class TestSettingPair:
 
 
 class TestRunPlan:
-    def test_round_trip(self):
-        plan = RunPlan(CFG, 0.7, CANONICAL_BELL.setting_pairs(), 1000, 42)
-        assert RunPlan.from_dict(plan.to_dict()) == plan
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -593,25 +590,6 @@ class TestRunPlan:
         ("n_trials", 2.5), ("seed", 7.9), ("n_trials", True), ("seed", True),
         ("n_trials", "12"), ("seed", "12"),
     ])
-    def test_from_dict_never_truncates_a_count(self, field, value):
-        data = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1).to_dict()
-        data[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            RunPlan.from_dict(data)
-
-    def test_from_dict_takes_integral_counts_and_seed_zero(self):
-        data = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1).to_dict()
-        data.update(n_trials=np.int64(12), seed=0)
-        plan = RunPlan.from_dict(data)
-        assert (plan.n_trials, plan.seed) == (12, 0) and type(plan.n_trials) is int
-        data["seed"] = -1
-        with pytest.raises(ValueError, match="seed must be at least 0"):
-            RunPlan.from_dict(data)
-
-    @pytest.mark.parametrize("field, value", [
-        ("n_trials", 2.5), ("seed", 7.9), ("n_trials", True), ("seed", True),
-        ("n_trials", "12"), ("seed", "12"),
-    ])
     def test_constructor_never_truncates_a_count(self, field, value):
         base = dict(config=CFG, tau=0.7, settings=(HV_PAIR,), n_trials=10, seed=1)
         base[field] = value
@@ -624,13 +602,6 @@ class TestRunPlan:
         for n in (0, -1):  # an integer out of range names the range
             with pytest.raises(ValueError, match=re.escape("n_trials must lie in [1, 2^63)")):
                 RunPlan(CFG, 0.7, (HV_PAIR,), n, 0)
-
-    def test_unknown_key_rejected(self):
-        plan = RunPlan(CFG, 0.7, (HV_PAIR,), 10, 1)
-        data = plan.to_dict()
-        data["extra"] = 1
-        with pytest.raises(ValueError):
-            RunPlan.from_dict(data)
 
 
 class TestHeraldFraction:

@@ -12,7 +12,6 @@ from swpemux.link import (
     avg_entanglement_time,
     communication_time,
     feedback_success,
-    feedback_vs_multiplexed_report,
     p_link_multiplexed,
 )
 from swpemux.util import first_success_probability
@@ -145,31 +144,27 @@ class TestFeedbackSuccess:
 
 
 class TestStrategyComparison:
+    """N feed-forward retries against one m-mode train with N = m, the same
+    per-attempt probability eta chi and the same attempt spacing."""
+
     def test_report_fields(self):
         fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19)
-        report = feedback_vs_multiplexed_report(fb, 19)
-        assert report.equivalent
-        assert report.p_feedback == report.p_multiplexed
-        assert report.time_feedback_us == report.time_multiplexed_us
-        assert report.required_memory_lifetime_feedback_us == report.time_feedback_us
-        assert report.n_attempts == report.m == 19
+        retries = feedback_success(fb)
+        train = p_link_multiplexed(fb.eta * fb.chi, 19)
+        assert (retries.p_exact, retries.p_linear) == (train.exact, train.linear)
+        # the memory must survive the whole retry train, as long as the m-mode train
+        assert retries.total_time_us == 19 * fb.delta_t
 
     def test_accepts_anything_with_mode_count(self):
-        fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19)
-        report = feedback_vs_multiplexed_report(fb, LinkConfig(m=19))
-        assert report.m == 19
+        # the link command's route: the retry count is the LinkConfig's mode count
+        link = LinkConfig(m=19, p1=0.5 * 0.01)
+        fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=link.m)
+        assert feedback_success(fb).p_exact == p_link_multiplexed(link.p1, link.m).exact
 
     def test_zero_attempt_probability(self):
         # FeedbackConfig accepts eta = 0; neither strategy can then succeed
         fb = FeedbackConfig(eta=0.0, chi=0.01, n_attempts=3)
-        report = feedback_vs_multiplexed_report(fb, 3)
-        assert report.p_attempt == 0.0
-        assert report.p_feedback == report.p_multiplexed == 0.0
-
-    def test_mismatched_counts_rejected(self):
-        fb = FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19)
-        with pytest.raises(ValueError):
-            feedback_vs_multiplexed_report(fb, 7)
+        assert feedback_success(fb).p_exact == first_success_probability(0.0, 3) == 0.0
 
 
 class TestGeometricKernel:

@@ -22,7 +22,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from swpemux.analysis import (
     CANONICAL_BELL,
     analytic_bell_s,
-    exact_coincidence_table,
     fidelity,
     project_physical,
     tomo_reconstruct,
@@ -46,6 +45,8 @@ from swpemux.engine import (
 from swpemux.io import read_coincidence_csv, write_coincidence_csv
 from swpemux.states import MeasurementSetting, bell_state
 from swpemux.util import first_success_probability, json_dumps
+
+from oracles import exact_coincidence_table
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -120,8 +121,6 @@ configs = st.builds(
     tau_c=_positive(1e9) | st.just(float("inf")),
     tau_ref=st.floats(0.0, 1e6),
     dark_rate=_probability(),
-    delta_t_train=_positive(1e6),
-    rep_rate=_positive(1e12),
 )
 
 

@@ -1,11 +1,15 @@
-"""Shape of the result records: immutable NamedTuples with pinned fields.
+"""Shape of the public API: the exported names and the result records,
+immutable NamedTuples with pinned fields.
 
 Result records are built positionally (CoincidenceTable.rows, the CSV
 reader), so their field order is part of the API. Types whose constructor
 validates its input stay dataclasses, whose __post_init__ a NamedTuple's
-_make and _replace would skip.
+_make and _replace would skip. Every exported name is used outside tests/,
+so a test-only helper lives in tests/oracles.py instead.
 """
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +23,26 @@ from swpemux.link import (
     FeedbackConfig,
     FeedbackReport,
     LinkConfig,
-    StrategyComparison,
     avg_entanglement_time,
     feedback_success,
-    feedback_vs_multiplexed_report,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPORTED = [
+    "BASIS", "BatchResult", "BeamGeometry", "BellSettings", "CANONICAL_BELL",
+    "CoincidenceRow", "CoincidenceTable", "DecayFit", "EntanglementTimeReport",
+    "ExperimentConfig", "FeedbackConfig", "FeedbackReport", "HV_PAIR", "LinkConfig",
+    "MeasurementSetting", "OutcomeLaw", "RunPlan", "ScanResult", "SettingPair",
+    "TSIRELSON_BOUND", "analytic_bell_s", "analytic_correlation", "analytic_p_s",
+    "analytic_p_sas", "avg_entanglement_time", "bell_s", "bell_state",
+    "calibrate_visibility", "communication_time", "correlation_e", "derive_stream",
+    "effective_pair_state", "fan_angles", "feedback_success", "fidelity", "fit_decay",
+    "joint_probabilities", "outcome_law", "p_link_multiplexed", "pmc_residual",
+    "project_physical", "run_batch", "run_coincidence_batch", "scan_geometry",
+    "tomo_reconstruct", "tomography_setting_pairs", "validate_density", "visibility",
+    "werner_state",
+]
 
 FIELDS = {
     CoincidenceRow: ("pair", "c_d1t1", "c_d1t2", "c_d2t1", "c_d2t2", "n_d1", "n_d2", "n_total"),
@@ -37,10 +56,6 @@ FIELDS = {
                              "t_multiplexed_exact_us", "speedup_linear", "speedup_exact",
                              "overflowed"),
     FeedbackReport: ("p_exact", "p_linear", "total_time_us", "n_deterministic"),
-    StrategyComparison: ("n_attempts", "m", "p_attempt", "p_feedback", "p_multiplexed",
-                         "time_feedback_us", "time_multiplexed_us",
-                         "required_memory_lifetime_feedback_us",
-                         "required_memory_lifetime_multiplexed_us", "equivalent"),
 }
 
 VALIDATED = {"ExperimentConfig", "MeasurementSetting", "SettingPair", "RunPlan",
@@ -60,7 +75,6 @@ def _records() -> list:
         scan_geometry(BeamGeometry(fan_angles(3))),
         avg_entanglement_time(LinkConfig()),
         feedback_success(fb),
-        feedback_vs_multiplexed_report(fb, 19),
     ]
 
 
@@ -88,3 +102,41 @@ def test_only_validated_types_are_dataclasses():
     exported = [getattr(swpemux, name) for name in swpemux.__all__]
     assert {obj.__name__ for obj in exported
             if isinstance(obj, type) and dataclasses.is_dataclass(obj)} == VALIDATED
+
+
+def test_exported_names_are_pinned():
+    assert swpemux.__all__ == EXPORTED == sorted(EXPORTED)
+
+
+def _references(path: Path) -> set:
+    """Names a file's code loads, reads as an attribute, imports or spells as
+    a whole string (getattr-style lookups), except inside a function or class
+    of the same name: a definition does not count as its own use."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    files = [p for p in sorted((ROOT / "src" / "swpemux").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*(_references(path) for path in files))
+    assert sorted(set(swpemux.__all__) - used) == []

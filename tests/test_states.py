@@ -9,11 +9,11 @@ from swpemux.states import (
     MeasurementSetting,
     bell_state,
     joint_probabilities,
-    projector,
-    stokes_marginal,
     validate_density,
     werner_state,
 )
+
+from oracles import projector, stokes_marginal
 
 
 def test_basis_order():
