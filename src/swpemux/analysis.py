@@ -15,9 +15,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import CoincidenceRow, CoincidenceTable, SettingPair
+from .engine import CoincidenceTable, SettingPair
 from .states import MeasurementSetting, _eigh, _eigvalsh, joint_probabilities
-from .util import as_count
+from .util import as_count, as_number
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -99,11 +99,9 @@ def _correlations(counts: np.ndarray) -> tuple:
 def correlation_e(source) -> tuple:
     """Polarization correlation E and its binomial standard error.
 
-    Accepts a CoincidenceRow or a 2x2/flat array of counts ordered
-    (D1T1, D1T2, D2T1, D2T2). E = (C11 + C22 - C12 - C21) / N.
+    Accepts four counts, 2x2 or flat, ordered (D1T1, D1T2, D2T1, D2T2),
+    such as table.counts[s, :4]. E = (C11 + C22 - C12 - C21) / N.
     """
-    if isinstance(source, CoincidenceRow):
-        source = source.counts()
     counts = np.asarray(source, dtype=float)
     if counts.shape not in ((4,), (2, 2)):
         raise ValueError(f"expected 4 coincidence counts, got shape {counts.shape}")
@@ -388,8 +386,9 @@ def calibrate_visibility(
     two must share the same storage time at different mode counts (they fix
     the cross-mode coefficient beta) and two must share the larger mode count
     at different storage times (they fix tau_c). Each m must be an integer
-    of at least 1; a fractional one is a ValueError, never truncated.
-    Returns a configuration patch {"v1":..., "beta":..., "tau_c":...}.
+    of at least 1; a fractional one is a ValueError, never truncated, and
+    tau and s must be numbers, not bools or strings. Returns a
+    configuration patch {"v1":..., "beta":..., "tau_c":...}.
 
     Equal target values degrade gracefully (beta = 0, tau_c = +inf); targets
     that increase with m or with tau are rejected because the model cannot
@@ -405,10 +404,7 @@ def calibrate_visibility(
         if missing:
             raise ValueError(f"calibration target is missing keys: {sorted(missing)}")
         m = as_count("target mode count", entry["m"])
-        try:
-            tau, s = float(entry["tau"]), float(entry["s"])
-        except TypeError:
-            raise ValueError(f"target tau and S must be numbers, got {entry!r}") from None
+        tau, s = as_number("target tau", entry["tau"]), as_number("target S", entry["s"])
         if not math.isfinite(tau):
             raise ValueError(f"target tau must be finite, got {tau}")
         if not (math.isfinite(s) and s > 0):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .util import as_count, atomic_write_text, json_dumps
+from .util import as_count, as_number, atomic_write_text, json_dumps
 
 _FIELDS = (
     "m",
@@ -106,10 +106,8 @@ class ExperimentConfig:
                 # JSON may spell a count 19.0; the constructor rejects the rest
                 if isinstance(value, float) and value.is_integer():
                     value = int(value)
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"configuration key {name!r} must be a number, got {value!r}")
             else:
-                value = float(value)
+                value = as_number(f"configuration key {name!r}", value)
             kwargs[name] = value
         return ExperimentConfig(**kwargs)
 

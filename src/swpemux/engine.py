@@ -19,9 +19,10 @@ count is binomial, and the outcome cells and the herald-bin histogram are
 multinomial given it. run_batch draws those aggregates for n trains, once
 per setting pair, at a cost that does not grow with n; run_coincidence_batch
 draws heralded coincidences from the stacked pair tables alone. Both build a
-CoincidenceTable's count array and check each row against the one row rule
-that CoincidenceRow.validate states. herald_fraction makes run_batch's first
-draw, one herald count, from the herald probability (analytic_p_s) alone.
+CoincidenceTable from its pairs and (P, 7) count array and check each row
+against the one row rule, _check_counts. herald_fraction makes run_batch's
+first draw, one herald count, from the herald probability (analytic_p_s)
+alone.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -273,7 +274,8 @@ def _check_counts(c_d1t1, c_d1t2, c_d2t1, c_d2t2, n_d1, n_d2, n_total) -> None:
 
 
 class CoincidenceRow(NamedTuple):
-    """Counts for one analyzer setting pair.
+    """Counts for one analyzer setting pair, as CoincidenceTable.rows reads
+    them back; no table is built from these records.
 
     c_dXtY counts coincidences between Stokes detector X and anti-Stokes
     detector Y; n_d1/n_d2 are herald singles and n_total the number of trials.
@@ -287,18 +289,6 @@ class CoincidenceRow(NamedTuple):
     n_d1: int = 0
     n_d2: int = 0
     n_total: int = 0
-
-    def counts(self) -> np.ndarray:
-        # no dtype cast: simulated rows hold ints, exact tables hold probabilities
-        return np.array([[self.c_d1t1, self.c_d1t2], [self.c_d2t1, self.c_d2t2]])
-
-    @property
-    def n_coincidences(self) -> int:
-        return self.c_d1t1 + self.c_d1t2 + self.c_d2t1 + self.c_d2t2
-
-    def validate(self) -> None:
-        _check_counts(self.c_d1t1, self.c_d1t2, self.c_d2t1, self.c_d2t2,
-                      self.n_d1, self.n_d2, self.n_total)
 
 
 @functools.lru_cache(maxsize=256)
@@ -314,24 +304,14 @@ def _positions(table_pairs: tuple, pairs: tuple) -> np.ndarray:
 
 class CoincidenceTable:
     """Coincidence counts of an ordered tuple of analyzer setting pairs:
-    row s of counts, a (P, 7) array in COUNT_COLUMNS order, belongs to
-    pairs[s]. Sampled counts are int64 and exact tables hold probabilities
-    as floats. Counts given as Python numbers (CoincidenceTable(rows), a
-    parsed CSV file) stay exact in an object array, however large; rows
-    derives the CoincidenceRow objects back."""
+    row s of counts, a (P, 7) array in COUNT_COLUMNS order kept uncopied,
+    belongs to pairs[s]. Sampled counts are int64, exact tables hold
+    probabilities as floats, and a parsed CSV file holds exact Python ints
+    in an object array. rows is a read-only view kept for the traced
+    benchmark, which reads n_total from it."""
 
-    def __init__(self, rows: Iterable[CoincidenceRow] = ()) -> None:
-        rows = list(rows)
-        self.pairs = tuple(row.pair for row in rows)
-        counts = [[getattr(row, c) for c in COUNT_COLUMNS] for row in rows]
-        self.counts = np.array(counts, dtype=object).reshape(-1, 7)
-
-    @classmethod
-    def from_counts(cls, pairs: Iterable[SettingPair], counts: np.ndarray) -> "CoincidenceTable":
-        """Table over a (P, 7) count array, kept, not copied."""
-        table = cls.__new__(cls)
-        table.pairs, table.counts = tuple(pairs), counts
-        return table
+    def __init__(self, pairs: Iterable[SettingPair], counts: np.ndarray) -> None:
+        self.pairs, self.counts = tuple(pairs), counts
 
     @property
     def rows(self) -> list:
@@ -344,8 +324,8 @@ class CoincidenceTable:
         return self.pairs == other.pairs and np.array_equal(self.counts, other.counts)
 
     def validate(self) -> None:
-        """CoincidenceRow.validate of every row in order, on the counts as
-        Python numbers: raises the message of the first failing check of the
+        """_check_counts of every row in order, on the counts as Python
+        numbers: raises the message of the first failing check of the
         first failing row. An int64 herald sum cannot wrap here."""
         for row in self.counts.tolist():
             _check_counts(*row)
@@ -475,7 +455,7 @@ def run_batch(plan: RunPlan) -> BatchResult:
         n_heralds += row[4] + row[5]
         n_dark += k11 + k12 + k10 + k21 + k22 + k20
     # every count is at most n < 2^63
-    table = CoincidenceTable.from_counts(pairs, np.array(rows, dtype=np.int64))
+    table = CoincidenceTable(pairs, np.array(rows, dtype=np.int64))
     table.validate()
 
     n_trials_total = n * len(pairs)
@@ -537,6 +517,6 @@ def run_coincidence_batch(
         counts[s, :4] = gen.multinomial(n_coincidences, probabilities[s])
     np.add(counts[:, 0:4:2], counts[:, 1:4:2], out=counts[:, 4:6])
     counts[:, 6] = n_coincidences
-    table = CoincidenceTable.from_counts(settings, counts)
+    table = CoincidenceTable(settings, counts)
     table.validate()
     return table

@@ -15,8 +15,10 @@ import json
 import os
 from typing import Any, Iterable, Sequence
 
-from .engine import COUNT_COLUMNS, BatchResult, CoincidenceRow, CoincidenceTable, SettingPair
-from .util import atomic_write_text, json_dumps
+import numpy as np
+
+from .engine import COUNT_COLUMNS, BatchResult, CoincidenceTable, SettingPair
+from .util import as_number, atomic_write_text, json_dumps
 
 COINCIDENCE_COLUMNS = ("setting_s", "setting_a", *COUNT_COLUMNS)
 
@@ -52,18 +54,19 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
         raise ValueError(
             f"unexpected coincidence CSV header {header!r}; expected {list(COINCIDENCE_COLUMNS)}"
         )
-    rows = []
+    pairs, counts = [], []
     for line_number, fields in enumerate(reader, start=2):
         if not fields:
             continue
         if len(fields) != len(COINCIDENCE_COLUMNS):
             raise ValueError(f"line {line_number}: expected {len(COINCIDENCE_COLUMNS)} fields")
-        pair = SettingPair.from_tokens(fields[0], fields[1])
+        pairs.append(SettingPair.from_tokens(fields[0], fields[1]))
         try:
-            rows.append(CoincidenceRow(pair, *[int(v) for v in fields[2:]]))
+            counts.append([int(v) for v in fields[2:]])
         except ValueError as exc:
             raise ValueError(f"line {line_number}: counts must be integers") from exc
-    table = CoincidenceTable(rows)
+    # exact Python ints, however large
+    table = CoincidenceTable(pairs, np.array(counts, dtype=object).reshape(-1, 7))
     table.validate()
     return table
 
@@ -104,7 +107,9 @@ def write_batch_json(result: BatchResult, path: str) -> None:
 
 def read_decay_points(path: str) -> list:
     """Read (tau, S, error) points from a CSV with header tau,s[,s_err] or a
-    JSON list of {"tau":..., "s":..., "s_err":...} objects."""
+    JSON list of {"tau":..., "s":..., "s_err":...} objects. A JSON value that
+    is not a number (a bool, a string, null) is a ValueError naming its key;
+    a null s_err means no error."""
     extension = os.path.splitext(path)[1].lower()
     if extension == ".json":
         data = read_json(path)
@@ -117,10 +122,7 @@ def read_decay_points(path: str) -> list:
             if "tau" not in entry or "s" not in entry:
                 raise ValueError("each decay point needs 'tau' and 's'")
             keys = ("tau", "s", "s_err") if entry.get("s_err") is not None else ("tau", "s")
-            try:
-                points.append(tuple(float(entry[key]) for key in keys))
-            except TypeError:
-                raise ValueError(f"decay point values must be numbers, got {entry!r}") from None
+            points.append(tuple(as_number(f"decay point {key}", entry[key]) for key in keys))
         return points
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)

@@ -35,6 +35,14 @@ def as_count(name: str, value, minimum: int = 1) -> int:
     return count
 
 
+def as_number(name: str, value) -> float:
+    """value as a float if it is a JSON number (an int or a float). A bool is
+    refused by name, as is a string or null: float() would read true as 1.0."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def first_success_probability(p: float, n: int) -> float:
     """Probability that at least one of n independent attempts succeeds.
 

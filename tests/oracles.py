@@ -50,4 +50,4 @@ def exact_coincidence_table(rho: np.ndarray, pairs) -> CoincidenceTable:
     for s, pair in enumerate(pairs):
         counts[s, :4] = joint_probabilities(rho, pair.stokes, pair.anti_stokes).ravel()
     np.add(counts[:, 0:4:2], counts[:, 1:4:2], out=counts[:, 4:6])
-    return CoincidenceTable.from_counts(pairs, counts)
+    return CoincidenceTable(pairs, counts)

@@ -26,7 +26,6 @@ from swpemux.cli import DEFAULT_SEED, main
 from swpemux.config import ExperimentConfig
 from swpemux.engine import (
     HV_PAIR,
-    CoincidenceRow,
     CoincidenceTable,
     RunPlan,
     analytic_p_s,
@@ -169,17 +168,12 @@ def test_criterion_06_tsirelson_property():
 
 
 def _sample_table(rho, pairs, n, rng):
-    rows = []
+    counts = []
     for pair in pairs:
         p = np.clip(joint_probabilities(rho, pair.stokes, pair.anti_stokes), 0.0, None)
-        c = rng.multinomial(n, (p / p.sum()).ravel())
-        rows.append(
-            CoincidenceRow(
-                pair, int(c[0]), int(c[1]), int(c[2]), int(c[3]),
-                n_d1=int(c[0] + c[1]), n_d2=int(c[2] + c[3]), n_total=n,
-            )
-        )
-    return CoincidenceTable(rows)
+        c = rng.multinomial(n, (p / p.sum()).ravel()).tolist()
+        counts.append([*c, c[0] + c[1], c[2] + c[3], n])
+    return CoincidenceTable(pairs, np.array(counts, dtype=object))
 
 
 def test_criterion_07_tomography_oracle():

@@ -24,7 +24,6 @@ from swpemux.analysis import (
 )
 from swpemux.config import ExperimentConfig
 from swpemux.engine import (
-    CoincidenceRow,
     CoincidenceTable,
     effective_pair_state,
     run_coincidence_batch,
@@ -111,13 +110,12 @@ class TestBellS:
         pairs = CANONICAL_BELL.setting_pairs()
         for _ in range(200):
             top = 10 ** int(rng.integers(1, 10))
-            rows = []
-            for pair in pairs:
+            counts = []
+            for _ in pairs:
                 c = [int(v) for v in rng.integers(1, top, size=4)]
-                rows.append(CoincidenceRow(
-                    pair, *c, n_d1=c[0] + c[1], n_d2=c[2] + c[3], n_total=sum(c)))
-            table = CoincidenceTable(rows)
-            e = [correlation_e(np.asarray(row.counts(), dtype=float)) for row in table.rows]
+                counts.append([*c, c[0] + c[1], c[2] + c[3], sum(c)])
+            table = CoincidenceTable(pairs, np.array(counts, dtype=object))
+            e = [correlation_e(table.counts[s, :4]) for s in range(4)]
             value = e[0][0] - e[1][0] + e[2][0] + e[3][0]
             error = math.sqrt(sum(v[1] ** 2 for v in e))
             assert bell_s(table) == (value, error)
@@ -195,19 +193,19 @@ class TestTomography:
 
     def test_empty_table_reports_nine_missing_pairs(self):
         with pytest.raises(ValueError, match="missing 9 basis pairs"):
-            tomo_reconstruct(CoincidenceTable())
+            tomo_reconstruct(CoincidenceTable((), np.empty((0, 7))))
 
     def test_nan_row_passes_and_a_zero_or_negative_row_does_not(self):
         pairs = tomography_setting_pairs()
         counts = exact_coincidence_table(bell_state(30.0), pairs).counts.copy()
         counts[4, :4] = math.nan
-        assert digest(tomo_reconstruct(CoincidenceTable.from_counts(pairs, counts))) == ALL_NAN_4X4
+        assert digest(tomo_reconstruct(CoincidenceTable(pairs, counts))) == ALL_NAN_4X4
         counts[6, :4] = 0.0
         with pytest.raises(ValueError, match=re.escape(f"row {pairs[6].tokens()} has zero")):
-            tomo_reconstruct(CoincidenceTable.from_counts(pairs, counts))
+            tomo_reconstruct(CoincidenceTable(pairs, counts))
         counts[7, 2] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
-            tomo_reconstruct(CoincidenceTable.from_counts(pairs, counts))
+            tomo_reconstruct(CoincidenceTable(pairs, counts))
 
     def test_non_tomography_basis_rejected(self):
         table = exact_coincidence_table(bell_state(45.0), CANONICAL_BELL.setting_pairs())
@@ -216,7 +214,7 @@ class TestTomography:
 
     @staticmethod
     def loop_inversion(table):
-        """The inversion written out: counts through CoincidenceRow.counts(),
+        """The inversion written out: each row's four counts as a 2x2 array,
         a linear basis scan and one np.kron per Pauli product."""
         sigma = (
             np.eye(2, dtype=complex),
@@ -229,9 +227,9 @@ class TestTomography:
         correlators[0, 0] = 1.0
         sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
         marg_s = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        for row in table.rows:
-            j, k = bases.index(row.pair.stokes), bases.index(row.pair.anti_stokes)
-            counts = np.asarray(row.counts(), dtype=float)
+        for pair, row in zip(table.pairs, table.counts):
+            j, k = bases.index(pair.stokes), bases.index(pair.anti_stokes)
+            counts = np.asarray(row[:4], dtype=float).reshape(2, 2)
             p = counts / counts.sum()
             correlators[j + 1, k + 1] = float((sign * p).sum())
             correlators[j + 1, 0] += float((marg_s * p).sum()) / 3.0
@@ -250,16 +248,16 @@ class TestTomography:
                 table = exact_coincidence_table(random_density(rng), pairs)
             else:
                 top = 10 ** int(rng.integers(1, 8))
-                rows = []
-                for pair in pairs:
+                counts = []
+                for _ in pairs:
                     c = [int(v) for v in rng.integers(0, top, size=4)]
                     if trial % 3 == 2:  # sparse rows: zero cells are common
                         c = [v if rng.random() < 0.5 else 0 for v in c]
                     c[int(rng.integers(4))] += 1
-                    rows.append(CoincidenceRow(
-                        pair, *c, n_d1=c[0] + c[1], n_d2=c[2] + c[3], n_total=sum(c)))
-                table = CoincidenceTable(rows)
-            table = CoincidenceTable([table.rows[i] for i in rng.permutation(9)])
+                    counts.append([*c, c[0] + c[1], c[2] + c[3], sum(c)])
+                table = CoincidenceTable(pairs, np.array(counts, dtype=object))
+            order = rng.permutation(9)
+            table = CoincidenceTable([table.pairs[i] for i in order], table.counts[order])
             got = tomo_reconstruct(table)
             assert got.tobytes() == self.loop_inversion(table).tobytes()
 
@@ -371,6 +369,18 @@ class TestFitDecay:
         fit = fit_decay(points)
         assert fit.tau_c == pytest.approx(CFG.tau_c, rel=1e-9)
         assert fit.v_ref == pytest.approx(visibility(CFG), rel=1e-9)
+
+    def test_covariance_without_errors_is_scaled_by_the_residuals(self):
+        # unit weights: inv(X^T X) RSS / (n - 2) on y = ln(S / 2 sqrt 2)
+        points = [(0.7, 2.30), (10.0, 2.21), (20.0, 2.10), (30.0, 2.03)]
+        taus = np.array([p[0] for p in points])
+        y = np.log(np.array([p[1] for p in points]) / TSIRELSON_BOUND)
+        design = np.column_stack([np.ones(4), -(taus - 0.7)])
+        beta, rss, *_ = np.linalg.lstsq(design, y, rcond=None)
+        expected = np.linalg.inv(design.T @ design) * float(rss[0]) / (len(points) - 2)
+        fit = fit_decay(points)
+        assert fit.v_ref == pytest.approx(math.exp(beta[0]), rel=1e-12)
+        np.testing.assert_allclose(fit.covariance, expected, rtol=1e-10)
 
     def test_weights_prefer_precise_points(self):
         # a wildly wrong point with a huge error bar should barely matter
@@ -517,6 +527,6 @@ class TestCalibrateVisibility:
 
 def test_exact_table_rows_are_probabilities():
     table = exact_coincidence_table(bell_state(45.0), CANONICAL_BELL.setting_pairs())
-    for row in table.rows:
-        assert row.n_total == 1
-        assert float(np.sum(row.counts())) == pytest.approx(1.0, abs=1e-12)
+    for row in table.counts:
+        assert row[6] == 1
+        assert float(np.sum(row[:4])) == pytest.approx(1.0, abs=1e-12)

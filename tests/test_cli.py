@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from swpemux import engine, geometry
+from swpemux import cli, engine, geometry
 from swpemux.analysis import CANONICAL_BELL, tomography_setting_pairs
 from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from swpemux.config import ExperimentConfig
@@ -33,8 +33,8 @@ class TestSimulate:
         code = run_cli("simulate", "--out", out, "--trials", "20000", "--seed", "5")
         assert code == EXIT_OK
         table = read_coincidence_csv(out)
-        assert len(table.rows) == 4
-        assert table.rows[0].n_total == 20000
+        assert len(table.pairs) == 4
+        assert table.counts[0, 6] == 20000
 
     def test_json_output(self, tmp_path):
         out = str(tmp_path / "batch.json")
@@ -51,10 +51,10 @@ class TestSimulate:
         out = str(tmp_path / "c.csv")
         assert run_cli("simulate", "--out", out, "--trials", "5000",
                        "--settings", "hv") == EXIT_OK
-        assert len(read_coincidence_csv(out).rows) == 1
+        assert len(read_coincidence_csv(out).pairs) == 1
         assert run_cli("simulate", "--out", out, "--trials", "5000",
                        "--settings", "tomo") == EXIT_OK
-        assert len(read_coincidence_csv(out).rows) == 9
+        assert len(read_coincidence_csv(out).pairs) == 9
 
     def test_thread_count_gives_identical_bytes(self, tmp_path):
         files = []
@@ -201,9 +201,15 @@ class TestDecay:
     @pytest.mark.parametrize("name, text, message", [
         ("pts.json", "[1, 2]", "each decay point must be an object, got 1"),
         ("pts.json", '[{"tau": null, "s": 2.3}, {"tau": 30.0, "s": 2.03}]',
-         "decay point values must be numbers"),
+         "decay point tau must be a number, got None"),
         ("pts.csv", "tau,s\n0.7,2.30\n30.0\n", "line 3: expected at least 2 fields"),
-    ], ids=["not-an-object", "null-tau", "one-field-row"])
+        # float(True) is 1.0: read as a number, this point set tau_ref to 1.0
+        ("pts.json", '[{"tau": true, "s": 2.3}, {"tau": 30.0, "s": 2.03}]',
+         "decay point tau must be a number, got True"),
+        ("pts.json", '[{"tau": 0.7, "s": 2.3, "s_err": true},'
+                     ' {"tau": 30.0, "s": 2.03, "s_err": 0.05}]',
+         "decay point s_err must be a number, got True"),
+    ], ids=["not-an-object", "null-tau", "one-field-row", "boolean-tau", "boolean-s_err"])
     def test_malformed_points_are_usage_errors(self, tmp_path, capsys, name, text, message):
         points = tmp_path / name
         points.write_text(text)
@@ -346,6 +352,18 @@ class TestCalibrate:
         assert "target S" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_boolean_tau_is_usage_error(self, tmp_path, capsys):
+        # float(True) is 1.0: read as a number, this target had tau = 1
+        targets = tmp_path / "targets.json"
+        targets.write_text(
+            '[{"m": 1, "tau": 0.7, "s": 2.65}, {"m": 19, "tau": 0.7, "s": 2.30},'
+            ' {"m": 19, "tau": true, "s": 2.03}]'
+        )
+        out = tmp_path / "x.json"
+        assert run_cli("calibrate", "--targets", str(targets), "--out", str(out)) == EXIT_USAGE
+        assert "target tau must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_mode_count_is_usage_error(self, tmp_path, capsys):
         targets = tmp_path / "targets.json"
         targets.write_text(json.dumps([
@@ -440,6 +458,20 @@ class TestReproduce:
         ratio_check = payload["checks"][0]
         assert ratio_check["name"] == "p_s_ratio_m19_vs_m1"
         assert ratio_check["passed"] is False
+
+    @pytest.mark.parametrize("rise, monotone", [(1e-6, False), (1e-10, True), (0.0, True)])
+    def test_fig5_monotonicity_tolerates_rounding_only(self, tmp_path, monkeypatch, rise,
+                                                       monotone):
+        # S falls by 0.01 per mode, except that m = 5 rises above m = 4 by rise
+        def falling_s(config, tau, n_coincidences, seed):
+            m = config.m - 1 if config.m == 5 else config.m
+            return 2.65 - 0.01 * m + (rise if config.m == 5 else 0.0), 0.001
+
+        monkeypatch.setattr(cli, "_simulated_s", falling_s)
+        out = str(tmp_path / "fig5.json")
+        run_cli("reproduce", "--figure", "fig5", "--out", out, "--trials", "100")
+        checks = {check["name"]: check for check in load(out)["checks"]}
+        assert checks["s_monotone_nonincreasing"]["passed"] is monotone
 
     @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig5"])
     def test_largest_seed_is_accepted(self, tmp_path, figure):

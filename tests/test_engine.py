@@ -13,10 +13,10 @@ from swpemux import engine
 from swpemux.config import ExperimentConfig
 from swpemux.engine import (
     HV_PAIR,
-    CoincidenceRow,
     CoincidenceTable,
     RunPlan,
     SettingPair,
+    _check_counts,
     _pair_tables,
     _pure_tables,
     _setting_streams,
@@ -163,13 +163,13 @@ class TestStreamsAgainstFreshPhilox:
         pairs, n, tau = PLANS[plan], 50_000, 4.0
         table = run_coincidence_batch(CFG, tau, pairs, n, seed)
         v = visibility(CFG, CFG.m, tau)
-        for s, (pair, row) in enumerate(zip(pairs, table.rows)):
+        assert table.pairs == tuple(pairs)
+        for s, pair in enumerate(pairs):
             # the Werner table in closed form: V J_pure + (1 - V)/4, normalized
             pure = joint_probabilities(bell_state(CFG.theta), pair.stokes, pair.anti_stokes)
             joint = v * pure + (1.0 - v) / 4.0
             counts = fresh_stream(seed, 1, s).multinomial(n, (joint / joint.sum()).ravel())
-            assert row.pair == pair
-            assert row.counts().ravel().tolist() == counts.tolist()
+            assert table.counts[s, :4].tolist() == counts.tolist()
 
     @pytest.mark.parametrize("seed", [0, 61, 2**64 - 1])
     @pytest.mark.parametrize("plan", PLANS, ids=PLANS)
@@ -179,7 +179,7 @@ class TestStreamsAgainstFreshPhilox:
         result = run_batch(RunPlan(config, tau, pairs, n, seed))
         histogram = np.zeros(config.m, dtype=np.int64)
         n_dark = 0
-        for s, (pair, row) in enumerate(zip(pairs, result.table.rows)):
+        for s, (pair, row) in enumerate(zip(pairs, result.table.counts.tolist())):
             law = outcome_law(config, tau, pair)
             gen = fresh_stream(seed, 0, s)
             heralds = gen.binomial(n, law.p_herald)
@@ -187,8 +187,8 @@ class TestStreamsAgainstFreshPhilox:
             histogram += gen.multinomial(heralds, law.bins)
             n_dark += int(cells[1].sum())
             by_detector = cells.sum(axis=0)
-            assert row.counts().ravel().tolist() == by_detector[:, :2].ravel().tolist()
-            assert [row.n_d1, row.n_d2] == by_detector.sum(axis=1).tolist()
+            assert row[:4] == by_detector[:, :2].ravel().tolist()
+            assert row[4:6] == by_detector.sum(axis=1).tolist()
         assert result.herald_bin_histogram.tolist() == histogram.tolist()
         assert result.n_dark_heralds == n_dark
 
@@ -498,11 +498,11 @@ def _kernel_counts(config, pair, n, seed):
 
 def _batch_counts(result):
     """The same aggregates from a one-pair run_batch result."""
-    row = result.table.rows[0]
+    c_d1t1, c_d1t2, c_d2t1, c_d2t2, n_d1, n_d2, n_total = result.table.counts[0].tolist()
     counts = np.array([
-        row.n_total - row.n_d1 - row.n_d2,
-        row.c_d1t1, row.c_d1t2, row.c_d2t1, row.c_d2t2,
-        row.n_d1 - row.c_d1t1 - row.c_d1t2, row.n_d2 - row.c_d2t1 - row.c_d2t2,
+        n_total - n_d1 - n_d2,
+        c_d1t1, c_d1t2, c_d2t1, c_d2t2,
+        n_d1 - c_d1t1 - c_d1t2, n_d2 - c_d2t1 - c_d2t2,
         result.n_dark_heralds,
     ])
     return counts, np.asarray(result.herald_bin_histogram)
@@ -651,16 +651,15 @@ class TestRunBatch:
             plan = RunPlan(CFG, 0.7, (HV_PAIR,), n, 5)
             result = run_batch(plan)
             assert result.n_trials_total == n
-            row = result.table.rows[0]
-            assert row.n_total == n
-            row.validate()
+            row = result.table.counts[0].tolist()
+            assert row[6] == n
+            _check_counts(*row)
 
     def test_conditional_correlation_matches_state(self):
         pair = CANONICAL_BELL.setting_pairs()[0]
         plan = RunPlan(CFG, 0.7, (pair,), 2_500_000, 404)
         result = run_batch(plan)
-        row = result.table.rows[0]
-        e_hat, e_err = correlation_e(row)
+        e_hat, e_err = correlation_e(result.table.counts[0, :4])
         rho = effective_pair_state(CFG, tau=0.7)
         p = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
         e_true = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
@@ -687,16 +686,15 @@ class TestRunBatch:
         pair = CANONICAL_BELL.setting_pairs()[0]
         short = run_batch(RunPlan(CFG, 0.7, (pair,), 2_000_000, 8))
         long = run_batch(RunPlan(CFG, 60.0, (pair,), 2_000_000, 8))
-        e_short, _ = correlation_e(short.table.rows[0])
-        e_long, _ = correlation_e(long.table.rows[0])
+        e_short, _ = correlation_e(short.table.counts[0, :4])
+        e_long, _ = correlation_e(long.table.counts[0, :4])
         assert e_short > e_long
 
 
 class TestCoincidenceRow:
     def test_validate_rejects_impossible_counts(self):
-        row = CoincidenceRow(HV_PAIR, 10, 0, 0, 0, n_d1=5, n_d2=0, n_total=100)
         with pytest.raises(ValueError):
-            row.validate()
+            _check_counts(10, 0, 0, 0, 5, 0, 100)
 
 
 def _message(check):
@@ -708,10 +706,10 @@ def _message(check):
 
 
 def _row_message(table):
-    """What validating the table's rows in order says: the reference."""
+    """What the row rule says of the table's rows in order: the reference."""
     def check():
-        for row in table.rows:
-            row.validate()
+        for row in table.counts.tolist():
+            _check_counts(*row)
     return _message(check)
 
 
@@ -729,9 +727,9 @@ def _probes(value, bound, kind):
 
 
 class TestVectorCheck:
-    """CoincidenceTable.validate against CoincidenceRow.validate of each row
-    in order: same verdict and same message, for tables that perturb one or
-    two cells of a valid int64, float or CSV-parsed (beyond int64) table."""
+    """CoincidenceTable.validate against _check_counts of each row in order:
+    same verdict and same message, for tables that perturb one or two cells
+    of a valid int64, float or CSV-parsed (beyond int64) table."""
 
     @staticmethod
     def tables():
@@ -741,9 +739,10 @@ class TestVectorCheck:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
         exact = exact_coincidence_table(rho / np.trace(rho).real, PLANS["bell+tomo"])
-        huge = [CoincidenceRow(pair, 2**70 + s, 2**64, 3 * 2**63, 2**63, 2**71, 2**64 + 2**63 + s,
-                               2**72 + 7 * s) for s, pair in enumerate(PLANS["tomo"])]
-        parsed = parse_coincidence_csv(coincidence_table_to_csv(CoincidenceTable(huge)))
+        huge = np.array([[2**70 + s, 2**64, 3 * 2**63, 2**63, 2**71, 2**64 + 2**63 + s,
+                          2**72 + 7 * s] for s in range(len(PLANS["tomo"]))], dtype=object)
+        text = coincidence_table_to_csv(CoincidenceTable(PLANS["tomo"], huge))
+        parsed = parse_coincidence_csv(text)
         return {"sampled": (sampled, "int64"), "batch": (batch.table, "int64"),
                 "exact": (exact, "float"), "csv": (parsed, "object")}
 
@@ -765,17 +764,17 @@ class TestVectorCheck:
                                 t = int(rng.integers(7))
                                 probes = _probes(counts[second, t], counts[second, bounds[t]], kind)
                                 counts[second, t] = probes[int(rng.integers(len(probes)))]
-                            perturbed = CoincidenceTable.from_counts(table.pairs, counts)
+                            perturbed = CoincidenceTable(table.pairs, counts)
                             expected = _row_message(perturbed)
                             assert _message(perturbed.validate) == expected, (name, s, j, value)
                             seen.add(expected)
-            # every check of CoincidenceRow.validate was exercised
+            # every check of the row rule was exercised
             assert len(seen) == 6, (name, seen)
 
     def test_int64_heralds_that_wrap_are_rejected(self):
         # n_d1 + n_d2 = 1.5 * 2^63 wraps in int64; each single fits the trials
         counts = np.array([[0, 0, 0, 0, 2**62 + 2**61, 2**62 + 2**61, 2**63 - 1]])
-        table = CoincidenceTable.from_counts((HV_PAIR,), counts)
+        table = CoincidenceTable((HV_PAIR,), counts)
         assert _row_message(table) == "total heralds exceed the number of trials"
         assert _message(table.validate) == _row_message(table)
 
@@ -786,11 +785,11 @@ def test_nan_does_not_hide_a_later_negative_count(nan_column, negative_column):
     # min(nan, -1.0) is nan, so a min(row) < 0 shortcut would pass this row
     row = [0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 10.0]
     row[nan_column], row[negative_column] = math.nan, -1.0
-    table = CoincidenceTable.from_counts((HV_PAIR,), np.array([row]))
+    table = CoincidenceTable((HV_PAIR,), np.array([row]))
     with pytest.raises(ValueError, match="coincidence counts must be non-negative"):
         table.validate()
     with pytest.raises(ValueError, match="coincidence counts must be non-negative"):
-        table.rows[0].validate()
+        _check_counts(*row)
 
 
 class TestCoincidenceSampler:
@@ -807,16 +806,16 @@ class TestCoincidenceSampler:
         pairs = CANONICAL_BELL.setting_pairs()
         a = run_coincidence_batch(CFG, 0.7, pairs, 10_000, 6)
         b = run_coincidence_batch(CFG, 0.7, pairs, 10_000, 6)
-        assert a.rows == b.rows
+        assert a == b
 
     def test_counts_follow_conditional_law(self):
         pair = CANONICAL_BELL.setting_pairs()[1]
         n = 200_000
         table = run_coincidence_batch(CFG, 0.7, (pair,), n, 13)
-        row = table.rows[0]
-        assert row.n_coincidences == n
+        cells = table.counts[0, :4].tolist()
+        assert sum(cells) == n
         rho = effective_pair_state(CFG, tau=0.7)
         p = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
-        for observed, expected in zip(row.counts().ravel(), np.asarray(p).ravel()):
+        for observed, expected in zip(cells, np.asarray(p).ravel()):
             se = math.sqrt(expected * (1.0 - expected) / n)
             assert abs(observed / n - expected) < 4.0 * se

@@ -37,13 +37,13 @@ def sample_table():
 class TestCoincidenceCsv:
     def test_round_trip(self):
         table = sample_table()
-        assert parse_coincidence_csv(coincidence_table_to_csv(table)).rows == table.rows
+        assert parse_coincidence_csv(coincidence_table_to_csv(table)) == table
 
     def test_file_round_trip(self, tmp_path):
         table = sample_table()
         path = str(tmp_path / "counts.csv")
         write_coincidence_csv(table, path)
-        assert read_coincidence_csv(path).rows == table.rows
+        assert read_coincidence_csv(path) == table
 
     def test_header_line(self):
         text = coincidence_table_to_csv(sample_table())

@@ -29,11 +29,11 @@ from swpemux.analysis import (
 )
 from swpemux.config import ExperimentConfig
 from swpemux.engine import (
-    CoincidenceRow,
     CoincidenceTable,
     HV_PAIR,
     RunPlan,
     SettingPair,
+    _check_counts,
     analytic_p_s,
     effective_pair_state,
     herald_fraction,
@@ -172,15 +172,15 @@ def test_outcome_law_is_a_distribution(config, tau, pair):
 def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
     """Both samplers return one valid row per setting pair, for any valid
     input: run_coincidence_batch checks its whole count array at once, so
-    this pins that check to CoincidenceRow.validate."""
+    this pins that check to the row rule, _check_counts, row by row."""
     coincidences = run_coincidence_batch(config, tau, pairs, n, seed)
     batch = run_batch(RunPlan(config, tau, pairs, n, seed))
     for table in (coincidences, batch.table):
-        assert [row.pair for row in table.rows] == pairs
-        for row in table.rows:
-            row.validate()
-            assert row.n_total == n
-    assert all(row.n_coincidences == n for row in coincidences.rows)
+        assert list(table.pairs) == pairs
+        for row in table.counts.tolist():
+            _check_counts(*row)
+            assert row[6] == n
+    assert all(sum(row[:4]) == n for row in coincidences.counts.tolist())
 
 
 @PROPERTY
@@ -219,13 +219,14 @@ analyzers = st.one_of(
 
 @st.composite
 def coincidence_rows(draw):
-    """Any row that passes CoincidenceRow.validate, counts up to 10^20."""
+    """A setting pair and any count row that passes _check_counts, counts up
+    to 10^20."""
     counts = st.integers(0, 10**20)
     n_d1, n_d2, spare = draw(counts), draw(counts), draw(counts)
     c11, c12 = draw(st.integers(0, n_d1)), draw(st.integers(0, n_d1))
     c21, c22 = draw(st.integers(0, n_d2)), draw(st.integers(0, n_d2))
     pair = SettingPair(draw(analyzers), draw(analyzers))
-    return CoincidenceRow(pair, c11, c12, c21, c22, n_d1, n_d2, n_d1 + n_d2 + spare)
+    return pair, [c11, c12, c21, c22, n_d1, n_d2, n_d1 + n_d2 + spare]
 
 
 @PROPERTY
@@ -233,8 +234,12 @@ def coincidence_rows(draw):
 def test_coincidence_csv_round_trip(rows):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "counts.csv")
-        write_coincidence_csv(CoincidenceTable(rows), path)
-        assert read_coincidence_csv(path).rows == rows
+        pairs, counts = [pair for pair, _ in rows], [row for _, row in rows]
+        table = CoincidenceTable(pairs, np.array(counts, dtype=object).reshape(-1, 7))
+        write_coincidence_csv(table, path)
+        parsed = read_coincidence_csv(path)
+        # exact Python ints: 10^20 does not survive a float or int64 array
+        assert parsed.pairs == tuple(pairs) and parsed.counts.tolist() == counts
 
 
 @PROPERTY

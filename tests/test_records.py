@@ -1,8 +1,10 @@
 """Shape of the public API: the exported names and the result records,
 immutable NamedTuples with pinned fields.
 
-Result records are built positionally (CoincidenceTable.rows, the CSV
-reader), so their field order is part of the API. Types whose constructor
+Result records are built positionally, so their field order is part of
+the API. CoincidenceTable.rows builds CoincidenceRow records from the count
+array; it is a read-only view kept for the traced benchmark, and no table is
+built from rows. Types whose constructor
 validates its input stay dataclasses, whose __post_init__ a NamedTuple's
 _make and _replace would skip. Every exported name is used outside tests/,
 so a test-only helper lives in tests/oracles.py instead.
