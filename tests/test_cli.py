@@ -500,6 +500,34 @@ class TestExitCodes:
             "--config", str(tmp_path / "absent.json"), "--trials", "10",
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize("name, content, code, message", [
+        ("absent.json", None, EXIT_USAGE, "configuration file not found: {path}"),
+        ("dir.json", "dir", EXIT_RUNTIME, "[Errno 21] Is a directory: {path!r}"),
+        ("bad.json", b'\xff{"m": 3}', EXIT_USAGE,
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        # the position names characters after newline translation
+        ("crlf.json", b'{\r\n  "m": 3,\r\n  "chi" 0.02\r\n}\r\n', EXIT_USAGE,
+         "Expecting ':' delimiter: line 3 column 9 (char 20)"),
+        ("cr.json", b'{\r  "m": 3,\r  "chi" 0.02\r}\r', EXIT_USAGE,
+         "Expecting ':' delimiter: line 3 column 9 (char 20)"),
+    ])
+    def test_unreadable_config_file(self, tmp_path, capsys, name, content, code, message):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--out", str(out), "--config", str(path),
+                       "--trials", "10") == code
+        assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
+        assert not out.exists()
+
+    def test_crlf_config_file_loads(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(ExperimentConfig(m=3).dumps().replace("\n", "\r\n").encode())
+        assert ExperimentConfig.load(str(path)) == ExperimentConfig(m=3)
+
     def test_unknown_config_key(self, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"m": 19, "bogus": 1}))
