@@ -8,28 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .util import as_count, as_number, atomic_write_text, json_dumps
-
-_FIELDS = (
-    "m",
-    "chi",
-    "theta",
-    "eta_d",
-    "eta_as",
-    "gamma",
-    "v1",
-    "beta",
-    "tau_c",
-    "tau_ref",
-    "dark_rate",
-)
+from .util import as_count, as_number, atomic_write_text, checked_record, json_dumps, read_text
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(checked_record(
+        "ExperimentConfig", "m chi theta eta_d eta_as gamma v1 beta tau_c tau_ref dark_rate")):
     """Source and detection parameters of the multiplexed pair source.
 
     m              number of multiplexed mode pairs in one write train
@@ -49,23 +34,13 @@ class ExperimentConfig:
     overridden by configuration when real hardware numbers exist.
     """
 
-    m: int = 19
-    chi: float = 0.01
-    theta: float = 45.0
-    eta_d: float = 0.1
-    eta_as: float = 0.5
-    gamma: float = 0.3
-    v1: float = 0.937
-    beta: float = 0.85
-    tau_c: float = 235.0
-    tau_ref: float = 0.7
-    dark_rate: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", as_count("m", self.m))
-        self.validate()
-
-    def validate(self) -> None:
+    def __new__(cls, m: int = 19, chi: float = 0.01, theta: float = 45.0, eta_d: float = 0.1,
+                eta_as: float = 0.5, gamma: float = 0.3, v1: float = 0.937, beta: float = 0.85,
+                tau_c: float = 235.0, tau_ref: float = 0.7, dark_rate: float = 0.0):
+        self = super().__new__(cls, as_count("m", m), chi, theta, eta_d, eta_as, gamma, v1,
+                               beta, tau_c, tau_ref, dark_rate)
         # the range checks below let these through as NaN or inf; tau_c = inf
         # is allowed and means no memory decay
         for name in ("beta", "tau_ref"):
@@ -88,16 +63,18 @@ class ExperimentConfig:
             raise ValueError(f"tau_c must be positive, got {self.tau_c}")
         if self.tau_ref < 0.0:
             raise ValueError(f"tau_ref must be non-negative, got {self.tau_ref}")
+        return self
 
     def replace(self, **changes: Any) -> "ExperimentConfig":
-        return ExperimentConfig(**{**self.to_dict(), **changes})
+        """A copy with the named fields changed; an unknown name is a TypeError."""
+        return ExperimentConfig(**{**self._asdict(), **changes})
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
+        return self._asdict()
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ExperimentConfig":
-        unknown = sorted(set(data) - set(_FIELDS))
+        unknown = sorted(set(data) - set(ExperimentConfig._fields))
         if unknown:
             raise ValueError(f"unknown configuration keys: {', '.join(unknown)}")
         kwargs: dict[str, Any] = {}
@@ -126,5 +103,4 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return ExperimentConfig.loads(handle.read())
+        return ExperimentConfig.loads(read_text(path))

@@ -38,14 +38,13 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .states import MeasurementSetting, bell_state, joint_probabilities, werner_state
-from .util import ProbabilityPair, as_count, first_success_probability
+from .util import ProbabilityPair, as_count, checked_record, first_success_probability
 
 _DOMAIN_TRIALS = 0
 _DOMAIN_COINCIDENCE = 1
@@ -198,22 +197,11 @@ def analytic_p_sas(config: ExperimentConfig, m: Optional[int] = None) -> Probabi
 # plan and result records
 
 
-@dataclass(frozen=True)
-class SettingPair:
+class SettingPair(NamedTuple):
     """Analyzer settings for the Stokes arm and the anti-Stokes arm."""
 
     stokes: MeasurementSetting
     anti_stokes: MeasurementSetting
-
-    def __post_init__(self) -> None:
-        # the generated hash, computed once: pair tuples key the memos
-        object.__setattr__(self, "_hash", hash((self.stokes, self.anti_stokes)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (SettingPair, (self.stokes, self.anti_stokes))
 
     def tokens(self) -> tuple[str, str]:
         return (self.stokes.token(), self.anti_stokes.token())
@@ -228,30 +216,27 @@ class SettingPair:
 HV_PAIR = SettingPair(MeasurementSetting.linear(0.0), MeasurementSetting.linear(0.0))
 
 
-@dataclass(frozen=True)
-class RunPlan:
+class RunPlan(checked_record("RunPlan", "config tau settings n_trials seed")):
     """Everything a batch needs: configuration, storage time, analyzer
     setting pairs, trials per pair and the RNG seed."""
 
-    config: ExperimentConfig
-    tau: float
-    settings: tuple[SettingPair, ...]
-    n_trials: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "settings", tuple(self.settings))
+    def __new__(cls, config: ExperimentConfig, tau: float, settings: Iterable[SettingPair],
+                n_trials: int, seed: int):
+        settings = tuple(settings)
         # integers by name first (n_trials with no minimum: its range check names [1, 2^63))
-        object.__setattr__(self, "n_trials", as_count("n_trials", self.n_trials, -math.inf))
-        object.__setattr__(self, "seed", as_count("seed", self.seed, minimum=0))
-        _check_storage_time(self.tau)
-        if not self.settings:
+        n_trials = as_count("n_trials", n_trials, -math.inf)
+        seed = as_count("seed", seed, minimum=0)
+        _check_storage_time(tau)
+        if not settings:
             raise ValueError("a run plan needs at least one analyzer setting pair")
-        _check_draw_count("n_trials", self.n_trials)
-        if self.seed >= _MAX_SEED:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if len(self.settings) >= _MAX_SETTINGS:
+        _check_draw_count("n_trials", n_trials)
+        if seed >= _MAX_SEED:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+        if len(settings) >= _MAX_SETTINGS:
             raise ValueError("too many setting pairs for the stream layout")
+        return super().__new__(cls, config, tau, settings, n_trials, seed)
 
 
 COUNT_COLUMNS = ("c_d1t1", "c_d1t2", "c_d2t1", "c_d2t2", "n_d1", "n_d2", "n_total")

@@ -9,33 +9,33 @@ beam l, so both are described by the same fan angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from .util import checked_record
 
 # largest fan: scan_geometry builds (m, m) float arrays, 8 MB each at this size
 MAX_BEAMS = 1024
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
+class BeamGeometry(checked_record("BeamGeometry", "write_angles stokes_angle")):
     """The write-beam fan and the Stokes collection direction."""
 
-    write_angles: tuple[float, ...]
-    stokes_angle: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "write_angles", tuple(float(a) for a in self.write_angles))
-        if not self.write_angles:
+    def __new__(cls, write_angles: Iterable[float], stokes_angle: float = 0.0):
+        write_angles = tuple(float(a) for a in write_angles)
+        if not write_angles:
             raise ValueError("geometry needs at least one write beam")
-        if len(self.write_angles) > MAX_BEAMS:
-            raise ValueError(f"geometry takes at most {MAX_BEAMS} write beams, got {self.m}")
-        for angle in self.write_angles + (self.stokes_angle,):
+        if len(write_angles) > MAX_BEAMS:
+            raise ValueError(f"geometry takes at most {MAX_BEAMS} write beams, got {len(write_angles)}")
+        for angle in write_angles + (stokes_angle,):
             if not -90.0 < angle < 90.0:
                 raise ValueError(f"beam angles must lie in (-90, 90) degrees, got {angle}")
-        if len(set(self.write_angles)) != len(self.write_angles):
+        if len(set(write_angles)) != len(write_angles):
             raise ValueError("write angles must be pairwise distinct")
+        return super().__new__(cls, write_angles, stokes_angle)
 
     @property
     def m(self) -> int:

@@ -11,10 +11,9 @@ kilometers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .util import ProbabilityPair, as_count, first_success_probability
+from .util import ProbabilityPair, as_count, checked_record, first_success_probability
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -22,41 +21,36 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(checked_record("LinkConfig", "l0_km c_fiber_km_s m p1")):
     """Half-link length, fiber signal velocity, mode count and the
     single-mode entanglement probability per attempt."""
 
-    l0_km: float = 60.0
-    c_fiber_km_s: float = 2.0e5
-    m: int = 19
-    p1: float = 1e-3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_positive("link length l0_km", self.l0_km)
-        _check_positive("fiber velocity c_fiber_km_s", self.c_fiber_km_s)
-        object.__setattr__(self, "m", as_count("mode count m", self.m))
-        if not 0.0 < self.p1 <= 1.0:
-            raise ValueError(f"p1 must lie in (0, 1], got {self.p1}")
+    def __new__(cls, l0_km: float = 60.0, c_fiber_km_s: float = 2.0e5, m: int = 19,
+                p1: float = 1e-3):
+        _check_positive("link length l0_km", l0_km)
+        _check_positive("fiber velocity c_fiber_km_s", c_fiber_km_s)
+        m = as_count("mode count m", m)
+        if not 0.0 < p1 <= 1.0:
+            raise ValueError(f"p1 must lie in (0, 1], got {p1}")
+        return super().__new__(cls, l0_km, c_fiber_km_s, m, p1)
 
 
-@dataclass(frozen=True)
-class FeedbackConfig:
+class FeedbackConfig(checked_record("FeedbackConfig", "eta chi n_attempts delta_t")):
     """Feed-forward retry loop: per-attempt herald efficiency eta, excitation
     probability chi, number of attempts and attempt spacing (microseconds)."""
 
-    eta: float
-    chi: float
-    n_attempts: int
-    delta_t: float = 0.3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 < self.chi < 1.0:
-            raise ValueError(f"chi must lie strictly inside (0, 1), got {self.chi}")
-        object.__setattr__(self, "n_attempts", as_count("attempt count n_attempts", self.n_attempts))
-        _check_positive("attempt spacing delta_t", self.delta_t)
+    def __new__(cls, eta: float, chi: float, n_attempts: int, delta_t: float = 0.3):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        if not 0.0 < chi < 1.0:
+            raise ValueError(f"chi must lie strictly inside (0, 1), got {chi}")
+        n_attempts = as_count("attempt count n_attempts", n_attempts)
+        _check_positive("attempt spacing delta_t", delta_t)
+        return super().__new__(cls, eta, chi, n_attempts, delta_t)
 
 
 def communication_time(link: LinkConfig) -> float:

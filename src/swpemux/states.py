@@ -8,10 +8,11 @@ the package uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from .util import checked_record
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -24,8 +25,7 @@ def _format_angle(angle_deg: float) -> str:
     return repr(float(angle_deg))
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
+class MeasurementSetting(checked_record("MeasurementSetting", "kind angle_deg transmit_hand")):
     """One polarization analyzer.
 
     Linear settings project the transmit port onto cos(a)|H> + sin(a)|V> with
@@ -33,29 +33,19 @@ class MeasurementSetting:
     with R = (|H> + i|V>)/sqrt(2) and L its conjugate.
     """
 
-    kind: str
-    angle_deg: float = 0.0
-    transmit_hand: str = "R"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_LINEAR, KIND_CIRCULAR):
-            raise ValueError(f"unknown analyzer kind {self.kind!r}")
-        if self.kind == KIND_LINEAR:
-            if not math.isfinite(self.angle_deg) or not 0.0 <= self.angle_deg < 180.0:
+    def __new__(cls, kind: str, angle_deg: float = 0.0, transmit_hand: str = "R"):
+        if kind not in (KIND_LINEAR, KIND_CIRCULAR):
+            raise ValueError(f"unknown analyzer kind {kind!r}")
+        if kind == KIND_LINEAR:
+            if not math.isfinite(angle_deg) or not 0.0 <= angle_deg < 180.0:
                 raise ValueError(
-                    f"linear analyzer angle must lie in [0, 180) degrees, got {self.angle_deg}"
+                    f"linear analyzer angle must lie in [0, 180) degrees, got {angle_deg}"
                 )
-        elif self.transmit_hand not in ("R", "L"):
-            raise ValueError(f"circular transmit handedness must be 'R' or 'L', got {self.transmit_hand!r}")
-        # the generated hash, computed once: settings key the engine's memos
-        object.__setattr__(self, "_hash", hash((self.kind, self.angle_deg, self.transmit_hand)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through __init__: a str hash differs between processes
-        return (MeasurementSetting, (self.kind, self.angle_deg, self.transmit_hand))
+        elif transmit_hand not in ("R", "L"):
+            raise ValueError(f"circular transmit handedness must be 'R' or 'L', got {transmit_hand!r}")
+        return super().__new__(cls, kind, angle_deg, transmit_hand)
 
     @staticmethod
     def linear(angle_deg: float) -> "MeasurementSetting":

@@ -1,7 +1,9 @@
-"""Small shared helpers used across the package, including the JSON text
-(json's C encoder) and the atomic write (os calls) of every output file."""
+"""Small shared helpers used across the package, including the base of the
+checked records, the JSON text (json's C encoder), the atomic write (os
+calls) of every output file and the read of a configuration file."""
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
@@ -18,6 +20,15 @@ class ProbabilityPair(NamedTuple):
 
     exact: float
     linear: float
+
+
+def checked_record(typename: str, field_names: str) -> type:
+    """Base of a record type whose __new__ checks its fields: a namedtuple
+    whose _make, and so _replace, builds through that __new__, as copy and
+    unpickling already do. Subclasses declare __slots__ = ()."""
+    base = collections.namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 def as_count(name: str, value, minimum: int = 1) -> int:
@@ -86,6 +97,23 @@ def atomic_write_text(path: str, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_path)
         raise
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of path, read with os calls as atomic_write_text writes
+    it. CRLF and a lone CR read as LF, as in text mode, so a JSON error names
+    the same line, column and character."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_CLOEXEC", 0))
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = path  # os.read names no file, open() would
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 @functools.lru_cache(maxsize=None)

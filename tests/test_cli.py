@@ -434,7 +434,7 @@ class TestReproduce:
             raise AssertionError("a fig2 row must not build a configuration or a run plan")
 
         monkeypatch.setattr(ExperimentConfig, "replace", not_built)
-        monkeypatch.setattr(engine.RunPlan, "__post_init__", not_built)
+        monkeypatch.setattr(engine.RunPlan, "__new__", not_built)
         rekeys = []
         setting_streams = engine._setting_streams
 

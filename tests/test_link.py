@@ -1,5 +1,4 @@
 """Elementary-link timing and the feed-forward equivalence."""
-import dataclasses
 import json
 import math
 
@@ -43,7 +42,7 @@ class TestConfigs:
         assert type(link.m) is int and link == LinkConfig(m=19)
         assert type(fb.n_attempts) is int and fb == FeedbackConfig(eta=0.5, chi=0.01, n_attempts=3)
         for config in (link, fb):
-            data = dataclasses.asdict(config)
+            data = config._asdict()
             assert type(config)(**json.loads(json.dumps(data))) == config
 
     @pytest.mark.parametrize("name", ["l0_km", "c_fiber_km_s"])

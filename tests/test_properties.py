@@ -8,7 +8,6 @@ Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
 """
 import atexit
-import dataclasses
 import json
 import math
 import os
@@ -130,7 +129,7 @@ def test_config_json_round_trip(config):
     assert ExperimentConfig.loads(config.dumps()) == config
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+@pytest.mark.parametrize("name", ExperimentConfig._fields)
 @PROPERTY
 @given(configs, st.sampled_from([math.nan, math.inf, -math.inf]))
 @example(ExperimentConfig(), math.nan)

@@ -1,16 +1,22 @@
-"""Shape of the public API: the exported names and the result records,
-immutable NamedTuples with pinned fields.
+"""Shape of the public API: the exported names, the result records
+(immutable NamedTuples with pinned fields) and the checked records.
 
 Result records are built positionally, so their field order is part of
 the API. CoincidenceTable.rows builds CoincidenceRow records from the count
 array; it is a read-only view kept for the traced benchmark, and no table is
-built from rows. Types whose constructor
-validates its input stay dataclasses, whose __post_init__ a NamedTuple's
-_make and _replace would skip. Every exported name is used outside tests/,
-so a test-only helper lives in tests/oracles.py instead.
+built from rows. The seven types whose constructor validates its input are
+namedtuples too, and every way to build one (the constructor, _make,
+_replace, copy, unpickling) runs its checks. No module imports dataclasses,
+whose generated methods every process would compile at import. Every
+exported name is used outside tests/, so a test-only helper lives in
+tests/oracles.py instead.
 """
 import ast
-import dataclasses
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +24,7 @@ import pytest
 import swpemux
 from swpemux.analysis import CANONICAL_BELL, BellSettings, DecayFit, fit_decay
 from swpemux.config import ExperimentConfig
-from swpemux.engine import HV_PAIR, BatchResult, CoincidenceRow, RunPlan, run_batch
+from swpemux.engine import HV_PAIR, BatchResult, CoincidenceRow, RunPlan, SettingPair, run_batch
 from swpemux.geometry import BeamGeometry, ScanResult, fan_angles, scan_geometry
 from swpemux.link import (
     EntanglementTimeReport,
@@ -28,6 +34,7 @@ from swpemux.link import (
     avg_entanglement_time,
     feedback_success,
 )
+from swpemux.states import MeasurementSetting
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,8 +67,19 @@ FIELDS = {
     FeedbackReport: ("p_exact", "p_linear", "total_time_us", "n_deterministic"),
 }
 
-VALIDATED = {"ExperimentConfig", "MeasurementSetting", "SettingPair", "RunPlan",
-             "BeamGeometry", "LinkConfig", "FeedbackConfig"}
+# one record of each checked type, a field value its checks reject and the
+# start of their message
+CHECKED = [
+    (ExperimentConfig(m=3, theta=30.0), "chi", 1.5, "chi must lie"),
+    (MeasurementSetting.circular_l(), "transmit_hand", "X", "circular transmit handedness"),
+    (RunPlan(ExperimentConfig(), 0.7, CANONICAL_BELL.setting_pairs(), 10, 1), "n_trials", 0,
+     "n_trials must lie"),
+    (BeamGeometry(fan_angles(3)), "stokes_angle", 90.0, "beam angles must lie"),
+    (LinkConfig(m=7), "p1", 0.0, "p1 must lie"),
+    (FeedbackConfig(eta=0.5, chi=0.01, n_attempts=19), "n_attempts", 2.5,
+     "attempt count n_attempts must be an integer"),
+]
+VALIDATED = [case[0] for case in CHECKED] + [SettingPair.from_tokens("22.5", "R")]
 
 
 def _records() -> list:
@@ -100,10 +118,80 @@ def test_records_are_immutable_tuples(record):
         record.extra = 0
 
 
-def test_only_validated_types_are_dataclasses():
-    exported = [getattr(swpemux, name) for name in swpemux.__all__]
-    assert {obj.__name__ for obj in exported
-            if isinstance(obj, type) and dataclasses.is_dataclass(obj)} == VALIDATED
+@pytest.mark.parametrize("record, name, bad, message", CHECKED,
+                         ids=[type(case[0]).__name__ for case in CHECKED])
+def test_every_build_path_runs_the_checks(record, name, bad, message):
+    cls = type(record)
+    values = record._asdict() | {name: bad}
+    forged = tuple.__new__(cls, values.values())  # what the checks keep from being built
+    builds = [
+        lambda: cls(**values),
+        lambda: cls._make(values.values()),
+        lambda: record._replace(**{name: bad}),
+        lambda: copy.copy(forged),
+        lambda: pickle.loads(pickle.dumps(forged)),
+    ]
+    if cls is ExperimentConfig:
+        builds.append(lambda: record.replace(**{name: bad}))
+    for build in builds:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
+
+def test_replace_rejects_an_unknown_field():
+    with pytest.raises(TypeError):
+        ExperimentConfig().replace(bogus=1)
+
+
+@pytest.mark.parametrize("record", VALIDATED, ids=lambda record: type(record).__name__)
+def test_validated_records_round_trip(record):
+    cls = type(record)
+    assert isinstance(record, tuple) and record == tuple(record)
+    assert hash(record) == hash(tuple(record))
+    copies = [cls(*record), cls._make(record), record._replace(), copy.copy(record),
+              copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    for other in copies:
+        assert type(other) is cls and other == record and hash(other) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_unpickled_records_key_dicts_under_another_hash_seed():
+    # a record that stored the hash of its str fields would carry this
+    # process's hash into the pickle and miss its key in another process
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    script = (
+        "import pickle, sys\n"
+        "records = pickle.loads(sys.stdin.buffer.read())\n"
+        "table = {record: i for i, record in enumerate(records)}\n"
+        "assert [table[type(r)(*r)] for r in records] == list(range(len(records)))\n"
+        "print(hash('linear'))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(VALIDATED),
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert int(done.stdout) != hash("linear")
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted((ROOT / "src" / "swpemux").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 def test_exported_names_are_pinned():
