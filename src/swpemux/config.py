@@ -69,9 +69,6 @@ class ExperimentConfig(checked_record(
         """A copy with the named fields changed; an unknown name is a TypeError."""
         return ExperimentConfig(**{**self._asdict(), **changes})
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ExperimentConfig":
         unknown = sorted(set(data) - set(ExperimentConfig._fields))
@@ -89,7 +86,7 @@ class ExperimentConfig(checked_record(
         return ExperimentConfig(**kwargs)
 
     def dumps(self) -> str:
-        return json_dumps(self.to_dict())
+        return json_dumps(self._asdict())
 
     @staticmethod
     def loads(text: str) -> "ExperimentConfig":
