@@ -225,6 +225,8 @@ class RunPlan(checked_record("RunPlan", "config tau settings n_trials seed")):
     def __new__(cls, config: ExperimentConfig, tau: float, settings: Iterable[SettingPair],
                 n_trials: int, seed: int):
         settings = tuple(settings)
+        if not all(isinstance(pair, SettingPair) for pair in settings):
+            raise TypeError("run plan settings must be a sequence of SettingPair records")
         # integers by name first (n_trials with no minimum: its range check names [1, 2^63))
         n_trials = as_count("n_trials", n_trials, -math.inf)
         seed = as_count("seed", seed, minimum=0)

@@ -596,6 +596,12 @@ class TestRunPlan:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             RunPlan(**base)
 
+    # a lone SettingPair is itself a tuple, of two MeasurementSettings
+    @pytest.mark.parametrize("settings", [HV_PAIR, [tuple(HV_PAIR)]])
+    def test_settings_must_be_setting_pairs(self, settings):
+        with pytest.raises(TypeError, match="SettingPair records"):
+            RunPlan(CFG, 0.7, settings, 10, 1)
+
     def test_constructor_takes_integral_counts_and_seed_zero(self):
         plan = RunPlan(CFG, 0.7, (HV_PAIR,), np.int64(12), 0)
         assert (plan.n_trials, plan.seed) == (12, 0) and type(plan.n_trials) is int

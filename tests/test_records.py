@@ -65,6 +65,14 @@ FIELDS = {
                              "t_multiplexed_exact_us", "speedup_linear", "speedup_exact",
                              "overflowed"),
     FeedbackReport: ("p_exact", "p_linear", "total_time_us", "n_deterministic"),
+    ExperimentConfig: ("m", "chi", "theta", "eta_d", "eta_as", "gamma", "v1", "beta", "tau_c",
+                       "tau_ref", "dark_rate"),
+    MeasurementSetting: ("kind", "angle_deg", "transmit_hand"),
+    SettingPair: ("stokes", "anti_stokes"),
+    RunPlan: ("config", "tau", "settings", "n_trials", "seed"),
+    BeamGeometry: ("write_angles", "stokes_angle"),
+    LinkConfig: ("l0_km", "c_fiber_km_s", "m", "p1"),
+    FeedbackConfig: ("eta", "chi", "n_attempts", "delta_t"),
 }
 
 # one record of each checked type, a field value its checks reject and the
@@ -108,7 +116,7 @@ def test_defaults_are_kept():
     assert BellSettings() == BellSettings(0.0, 45.0, 22.5, 67.5)
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+@pytest.mark.parametrize("record", _records() + VALIDATED, ids=lambda record: type(record).__name__)
 def test_records_are_immutable_tuples(record):
     assert type(record) in FIELDS
     assert record == tuple(record) and record._asdict().keys() == set(record._fields)
@@ -138,24 +146,14 @@ def test_every_build_path_runs_the_checks(record, name, bad, message):
             build()
 
 
-def test_replace_rejects_an_unknown_field():
-    with pytest.raises(TypeError):
-        ExperimentConfig().replace(bogus=1)
-
-
 @pytest.mark.parametrize("record", VALIDATED, ids=lambda record: type(record).__name__)
 def test_validated_records_round_trip(record):
     cls = type(record)
-    assert isinstance(record, tuple) and record == tuple(record)
     assert hash(record) == hash(tuple(record))
     copies = [cls(*record), cls._make(record), record._replace(), copy.copy(record),
               copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for other in copies:
         assert type(other) is cls and other == record and hash(other) == hash(record)
-    with pytest.raises(AttributeError):
-        setattr(record, record._fields[0], record[0])
-    with pytest.raises(AttributeError):
-        record.extra = 0
 
 
 def test_unpickled_records_key_dicts_under_another_hash_seed():
