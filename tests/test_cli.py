@@ -523,11 +523,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
         assert not out.exists()
 
-    def test_crlf_config_file_loads(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_bytes(ExperimentConfig(m=3).dumps().replace("\n", "\r\n").encode())
-        assert ExperimentConfig.load(str(path)) == ExperimentConfig(m=3)
-
     def test_unknown_config_key(self, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"m": 19, "bogus": 1}))
