@@ -523,6 +523,43 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
         assert not out.exists()
 
+    # every input file is read as the configuration is: same exit codes and messages
+    @pytest.mark.parametrize("option, name", [
+        ("bell --counts", "in.csv"), ("tomo --counts", "in.csv"),
+        ("decay --points", "in.csv"), ("decay --points", "in.json"),
+        ("calibrate --targets", "in.json"),
+    ], ids=["bell", "tomo", "decay-csv", "decay-json", "calibrate"])
+    @pytest.mark.parametrize("content, code, message", [
+        (None, EXIT_USAGE, "[Errno 2] No such file or directory: {path!r}"),
+        ("dir", EXIT_RUNTIME, "[Errno 21] Is a directory: {path!r}"),
+        (b'\xff[{"tau": 1}]', EXIT_USAGE,
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_input_file(self, tmp_path, capsys, option, name, content, code,
+                                   message):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "x.json"
+        assert run_cli(*option.split(), str(path), "--out", str(out)) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["decay --points", "calibrate --targets"])
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_malformed_json_input_names_line_and_column(self, tmp_path, capsys, option,
+                                                        newline):
+        path = tmp_path / "in.json"
+        path.write_bytes(newline.join([b"[", b'  {"tau": 1.0,', b'   "s" 2.3}', b"]", b""]))
+        out = tmp_path / "x.json"
+        assert run_cli(*option.split(), str(path), "--out", str(out)) == EXIT_USAGE
+        # the position names characters after newline translation
+        assert capsys.readouterr().err == (
+            "error: Expecting ':' delimiter: line 3 column 8 (char 24)\n")
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"m": 19, "bogus": 1}))
