@@ -4,8 +4,9 @@ All writers produce deterministic bytes for deterministic inputs: fixed
 column order, sorted JSON keys, shortest-round-trip float formatting and a
 plain \\n line terminator. Every emitted format parses back through the
 matching reader in this module. JSON text is util.json_dumps's (json.dumps
-with indent=2 and sorted keys, from json's C encoder), and every file is
-written by util.atomic_write_text.
+with indent=2 and sorted keys, from json's C encoder). Every file is written
+by util.atomic_write_text and read by util.read_text, which reads CRLF and a
+lone CR as LF.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .engine import COUNT_COLUMNS, BatchResult, CoincidenceTable, SettingPair
-from .util import as_number, atomic_write_text, json_dumps
+from .util import as_number, atomic_write_text, json_dumps, read_text
 
 COINCIDENCE_COLUMNS = ("setting_s", "setting_a", *COUNT_COLUMNS)
 
@@ -44,27 +45,36 @@ def write_coincidence_csv(table: CoincidenceTable, path: str) -> None:
     atomic_write_text(path, coincidence_table_to_csv(table))
 
 
-def parse_coincidence_csv(text: str) -> CoincidenceTable:
+def _csv_records(text: str, kind: str):
+    """The header of CSV text, then (line number, fields) of each non-empty
+    record. No header, or a csv.Error such as a field over csv's size limit,
+    is a ValueError naming the kind of file or the line."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        yield next(reader)
+        yield from ((reader.line_num, fields) for fields in reader if fields)
     except StopIteration:
-        raise ValueError("coincidence CSV is empty") from None
+        raise ValueError(f"{kind} is empty") from None
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def parse_coincidence_csv(text: str) -> CoincidenceTable:
+    header, *records = _csv_records(text, "coincidence CSV")
     if tuple(header) != COINCIDENCE_COLUMNS:
         raise ValueError(
             f"unexpected coincidence CSV header {header!r}; expected {list(COINCIDENCE_COLUMNS)}"
         )
     pairs, counts = [], []
-    for line_number, fields in enumerate(reader, start=2):
-        if not fields:
-            continue
+    for line_number, fields in records:
         if len(fields) != len(COINCIDENCE_COLUMNS):
             raise ValueError(f"line {line_number}: expected {len(COINCIDENCE_COLUMNS)} fields")
         pairs.append(SettingPair.from_tokens(fields[0], fields[1]))
         try:
             counts.append([int(v) for v in fields[2:]])
-        except ValueError as exc:
-            raise ValueError(f"line {line_number}: counts must be integers") from exc
+            float(max(counts[-1], key=abs))  # the estimators read each count as a float
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {line_number}: counts must be float-range integers") from exc
     # exact Python ints, however large
     table = CoincidenceTable(pairs, np.array(counts, dtype=object).reshape(-1, 7))
     table.validate()
@@ -72,8 +82,7 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
 
 
 def read_coincidence_csv(path: str) -> CoincidenceTable:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return parse_coincidence_csv(handle.read())
+    return parse_coincidence_csv(read_text(path))
 
 
 def write_json(payload: Any, path: str) -> None:
@@ -81,8 +90,7 @@ def write_json(payload: Any, path: str) -> None:
 
 
 def read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return json.loads(read_text(path))
 
 
 def batch_result_to_dict(result: BatchResult) -> dict:
@@ -110,9 +118,9 @@ def read_decay_points(path: str) -> list:
     JSON list of {"tau":..., "s":..., "s_err":...} objects. A JSON value that
     is not a number (a bool, a string, null) is a ValueError naming its key;
     a null s_err means no error."""
-    extension = os.path.splitext(path)[1].lower()
-    if extension == ".json":
-        data = read_json(path)
+    text = read_text(path)
+    if os.path.splitext(path)[1].lower() == ".json":
+        data = json.loads(text)
         if not isinstance(data, list):
             raise ValueError("decay point JSON must be a list of objects")
         points = []
@@ -124,23 +132,14 @@ def read_decay_points(path: str) -> list:
             keys = ("tau", "s", "s_err") if entry.get("s_err") is not None else ("tau", "s")
             points.append(tuple(as_number(f"decay point {key}", entry[key]) for key in keys))
         return points
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("decay point CSV is empty")
-        header = [h.strip().lower() for h in header]
-        if header[:2] != ["tau", "s"]:
-            raise ValueError("decay point CSV header must start with tau,s")
-        with_errors = len(header) > 2 and header[2] == "s_err"
-        points = []
-        for line_number, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) < 2:
-                raise ValueError(f"line {line_number}: expected at least 2 fields (tau,s)")
-            if with_errors and len(fields) > 2 and fields[2].strip():
-                points.append((float(fields[0]), float(fields[1]), float(fields[2])))
-            else:
-                points.append((float(fields[0]), float(fields[1])))
-        return points
+    header, *records = _csv_records(text, "decay point CSV")
+    if [h.strip().lower() for h in header[:2]] != ["tau", "s"]:
+        raise ValueError("decay point CSV header must start with tau,s")
+    with_errors = len(header) > 2 and header[2].strip().lower() == "s_err"
+    points = []
+    for line_number, fields in records:
+        if len(fields) < 2:
+            raise ValueError(f"line {line_number}: expected at least 2 fields (tau,s)")
+        width = 3 if with_errors and len(fields) > 2 and fields[2].strip() else 2
+        points.append(tuple(float(v) for v in fields[:width]))
+    return points

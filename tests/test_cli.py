@@ -13,7 +13,7 @@ from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_p
 from swpemux.config import ExperimentConfig
 from swpemux.engine import run_coincidence_batch
 from swpemux.geometry import MAX_BEAMS
-from swpemux.io import read_coincidence_csv, write_coincidence_csv
+from swpemux.io import COINCIDENCE_COLUMNS, read_coincidence_csv, write_coincidence_csv
 
 CFG = ExperimentConfig()
 
@@ -558,6 +558,52 @@ class TestExitCodes:
         # the position names characters after newline translation
         assert capsys.readouterr().err == (
             "error: Expecting ':' delimiter: line 3 column 8 (char 24)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, pairs", [
+        ("bell", CANONICAL_BELL.setting_pairs()), ("tomo", tomography_setting_pairs()),
+    ])
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_counts_with_any_line_end_give_the_same_bytes(self, tmp_path, command, pairs,
+                                                         newline):
+        counts = tmp_path / "counts.csv"
+        write_coincidence_csv(run_coincidence_batch(CFG, 0.7, pairs, 5000, 8), str(counts))
+        other = tmp_path / "other.csv"
+        other.write_bytes(counts.read_bytes().replace(b"\n", newline))
+        outputs = []
+        for path in (counts, other):
+            outputs.append(tmp_path / f"{path.stem}.json")
+            assert run_cli(command, "--counts", str(path), "--out", str(outputs[-1])) == EXIT_OK
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    @pytest.mark.parametrize("option, text", [
+        ("bell --counts", ",".join(COINCIDENCE_COLUMNS) + "\n{field},0,0,0,0,0,0,0,1\n"),
+        ("decay --points", "tau,s\n0.7,2.3\n{field},2.0\n"),
+    ], ids=["bell", "decay"])
+    def test_field_over_csv_limit_is_usage_error(self, tmp_path, capsys, option, text):
+        path = tmp_path / "in.csv"
+        lines = text.format(field="0" * 200_000)
+        path.write_text(lines)
+        out = tmp_path / "x.json"
+        assert run_cli(*option.split(), str(path), "--out", str(out)) == EXIT_USAGE
+        line = lines.count("\n")
+        assert capsys.readouterr().err == (
+            f"error: line {line}: field larger than field limit (131072)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bell", "tomo"])
+    def test_count_beyond_float_range_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "counts.csv"
+        write_coincidence_csv(
+            run_coincidence_batch(CFG, 0.7, tomography_setting_pairs(), 1000, 8), str(path))
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2:] = ["0", "0", "0", "0", "0", "0", str(10**400)]
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.json"
+        assert run_cli(command, "--counts", str(path), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 3: counts must be float-range integers\n"
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
