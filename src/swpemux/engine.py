@@ -115,9 +115,12 @@ def _check_storage_time(tau: float) -> None:
         raise ValueError(f"storage time tau must be finite and non-negative, got {tau}")
 
 
-def _check_draw_count(name: str, count: int) -> None:
+def _check_draw_count(name: str, count: int) -> int:
+    """count as an int in [1, 2^63), checked as an integer by name first."""
+    count = as_count(name, count, -math.inf)
     if not 1 <= count < _MAX_TRIALS:
         raise ValueError(f"{name} must lie in [1, 2^63) per pair, got {count}")
+    return count
 
 
 def visibility(
@@ -227,13 +230,11 @@ class RunPlan(checked_record("RunPlan", "config tau settings n_trials seed")):
         settings = tuple(settings)
         if not all(isinstance(pair, SettingPair) for pair in settings):
             raise TypeError("run plan settings must be a sequence of SettingPair records")
-        # integers by name first (n_trials with no minimum: its range check names [1, 2^63))
-        n_trials = as_count("n_trials", n_trials, -math.inf)
+        n_trials = _check_draw_count("n_trials", n_trials)
         seed = as_count("seed", seed, minimum=0)
         _check_storage_time(tau)
         if not settings:
             raise ValueError("a run plan needs at least one analyzer setting pair")
-        _check_draw_count("n_trials", n_trials)
         if seed >= _MAX_SEED:
             raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
         if len(settings) >= _MAX_SETTINGS:
@@ -466,8 +467,7 @@ def herald_fraction(p_herald: float, n_trials: int, seed: int) -> float:
     trials domain, 0): run_batch's first draw, so with p_herald =
     analytic_p_s(config).exact it is a one-pair plan's p_s_hat, bitwise.
     n_trials is checked as RunPlan checks it, before any draw."""
-    n = as_count("n_trials", n_trials, -math.inf)  # by name first, then [1, 2^63)
-    _check_draw_count("n_trials", n)
+    n = _check_draw_count("n_trials", n_trials)
     gen = next(_setting_streams(seed, _DOMAIN_TRIALS, 1))
     return int(gen.binomial(n, p_herald)) / n
 
@@ -492,7 +492,7 @@ def run_coincidence_batch(
     generator re-keyed per pair. The herald singles are the row sums, and the
     array is validated once.
     """
-    _check_draw_count("n_coincidences", n_coincidences)
+    n_coincidences = _check_draw_count("n_coincidences", n_coincidences)
     _check_storage_time(tau)
     settings = tuple(settings)
     if not settings:

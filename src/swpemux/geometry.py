@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .util import checked_record
+from .util import as_count, checked_record
 
 # largest fan: scan_geometry builds (m, m) float arrays, 8 MB each at this size
 MAX_BEAMS = 1024
@@ -50,8 +50,7 @@ def fan_angles(m: int, spacing_deg: float = 1.0) -> tuple:
     matching condition with every read beam (its row of the residual matrix
     is identically zero), so it cannot be part of a usable fan.
     """
-    if m < 1:
-        raise ValueError(f"fan size must be at least 1, got {m}")
+    m = as_count("fan size", m)
     if spacing_deg <= 0.0:
         raise ValueError(f"fan spacing must be positive, got {spacing_deg}")
     # the widest angle, false for NaN or inf spacing; m is clamped so that

@@ -67,8 +67,7 @@ def p_link_multiplexed(p1: float, m: int) -> ProbabilityPair:
     exact 1 - (1 - p1)^m and the linear approximation m p1."""
     if not 0.0 < p1 <= 1.0:
         raise ValueError(f"p1 must lie in (0, 1], got {p1}")
-    if m < 1:
-        raise ValueError(f"mode count must be at least 1, got {m}")
+    m = as_count("mode count", m)
     return ProbabilityPair(first_success_probability(p1, m), m * p1)
 
 

@@ -808,6 +808,19 @@ class TestCoincidenceSampler:
         with pytest.raises(ValueError, match=r"n_coincidences must lie in \[1, 2\^63\)"):
             run_coincidence_batch(CFG, 0.7, (HV_PAIR,), n, 1)
 
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 2.5, True, "12"])
+    def test_count_is_checked_as_run_plan_checks_it(self, monkeypatch, n):
+        with pytest.raises(ValueError) as plan_error:
+            RunPlan(CFG, 0.7, (HV_PAIR,), n, 1)
+
+        def no_draws(*args):
+            raise AssertionError("a rejected count must not reach the draws")
+
+        monkeypatch.setattr(engine, "_setting_streams", no_draws)
+        message = str(plan_error.value).replace("n_trials", "n_coincidences")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_coincidence_batch(CFG, 0.7, (HV_PAIR,), n, 1)
+
     def test_deterministic(self):
         pairs = CANONICAL_BELL.setting_pairs()
         a = run_coincidence_batch(CFG, 0.7, pairs, 10_000, 6)

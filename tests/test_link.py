@@ -1,6 +1,7 @@
 """Elementary-link timing and the feed-forward equivalence."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,16 @@ class TestMultiplexedProbability:
         p = p_link_multiplexed(0.37, 1)
         assert p.exact == pytest.approx(0.37, rel=1e-15)
         assert p.linear == 0.37
+
+    @pytest.mark.parametrize("m, message", [
+        (0, "mode count must be at least 1, got 0"),
+        (2.5, "mode count must be an integer, got 2.5"),
+        (True, "mode count must be an integer, got True"),
+        ("12", "mode count must be an integer, got '12'"),
+    ], ids=["zero", "fraction", "bool", "string"])
+    def test_mode_count_is_an_integer_of_at_least_one(self, m, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            p_link_multiplexed(0.1, m)
 
 
 class TestEntanglementTime:
