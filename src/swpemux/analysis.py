@@ -39,9 +39,6 @@ _PAULI_PRODUCTS = (
 # signs of the (D1T1, D1T2, D2T1, D2T2) frequencies in the two-qubit
 # correlator, the Stokes-arm term and the anti-Stokes-arm term
 _TERM_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
-
-# Pauli indices 4 j + k of the single-arm correlators (j, 0) and (0, k)
-_SINGLE_ARM_CELLS = np.array([4, 8, 12, 1, 2, 3])
 _FLOOR_SCALE = 64.0 * np.finfo(float).eps  # fidelity's relative eigenvalue floor
 
 TOMOGRAPHY_BASES = (
@@ -135,12 +132,12 @@ def tomography_setting_pairs() -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _tomography_cells(pairs: tuple) -> tuple:
-    """Pauli index 4 j + k of each pair's Stokes and anti-Stokes bases and,
-    for a full scan (else None), the (3, 6) row groups whose columns list in
-    row order the three rows with Stokes basis 1, 2, 3, then anti-Stokes basis
-    1, 2, 3, indexing the (P, 3) terms flattened. Both read-only; a setting
-    outside the bases or a repeated basis pair is a ValueError. Memoized."""
+def _tomography_cells(pairs: tuple) -> np.ndarray:
+    """Pauli index of each term of each pair, with j and k its Stokes and
+    anti-Stokes bases: the two-arm cells 4 j + k in row order, then the
+    Stokes-arm cells 4 j, then the anti-Stokes-arm cells k. Read-only; a
+    setting outside the bases or a repeated basis pair is a ValueError.
+    Memoized."""
     cells = []
     for pair in pairs:
         for setting in (pair.stokes, pair.anti_stokes):
@@ -152,14 +149,9 @@ def _tomography_cells(pairs: tuple) -> tuple:
             raise ValueError(f"duplicate tomography row for pair {pair.tokens()}")
         cells.append(cell)
     j, k = np.array(cells, dtype=int).reshape(-1, 2).T + 1
-    two_arm = 4 * j + k
-    two_arm.flags.writeable = False
-    if len(cells) < 9:
-        return two_arm, None
-    by_j, by_k = (np.argsort(x, kind="stable").reshape(3, 3).T for x in (j, k))
-    groups = np.concatenate([3 * by_j + 1, 3 * by_k + 2], axis=1)
-    groups.flags.writeable = False
-    return two_arm, groups
+    indices = np.concatenate([4 * j + k, 4 * j, k])
+    indices.flags.writeable = False
+    return indices
 
 
 def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
@@ -172,7 +164,7 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
     trace but may have small negative eigenvalues on finite counts; follow
     with project_physical before computing fidelities.
     """
-    two_arm, groups = _tomography_cells(table.pairs)
+    cells = _tomography_cells(table.pairs)
     counts = np.asarray(table.counts[:, :4], dtype=float)
     # fmin skips NaN as in _correlations; an empty table is missing 9 pairs
     if counts.size and np.fmin.reduce(counts, axis=None) < 0:
@@ -181,16 +173,14 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
     if totals.size and np.fmin.reduce(totals) <= 0:
         empty = table.pairs[int((totals <= 0).argmax())]
         raise ValueError(f"tomography row {empty.tokens()} has zero coincidences")
-    if len(two_arm) < 9:
-        raise ValueError(f"tomography scan is missing {9 - len(two_arm)} basis pairs")
+    if len(table.pairs) < 9:
+        raise ValueError(f"tomography scan is missing {9 - len(table.pairs)} basis pairs")
 
     p = counts / totals[:, None]
     terms = np.add.reduce(p[:, None, :] * _TERM_SIGNS, axis=2)  # a column per sign row
-    correlators = np.zeros(16)
+    # a single-arm term averages its three rows; bincount adds them in row order
+    correlators = np.bincount(cells, weights=(terms / [1.0, 3.0, 3.0]).T.ravel(), minlength=16)
     correlators[0] = 1.0
-    correlators[two_arm] = terms[:, 0]
-    # a sum over a group's first axis adds its three rows' terms in row order
-    correlators[_SINGLE_ARM_CELLS] = np.add.reduce(terms.ravel()[groups] / 3.0, axis=0)
 
     # the sum over the first axis adds the terms in order, term (0, 0) first
     rho = np.add.reduce(correlators[:, None, None] * _PAULI_PRODUCTS, axis=0)
