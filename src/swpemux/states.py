@@ -164,13 +164,17 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
         return _umath_linalg.eigvalsh_lo(h, signature="D->d")
 
 
-def validate_density(rho: np.ndarray, *, tol: float = 1e-12, eig_tol: float = 1e-10) -> list:
+_DENSITY_TOL = 1e-12  # validate_density's Hermiticity and trace tolerance
+_DENSITY_EIG_TOL = 1e-10  # and how far below 0 an eigenvalue may lie
+
+
+def validate_density(rho: np.ndarray) -> list:
     """Diagnostic check of the two-qubit density matrix invariants.
 
     Returns a list of human-readable violation strings, empty iff rho has
-    shape (4, 4), is Hermitian with unit trace within tol, and has no
-    eigenvalue below -eig_tol. Never raises: callers decide what a
-    violation costs them.
+    shape (4, 4), is Hermitian with unit trace within 1e-12, and has no
+    eigenvalue below -1e-10. Never raises: callers decide what a violation
+    costs them.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
@@ -180,13 +184,13 @@ def validate_density(rho: np.ndarray, *, tol: float = 1e-12, eig_tol: float = 1e
     if not np.all(np.isfinite(rho_c.real)) or not np.all(np.isfinite(rho_c.imag)):
         return ["matrix contains non-finite entries"]
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_defect > tol:
+    if herm_defect > _DENSITY_TOL:
         violations.append(f"not Hermitian (max asymmetry {herm_defect:.3e})")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > tol:
-        violations.append(f"trace must be 1 within {tol}, got {trace}")
+    if abs(trace - 1.0) > _DENSITY_TOL:
+        violations.append(f"trace must be 1 within {_DENSITY_TOL}, got {trace}")
     eigenvalues = _eigvalsh((rho_c + rho_c.conj().T) / 2.0)
-    if float(eigenvalues.min()) < -eig_tol:
+    if float(eigenvalues.min()) < -_DENSITY_EIG_TOL:
         violations.append(f"negative eigenvalue {eigenvalues.min():.3e}")
     return violations
 

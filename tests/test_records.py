@@ -7,9 +7,10 @@ array; it is a read-only view kept for the traced benchmark, and no table is
 built from rows. The seven types whose constructor validates its input are
 namedtuples too, and every way to build one (the constructor, _make,
 _replace, copy, unpickling) runs its checks. No module imports dataclasses,
-whose generated methods every process would compile at import. Every
-exported name is used outside tests/, so a test-only helper lives in
-tests/oracles.py instead.
+whose generated methods every process would compile at import, and no
+module but util opens a file: util.read_text reads every input and
+util.atomic_write_text writes every output. Every exported name is used
+outside tests/, so a test-only helper lives in tests/oracles.py instead.
 """
 import ast
 import copy
@@ -190,6 +191,17 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_only_util_opens_files():
+    openers = []
+    for path in sorted((ROOT / "src" / "swpemux").glob("*.py")):
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("open", "os.open"):
+                openers.append(f"{path.name}:{node.lineno}")
+    assert openers == []
 
 
 def test_exported_names_are_pinned():
