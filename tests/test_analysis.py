@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from swpemux import analysis
 from swpemux.analysis import (
     CANONICAL_BELL,
     TSIRELSON_BOUND,
@@ -30,6 +31,7 @@ from swpemux.engine import (
     visibility,
 )
 from swpemux.states import bell_state, validate_density, werner_state
+from swpemux.io import coincidence_table_to_csv, parse_coincidence_csv
 
 from oracles import exact_coincidence_table
 
@@ -56,6 +58,43 @@ def digest(array: np.ndarray) -> str:
 # estimators' checks and reductions were rewritten
 ALL_NAN_4X4 = "9447548f9ede2c5e87f258ff415305ae357e1f509957263939ad694649a97660"
 
+# four rows of counts in CANONICAL_BELL's setting-pair order
+CHSH_ROWS = [[40, 10, 10, 40], [10, 40, 40, 10], [45, 5, 5, 45], [30, 20, 20, 30]]
+
+
+def chsh_table(rows, dtype=float) -> CoincidenceTable:
+    """A CANONICAL_BELL table of four rows of four counts, with singles and totals."""
+    counts = [[*r, r[0] + r[1], r[2] + r[3], r[0] + r[1] + r[2] + r[3]] for r in rows]
+    return CoincidenceTable(CANONICAL_BELL.setting_pairs(), np.array(counts, dtype=dtype))
+
+
+def array_correlations(counts: np.ndarray) -> tuple:
+    """The estimators' array formulas for E and its error on a (P, 4) float
+    count array: the reference the Python-float estimators must equal bitwise."""
+    totals = np.add.reduce(counts, axis=1)
+    values = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / totals
+    errors = np.sqrt(np.maximum(0.0, (1.0 - values * values) / totals))
+    return values.tolist(), errors.tolist()
+
+
+def array_bell_s(table: CoincidenceTable) -> tuple:
+    """bell_s on the canonical table through array_correlations."""
+    positions = table.positions(CANONICAL_BELL.setting_pairs())
+    e, errors = array_correlations(np.asarray(table.counts[positions, :4], dtype=float))
+    return e[0] - e[1] + e[2] + e[3], math.sqrt(sum(v ** 2 for v in errors))
+
+
+def array_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """fidelity through np.linalg and array reductions: the reference for the
+    estimator's Python-float spectral tail."""
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    inner = sqrt_rho @ sigma @ sqrt_rho
+    inner_eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    floor = 64.0 * np.finfo(float).eps * max(np.maximum.reduce(inner_eigs), 0.0)
+    inner_eigs[inner_eigs < floor] = 0.0
+    return min(max(float(np.add.reduce(np.sqrt(inner_eigs)) ** 2), 0.0), 1.0)
+
 
 class TestCorrelationE:
     def test_known_counts(self):
@@ -80,9 +119,15 @@ class TestCorrelationE:
         with pytest.raises(ValueError, match="non-negative"):
             correlation_e([math.nan, -1, 2, 3])
 
-    def test_all_nan_row_passes_through(self):
-        e, err = correlation_e([math.nan] * 4)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("counts", [[math.nan] * 4, [1.0, math.nan, 2.0, 3.0]],
+                             ids=["all-nan", "one-nan"])
+    def test_nan_row_passes_through_without_a_warning(self, counts):
+        e, err = correlation_e(counts)
         assert math.isnan(e) and math.isnan(err)
+
+    def test_row_with_e_of_one_has_an_error_of_exactly_zero(self):
+        assert correlation_e([5, 0, 0, 0]) == (1.0, 0.0)
 
 
 class TestBellS:
@@ -133,6 +178,50 @@ class TestBellS:
         table = exact_coincidence_table(bell_state(45.0), settings.setting_pairs())
         s, _ = bell_s(table, settings)
         assert s == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nan_cells", [[(1, 2)], [(r, c) for r in range(4) for c in range(4)]],
+                             ids=["one-nan", "all-nan"])
+    def test_nan_counts_give_nan_without_a_warning(self, nan_cells):
+        rows = [[float(c) for c in row] for row in CHSH_ROWS]
+        for r, c in nan_cells:
+            rows[r][c] = math.nan
+        s, err = bell_s(chsh_table(rows))
+        assert math.isnan(s) and math.isnan(err)
+
+    @pytest.mark.parametrize("spoiled, message", [
+        ({0: [0, 0, 0, 0]}, "cannot estimate a correlation from zero coincidences"),
+        ({2: [1, -1, 0, 2]}, "coincidence counts must be non-negative"),
+        ({3: [math.nan, -1, 2, 3]}, "coincidence counts must be non-negative"),
+        # every row is checked for a negative count before any for a zero total
+        ({0: [0, 0, 0, 0], 2: [1, -1, 0, 2]}, "coincidence counts must be non-negative"),
+    ], ids=["zero-total", "negative", "nan-beside-negative", "zero-total-then-negative"])
+    def test_bad_rows_raise_the_row_rule_messages(self, spoiled, message):
+        rows = [spoiled.get(r, row) for r, row in enumerate(CHSH_ROWS)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bell_s(chsh_table(rows))
+
+    def test_rows_with_e_of_one_have_an_error_of_exactly_zero(self):
+        assert bell_s(chsh_table([[5, 0, 0, 0]] * 4)) == (2.0, 0.0)
+
+    def test_csv_counts_beyond_2_53_are_read_as_floats(self):
+        rows = [[10**20 + 1, 3 * 10**19 + 7, 2 * 10**19 + 3, 9 * 10**19 + 11],
+                [4 * 10**19 + 5, 10**20 + 13, 7 * 10**19 + 1, 2 * 10**19 + 9],
+                [8 * 10**19 + 17, 10**19 + 3, 10**19 + 19, 6 * 10**19 + 23],
+                [5 * 10**19 + 29, 3 * 10**19 + 31, 2 * 10**19 + 37, 9 * 10**19 + 41]]
+        table = parse_coincidence_csv(coincidence_table_to_csv(chsh_table(rows, dtype=object)))
+        assert table.counts.dtype == object
+        assert bell_s(table) == array_bell_s(table) == (2.2852784134248667, 1.1366080286530412e-10)
+
+    def test_bitwise_the_array_formula(self):
+        # float counts of mixed magnitudes, so that rounding in the sums shows
+        rng = np.random.default_rng(1905)
+        for _ in range(500):
+            counts = rng.random((4, 4)) * 10.0 ** rng.integers(-3, 25, size=(4, 4))
+            table = chsh_table(counts.tolist())
+            assert bell_s(table) == array_bell_s(table)
+            row = counts[int(rng.integers(4))]
+            assert correlation_e(row) == tuple(v[0] for v in array_correlations(row[None, :]))
 
 
 class TestAnalyticBell:
@@ -350,6 +439,39 @@ class TestFidelity:
         assert fidelity(werner_state(45.0, 0.8), bell_state(45.0)) == pytest.approx(
             (1.0 + 3.0 * 0.8) / 4.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("rho", [np.zeros((4, 4)), -np.eye(4)], ids=["zeros", "minus-identity"])
+    def test_no_positive_weight_gives_a_float_zero(self, rho):
+        value = fidelity(rho, bell_state(45.0))
+        assert type(value) is float and repr(value) == "0.0"
+
+    def test_pure_inputs_keep_their_value(self):
+        assert fidelity(bell_state(45.0), bell_state(30.0)) == 0.9330127018922194
+        assert fidelity(bell_state(30.0), bell_state(45.0)) == 0.9330127018922194
+
+    @pytest.mark.parametrize("small, expected", [
+        (2.0**-48, (0.5 + 2.0**-24) ** 2),  # exactly 64 eps times the largest, 0.25: kept
+        (2.0**-50, 0.25),                   # below that floor: dropped
+    ], ids=["at-floor", "below-floor"])
+    def test_eigenvalue_floor_is_inclusive(self, small, expected):
+        rho = np.diag([0.25, small, 0.0, 0.0]).astype(complex)
+        assert fidelity(rho, np.eye(4)) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inner_eigs", [[math.nan, 0.1, 0.2, 0.7], [0.1, 0.2, math.nan, 0.7]],
+                             ids=["nan-first", "nan-inside"])
+    def test_nan_eigenvalue_gives_nan(self, monkeypatch, inner_eigs):
+        monkeypatch.setattr(analysis, "_eigvalsh", lambda h: np.array(inner_eigs))
+        assert math.isnan(fidelity(werner_state(45.0, 0.8), bell_state(45.0)))
+
+    def test_bitwise_the_array_formula(self):
+        rng = np.random.default_rng(6007)
+        inputs = [bell_state(45.0), bell_state(10.0), werner_state(45.0, 0.8),
+                  np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)]
+        inputs += [random_density(rng) for _ in range(60)]
+        for rho in inputs:
+            for sigma in inputs[:6]:
+                assert fidelity(rho, sigma) == array_fidelity(rho, sigma)
 
 
 class TestFitDecay:

@@ -821,6 +821,36 @@ class TestCoincidenceSampler:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_coincidence_batch(CFG, 0.7, (HV_PAIR,), n, 1)
 
+    def test_rows_are_int64_with_singles_and_totals(self):
+        n = 10_000
+        table = run_coincidence_batch(CFG, 0.7, PLANS["bell+tomo"], n, 6)
+        counts = table.counts
+        assert counts.dtype == np.int64 and counts.shape == (len(PLANS["bell+tomo"]), 7)
+        assert (counts[:, 4] == counts[:, 0] + counts[:, 1]).all()
+        assert (counts[:, 5] == counts[:, 2] + counts[:, 3]).all()
+        assert (counts[:, 6] == n).all()
+
+    @pytest.mark.parametrize("draws, message", [
+        ([[1, 2, 3, 4], [6, 5, 0, 0], [-1, 3, 4, 4]], "herald singles exceed the number of trials"),
+        ([[1, 2, 3, 4], [-1, 3, 4, 4], [6, 5, 0, 0]], "coincidence counts must be non-negative"),
+        ([[1, 2, 3, 4], [1, 2, 3, 4], [4, 4, 2, 1]], "total heralds exceed the number of trials"),
+    ], ids=["singles-then-negative", "negative-then-singles", "last-row-totals"])
+    def test_first_failing_row_names_the_fault(self, monkeypatch, draws, message):
+        class Draws:
+            def multinomial(self, n, p):
+                return np.array(draws[len(calls)], dtype=np.int64)
+
+        calls = []
+
+        def streams(seed, domain, count):
+            for _ in range(count):
+                yield Draws()
+                calls.append(None)
+
+        monkeypatch.setattr(engine, "_setting_streams", streams)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_coincidence_batch(CFG, 0.7, CANONICAL_BELL.setting_pairs()[:3], 10, 6)
+
     def test_deterministic(self):
         pairs = CANONICAL_BELL.setting_pairs()
         a = run_coincidence_batch(CFG, 0.7, pairs, 10_000, 6)
