@@ -69,7 +69,10 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
     for line_number, fields in records:
         if len(fields) != len(COINCIDENCE_COLUMNS):
             raise ValueError(f"line {line_number}: expected {len(COINCIDENCE_COLUMNS)} fields")
-        pairs.append(SettingPair.from_tokens(fields[0], fields[1]))
+        try:
+            pairs.append(SettingPair.from_tokens(fields[0], fields[1]))
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from exc
         try:
             counts.append([int(v) for v in fields[2:]])
             float(max(counts[-1], key=abs))  # the estimators read each count as a float
@@ -141,5 +144,8 @@ def read_decay_points(path: str) -> list:
         if len(fields) < 2:
             raise ValueError(f"line {line_number}: expected at least 2 fields (tau,s)")
         width = 3 if with_errors and len(fields) > 2 and fields[2].strip() else 2
-        points.append(tuple(float(v) for v in fields[:width]))
+        try:
+            points.append(tuple(float(v) for v in fields[:width]))
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from exc
     return points

@@ -591,6 +591,21 @@ class TestExitCodes:
             f"error: line {line}: field larger than field limit (131072)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, text, message", [
+        ("decay --points", "tau,s\n0.7,2.3\n30.0,abc\n",
+         "line 3: could not convert string to float: 'abc'"),
+        ("bell --counts", ",".join(COINCIDENCE_COLUMNS) + "\n0.0,22.5,1,0,0,0,1,0,1\n"
+                          "foo,22.5,1,0,0,0,1,0,1\n",
+         "line 3: cannot parse analyzer setting token 'foo'"),
+    ], ids=["decay-value", "bell-setting"])
+    def test_bad_value_names_its_line(self, tmp_path, capsys, option, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "x.json"
+        assert run_cli(*option.split(), str(path), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bell", "tomo"])
     def test_count_beyond_float_range_is_usage_error(self, tmp_path, capsys, command):
         path = tmp_path / "counts.csv"
