@@ -10,6 +10,7 @@ from swpemux import (
     CANONICAL_BELL,
     ExperimentConfig,
     bell_s,
+    correlation_e,
     fit_decay,
     run_coincidence_batch,
 )
@@ -30,6 +31,14 @@ for index, tau in enumerate(grid):
     points.append((tau, s, err))
     flag = "" if s > 2.0 else "  <- no violation"
     print(f"{tau:>9.1f} {s:>8.4f} {err:>8.4f}{flag}")
+    if index == 0:
+        first = table
+
+print(f"\nS = E1 - E2 + E3 + E4 at tau = {grid[0]} us, from these correlations:")
+for pair, counts in zip(first.pairs, first.counts[:, :4]):
+    e, e_err = correlation_e(counts)
+    angles = f"{pair.stokes.angle_deg:g}/{pair.anti_stokes.angle_deg:g} deg"
+    print(f"{angles:>15} E = {e:+.4f} +- {e_err:.4f}")
 
 fit = fit_decay(points)
 print(f"\nfitted memory time constant: {fit.tau_c:.1f} us (model value {config.tau_c})")

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engine import CoincidenceTable, SettingPair
-from .states import MeasurementSetting, _eigh, _eigvalsh, joint_probabilities
+from .states import MeasurementSetting, _eigvalsh, _hermitian_eigh, joint_probabilities
 from .util import as_count, as_number
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -37,8 +37,10 @@ _PAULI_PRODUCTS = (
 ).reshape(16, 4, 4)
 
 # signs of the (D1T1, D1T2, D2T1, D2T2) frequencies in the two-qubit
-# correlator, the Stokes-arm term and the anti-Stokes-arm term
+# correlator, the Stokes-arm term and the anti-Stokes-arm term, and each
+# term's divisor: a single-arm term averages the three rows measuring it
 _TERM_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+_TERM_WEIGHTS = np.array([1.0, 3.0, 3.0])
 _FLOOR_SCALE = 64.0 * np.finfo(float).eps  # fidelity's relative eigenvalue floor
 
 TOMOGRAPHY_BASES = (
@@ -80,17 +82,22 @@ class BellSettings(NamedTuple):
 CANONICAL_BELL = BellSettings()
 
 
-def _correlations(counts: np.ndarray) -> tuple:
-    """E and its binomial standard error for each row of a (P >= 1, 4) float
-    count array, as two (P,) arrays; fmin skips NaN, so NaN hides no negative."""
-    if np.fmin.reduce(counts, axis=None) < 0:
+def _row_correlations(rows: list) -> list:
+    """E = (C11 + C22 - C12 - C21) / N and its binomial standard error
+    sqrt((1 - E^2) / N) of each row of four counts, on Python floats. The
+    sums add left to right, as np.add.reduce does over four entries, so both
+    are bitwise the array formulas. NaN propagates, and hides no negative."""
+    if any(c < 0 for row in rows for c in row):  # before any row's zero total
         raise ValueError("coincidence counts must be non-negative")
-    totals = np.add.reduce(counts, axis=1)
-    if np.fmin.reduce(totals) <= 0:
-        raise ValueError("cannot estimate a correlation from zero coincidences")
-    values = (counts[:, 0] + counts[:, 3] - counts[:, 1] - counts[:, 2]) / totals
-    errors = np.sqrt(np.maximum(0.0, (1.0 - values * values) / totals))
-    return values, errors
+    correlations = []
+    for c11, c12, c21, c22 in rows:
+        total = c11 + c12 + c21 + c22
+        if total <= 0:
+            raise ValueError("cannot estimate a correlation from zero coincidences")
+        value = (c11 + c22 - c12 - c21) / total
+        # max keeps a NaN first argument, as np.maximum(0.0, NaN) gives NaN
+        correlations.append((value, math.sqrt(max((1.0 - value * value) / total, 0.0))))
+    return correlations
 
 
 def correlation_e(source) -> tuple:
@@ -102,8 +109,14 @@ def correlation_e(source) -> tuple:
     counts = np.asarray(source, dtype=float)
     if counts.shape not in ((4,), (2, 2)):
         raise ValueError(f"expected 4 coincidence counts, got shape {counts.shape}")
-    values, errors = _correlations(counts.reshape(1, 4))
-    return float(values[0]), float(errors[0])
+    return _row_correlations([counts.ravel().tolist()])[0]
+
+
+def _chsh(table: CoincidenceTable, settings: BellSettings) -> tuple:
+    """S, its error and the (E, error) pairs of settings' four rows."""
+    positions = table.positions(settings.setting_pairs())
+    e = _row_correlations(np.asarray(table.counts[positions, :4], dtype=float).tolist())
+    return e[0][0] - e[1][0] + e[2][0] + e[3][0], math.sqrt(sum(v ** 2 for _, v in e)), e
 
 
 def bell_s(table: CoincidenceTable, settings: BellSettings = CANONICAL_BELL) -> tuple:
@@ -114,12 +127,7 @@ def bell_s(table: CoincidenceTable, settings: BellSettings = CANONICAL_BELL) -> 
     the canonical angles on the positive branch, so the quantum bound is
     +2 sqrt 2.
     """
-    positions = table.positions(settings.setting_pairs())
-    values, errors = _correlations(np.asarray(table.counts[positions, :4], dtype=float))
-    e = values.tolist()
-    value = e[0] - e[1] + e[2] + e[3]
-    error = math.sqrt(sum(v ** 2 for v in errors.tolist()))
-    return value, error
+    return _chsh(table, settings)[:2]
 
 
 @functools.cache
@@ -166,7 +174,7 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
     """
     cells = _tomography_cells(table.pairs)
     counts = np.asarray(table.counts[:, :4], dtype=float)
-    # fmin skips NaN as in _correlations; an empty table is missing 9 pairs
+    # fmin skips NaN, so NaN hides no negative; an empty table is missing 9 pairs
     if counts.size and np.fmin.reduce(counts, axis=None) < 0:
         raise ValueError("coincidence counts must be non-negative")
     totals = np.add.reduce(counts, axis=1)
@@ -178,8 +186,8 @@ def tomo_reconstruct(table: CoincidenceTable) -> np.ndarray:
 
     p = counts / totals[:, None]
     terms = np.add.reduce(p[:, None, :] * _TERM_SIGNS, axis=2)  # a column per sign row
-    # a single-arm term averages its three rows; bincount adds them in row order
-    correlators = np.bincount(cells, weights=(terms / [1.0, 3.0, 3.0]).T.ravel(), minlength=16)
+    # bincount adds a single-arm term's three rows in row order
+    correlators = np.bincount(cells, weights=(terms / _TERM_WEIGHTS).T.ravel(), minlength=16)
     correlators[0] = 1.0
 
     # the sum over the first axis adds the terms in order, term (0, 0) first
@@ -198,8 +206,7 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    hermitized = (rho + rho.conj().T) / 2.0
-    eigenvalues, vectors = _eigh(hermitized)
+    eigenvalues, vectors = _hermitian_eigh(rho)
     # a reduction, never an end of the array: eigh leaves NaN input unsorted
     if np.minimum.reduce(eigenvalues) >= -1e-14:
         return rho.copy()
@@ -232,15 +239,15 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(
             f"fidelity needs two square matrices of equal shape, got {rho.shape} and {sigma.shape}"
         )
-    w, v = _eigh((rho + rho.conj().T) / 2.0)
+    w, v = _hermitian_eigh(rho)
     sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
-    inner_eigs = _eigvalsh((inner + inner.conj().T) / 2.0)
+    inner_eigs = _eigvalsh((inner + inner.conj().T) / 2.0).tolist()
     # rounding noise near 0 would contribute sqrt(eps) ~ 1e-8 per eigenvalue;
-    # a relative floor keeps rank-deficient (pure) inputs exact
-    floor = _FLOOR_SCALE * max(np.maximum.reduce(inner_eigs), 0.0)
-    inner_eigs[inner_eigs < floor] = 0.0
-    value = float(np.add.reduce(np.sqrt(inner_eigs)) ** 2)
+    # a relative floor keeps rank-deficient (pure) inputs exact. A NaN passes
+    # the floor, so it propagates; the sum adds left to right, as np.add.reduce.
+    floor = _FLOOR_SCALE * max(0.0, *inner_eigs)
+    value = sum(0.0 if x < floor else math.sqrt(x) for x in inner_eigs) ** 2
     return min(max(value, 0.0), 1.0)
 
 

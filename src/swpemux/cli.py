@@ -190,19 +190,12 @@ def _cmd_bell(args) -> int:
         if len(values) != 4:
             raise ValueError("--angles needs exactly four comma separated values")
         settings = analysis.BellSettings(*values)
-    s_value, s_error = analysis.bell_s(table, settings)
-    pairs = settings.setting_pairs()
-    correlations = []
-    for pair, counts in zip(pairs, table.counts[table.positions(pairs), :4]):
-        e_value, e_error = analysis.correlation_e(counts)
-        correlations.append(
-            {
-                "setting_s": pair.stokes.token(),
-                "setting_a": pair.anti_stokes.token(),
-                "e": e_value,
-                "e_err": e_error,
-            }
-        )
+    s_value, s_error, terms = analysis._chsh(table, settings)
+    correlations = [
+        {"setting_s": pair.stokes.token(), "setting_a": pair.anti_stokes.token(),
+         "e": e_value, "e_err": e_error}
+        for pair, (e_value, e_error) in zip(settings.setting_pairs(), terms)
+    ]
     io.write_json({"s": s_value, "s_err": s_error, "correlations": correlations}, args.out)
     return EXIT_OK
 

@@ -489,8 +489,8 @@ def run_coincidence_batch(
     1/(p_s gamma eta_as) trials per coincidence to reach the same counts.
     Dark heralds are not part of the conditional law. Setting pair s draws
     from derive_stream(seed, coincidence domain, s), through the thread's
-    generator re-keyed per pair. The herald singles are the row sums, and the
-    array is validated once.
+    generator re-keyed per pair. The herald singles are the row sums, and
+    each row is checked by _check_counts as it is drawn.
     """
     n_coincidences = _check_draw_count("n_coincidences", n_coincidences)
     _check_storage_time(tau)
@@ -498,12 +498,11 @@ def run_coincidence_batch(
     if not settings:
         raise ValueError("need at least one analyzer setting pair")
     probabilities = _pair_tables(config, tau, settings)
-    counts = np.empty((len(settings), 7), dtype=np.int64)
+    rows = []
     streams = _setting_streams(seed, _DOMAIN_COINCIDENCE, len(settings))
     for s, gen in enumerate(streams):
-        counts[s, :4] = gen.multinomial(n_coincidences, probabilities[s])
-    np.add(counts[:, 0:4:2], counts[:, 1:4:2], out=counts[:, 4:6])
-    counts[:, 6] = n_coincidences
-    table = CoincidenceTable(settings, counts)
-    table.validate()
-    return table
+        c11, c12, c21, c22 = gen.multinomial(n_coincidences, probabilities[s]).tolist()
+        row = (c11, c12, c21, c22, c11 + c12, c21 + c22, n_coincidences)
+        _check_counts(*row)
+        rows.append(row)
+    return CoincidenceTable(settings, np.array(rows, dtype=np.int64))

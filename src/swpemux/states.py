@@ -121,12 +121,6 @@ _LAPACK_ERRSTATE = dict(
     call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
 
-# (dtype, shape, bytes) of the last matrix _eigh solved, with its read-only
-# eigenvalues and eigenvectors; replaced in one assignment, so a reader in
-# another thread sees a whole old entry or a whole new one
-_eigh_memo = (None, None, b"", None, None)
-
-
 def _eigh(h: np.ndarray) -> tuple:
     """Eigenvalues (ascending) and eigenvectors of the complex Hermitian
     (..., M, M) array h, bitwise equal to np.linalg.eigh(h).
@@ -136,21 +130,33 @@ def _eigh(h: np.ndarray) -> tuple:
     complex arrays with square trailing axes. The errstate is the one
     np.linalg sets: it turns LAPACK's non-convergence flag into LinAlgError
     and silences the gufunc's other floating-point warnings, so errors and
-    warnings stay those of np.linalg.eigh. The last solve is memoized on the
-    array's bytes, so that fidelity on a matrix project_physical left
-    unchanged does not solve it again; a hit needs equal bytes, never the
-    same object, and the returned arrays are read-only.
+    warnings stay those of np.linalg.eigh.
     """
-    global _eigh_memo
-    memo = _eigh_memo
-    key = h.tobytes()
-    if memo[2] == key and memo[1] == h.shape and memo[0] == h.dtype:
-        return memo[3], memo[4]
     with np.errstate(**_LAPACK_ERRSTATE):
-        w, v = _umath_linalg.eigh_lo(h, signature="D->dD")
+        return _umath_linalg.eigh_lo(h, signature="D->dD")
+
+
+# (dtype, shape, bytes) of the last array _hermitian_eigh solved, with its
+# read-only eigenvalues and eigenvectors; replaced in one assignment, so a
+# reader in another thread sees a whole old entry or a whole new one
+_hermitian_memo = (None, None, b"", None, None)
+
+
+def _hermitian_eigh(a: np.ndarray) -> tuple:
+    """_eigh of the Hermitian part (a + a^H)/2 of the complex (..., M, M)
+    array a, memoized on a before it is hermitized, so that fidelity on a
+    matrix project_physical left unchanged neither hermitizes nor solves it
+    again. A hit needs equal dtype, shape and bytes, never the same object;
+    the returned arrays are read-only."""
+    global _hermitian_memo
+    memo = _hermitian_memo
+    key = a.tobytes()
+    if memo[2] == key and memo[1] == a.shape and memo[0] == a.dtype:
+        return memo[3], memo[4]
+    w, v = _eigh((a + a.conj().mT) / 2.0)
     w.flags.writeable = False
     v.flags.writeable = False
-    _eigh_memo = (h.dtype, h.shape, key, w, v)
+    _hermitian_memo = (a.dtype, a.shape, key, w, v)
     return w, v
 
 

@@ -1,5 +1,6 @@
 """The package's Hermitian eigen-solvers, states._eigh and states._eigvalsh:
-bitwise equal to np.linalg.eigh/eigvalsh, and _eigh's one-entry memo."""
+bitwise equal to np.linalg.eigh/eigvalsh, and the one-entry memo of
+states._hermitian_eigh, keyed on the matrix before it is hermitized."""
 import math
 import sys
 import threading
@@ -10,14 +11,14 @@ import pytest
 
 from swpemux import states
 from swpemux.analysis import fidelity, project_physical
-from swpemux.states import _eigh, _eigvalsh, bell_state, werner_state
+from swpemux.states import _eigh, _eigvalsh, _hermitian_eigh, bell_state, werner_state
 
 EMPTY_MEMO = (None, None, b"", None, None)
 
 
 @pytest.fixture(autouse=True)
 def clear_memo(monkeypatch):
-    monkeypatch.setattr(states, "_eigh_memo", EMPTY_MEMO)
+    monkeypatch.setattr(states, "_hermitian_memo", EMPTY_MEMO)
 
 
 def hermitian(rng: np.random.Generator, n: int = 4) -> np.ndarray:
@@ -102,6 +103,14 @@ class TestEquivalence:
             w_k, v_k = _eigh(h)
             assert same_bytes(w[k], w_k) and same_bytes(v[k], v_k)
 
+    def test_hermitian_part_of_a_stack_is_solved_per_matrix(self):
+        rng = np.random.default_rng(77)
+        stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        w, v = _hermitian_eigh(stack)
+        for k, g in enumerate(stack):
+            w_k, v_k = np.linalg.eigh((g + g.conj().T) / 2.0)
+            assert same_bytes(w[k], w_k) and same_bytes(v[k], v_k)
+
     @pytest.mark.parametrize("k", range(len(NAN_INPUTS)))
     @pytest.mark.parametrize("ours, theirs", [
         (lambda h: _eigh(h), lambda h: np.linalg.eigh(h)),
@@ -143,7 +152,7 @@ class TestMemo:
         target = bell_state(45.0)
         value = fidelity(project_physical(rho), target)
         assert counter.eigh_calls == 1
-        monkeypatch.setattr(states, "_eigh_memo", EMPTY_MEMO)
+        monkeypatch.setattr(states, "_hermitian_memo", EMPTY_MEMO)
         assert fidelity(rho, target) == value
         assert counter.eigh_calls == 2
 
@@ -153,33 +162,43 @@ class TestMemo:
         a = g @ g.conj().T
         a /= np.trace(a).real
         b = a.copy()
-        # a diagonal entry hermitizes to itself, so the ulp survives into the key
+        # a diagonal entry hermitizes to itself, so the ulp survives into the solve
         b[0, 0] = np.nextafter(a[0, 0].real, 1.0) + 1j * a[0, 0].imag
         target = bell_state(45.0)
         expected = fidelity(b, target)
-        monkeypatch.setattr(states, "_eigh_memo", EMPTY_MEMO)
+        monkeypatch.setattr(states, "_hermitian_memo", EMPTY_MEMO)
         assert np.array_equal(project_physical(a), a)
-        assert states._eigh_memo[2] == ((a + a.conj().T) / 2.0).tobytes()
-        assert states._eigh_memo[2] != ((b + b.conj().T) / 2.0).tobytes()
+        assert states._hermitian_memo[2] == a.tobytes()
+        assert states._hermitian_memo[2] != b.tobytes()
         assert fidelity(b, target) == expected
 
     def test_equal_bytes_hit_without_the_same_object(self):
         h = RANDOM[0]
-        w, v = _eigh(h)
-        w_again, v_again = _eigh(h.copy())
+        w, v = _hermitian_eigh(h)
+        w_again, v_again = _hermitian_eigh(h.copy())
         assert w_again is w and v_again is v
 
     def test_shape_is_part_of_the_key(self):
         # a (4, 4, 4) stack and an 8x8 matrix can hold the same bytes
         stack = np.stack([np.eye(4, dtype=complex)] * 4)
         square = stack.reshape(8, 8)
-        w_stack, _ = _eigh(stack)
-        w_square, _ = _eigh(square)
+        w_stack, _ = _hermitian_eigh(stack)
+        w_square, _ = _hermitian_eigh(square)
         assert w_stack.shape == (4, 4) and w_square.shape == (8,)
 
+    def test_dtype_is_part_of_the_key(self):
+        # a float64 matrix and its complex64 view hold the same bytes in the same shape
+        real = np.arange(16.0).reshape(4, 4)
+        view = real.view(np.complex64)
+        assert view.shape == real.shape and view.tobytes() == real.tobytes()
+        w_real, _ = _hermitian_eigh(real)
+        w, v = _hermitian_eigh(view)
+        w_ref, v_ref = _eigh((view + view.conj().T) / 2.0)
+        assert w is not w_real and same_bytes(w, w_ref) and same_bytes(v, v_ref)
+
     def test_memoized_arrays_are_read_only(self):
-        w, v = _eigh(RANDOM[1])
-        assert states._eigh_memo[3] is w and states._eigh_memo[4] is v
+        w, v = _hermitian_eigh(RANDOM[1])
+        assert states._hermitian_memo[3] is w and states._hermitian_memo[4] is v
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -195,7 +214,7 @@ class TestMemo:
             barrier.wait()
             for k in range(500):
                 which = (first + k) % 2
-                w, v = _eigh(matrices[which])
+                w, v = _hermitian_eigh(matrices[which])
                 if not (same_bytes(w, expected[which][0]) and same_bytes(v, expected[which][1])):
                     failures.append((first, k))
             finished.append(first)
