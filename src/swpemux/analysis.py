@@ -235,7 +235,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.ndim != 2 or rho.shape != sigma.shape or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape != sigma.shape or rho.shape[0] != rho.shape[1] or not rho.size:
         raise ValueError(
             f"fidelity needs two square matrices of equal shape, got {rho.shape} and {sigma.shape}"
         )
@@ -244,8 +244,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     inner = sqrt_rho @ sigma @ sqrt_rho
     inner_eigs = _eigvalsh((inner + inner.conj().T) / 2.0).tolist()
     # rounding noise near 0 would contribute sqrt(eps) ~ 1e-8 per eigenvalue;
-    # a relative floor keeps rank-deficient (pure) inputs exact. A NaN passes
-    # the floor, so it propagates; the sum adds left to right, as np.add.reduce.
+    # a relative floor keeps rank-deficient (pure) inputs exact. A NaN passes the
+    # floor, so it propagates; the sum adds left to right, as np.add.reduce does
+    # below eight entries.
     floor = _FLOOR_SCALE * max(0.0, *inner_eigs)
     value = sum(0.0 if x < floor else math.sqrt(x) for x in inner_eigs) ** 2
     return min(max(value, 0.0), 1.0)

@@ -428,7 +428,8 @@ class TestFidelity:
         (np.ones((4, 2)), np.ones((4, 2))),
         (np.eye(4) / 4.0, np.eye(2) / 2.0),
         (np.eye(4) / 4.0, np.ones(16) / 16.0),
-    ], ids=["1-d", "0-d", "stack", "not-square", "sizes-differ", "flat-sigma"])
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+    ], ids=["1-d", "0-d", "stack", "not-square", "sizes-differ", "flat-sigma", "empty"])
     def test_shapes_checked_at_the_boundary(self, rho, sigma):
         message = re.escape(f"got {rho.shape} and {sigma.shape}")
         with pytest.raises(ValueError, match=f"two square matrices of equal shape, {message}"):

@@ -156,6 +156,17 @@ class TestMemo:
         assert fidelity(rho, target) == value
         assert counter.eigh_calls == 2
 
+    def test_key_is_the_matrix_before_it_is_hermitized(self, monkeypatch):
+        counter = CountingSolver(states._umath_linalg)
+        monkeypatch.setattr(states, "_umath_linalg", counter)
+        rho = werner_state(45.0, 0.8)
+        rho[0, 3] += 1e-13  # not Hermitian, so its bytes differ from its Hermitian part's
+        physical = project_physical(rho)
+        assert np.array_equal(physical, rho)
+        assert states._hermitian_memo[2] == rho.tobytes()
+        fidelity(physical, bell_state(45.0))
+        assert counter.eigh_calls == 1
+
     def test_one_ulp_away_is_a_miss(self, monkeypatch):
         rng = np.random.default_rng(31)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
