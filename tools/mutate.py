@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 tools/mutate.py [--rev HEAD] [--only ID ...] [--out tools/mutation_record.json]
+    python3 tools/mutate.py [--rev HEAD] [--out tools/mutation_record.json]
 
 Each entry of ``tools/mutants.json`` names a file, an exact old text that
 occurs once in it, the new text and a reason. For each mutant, one at a
@@ -39,10 +39,7 @@ TABLE = ROOT / "tools" / "mutants.json"
 SUITE = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
          "-rfE", "--ignore", "tests/test_mutants.py"]
 _FAILED = re.compile(r"^(FAILED|ERROR) (\S+)")
-
-
-def load_table(path: Path = TABLE) -> list:
-    return json.loads(path.read_text(encoding="utf-8"))
+TIMEOUT_S = 600.0  # one suite run takes about 20 s on 2 cores
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -62,13 +59,13 @@ def apply(copy: Path, mutant: dict) -> None:
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
 
 
-def run_suite(copy: Path, timeout: float) -> dict:
+def run_suite(copy: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     t0 = time.perf_counter()
     try:
         done = subprocess.run([sys.executable, *SUITE], cwd=copy, env=env, capture_output=True,
-                              text=True, timeout=timeout)
+                              text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"exit_code": None, "failing": [], "summary": "timed out",
                 "seconds": round(time.perf_counter() - t0, 1)}
@@ -79,7 +76,7 @@ def run_suite(copy: Path, timeout: float) -> dict:
             "seconds": round(time.perf_counter() - t0, 1)}
 
 
-def probe(rev: str, mutants: list, timeout: float) -> dict:
+def probe(rev: str, mutants: list) -> dict:
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
                             capture_output=True, text=True).stdout.strip()
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -95,7 +92,7 @@ def probe(rev: str, mutants: list, timeout: float) -> dict:
     with tempfile.TemporaryDirectory(prefix="swpemux-mutant-") as work:
         base = Path(work) / "unmutated"
         extract(commit, base)
-        record["unmutated"] = run_suite(base, timeout)
+        record["unmutated"] = run_suite(base)
         if record["unmutated"]["exit_code"] != 0:
             raise SystemExit(f"the unmutated suite fails: {record['unmutated']['summary']}")
         print(f"unmutated: {record['unmutated']['summary']}", flush=True)
@@ -104,7 +101,7 @@ def probe(rev: str, mutants: list, timeout: float) -> dict:
             copy = Path(work) / mutant["id"]
             extract(commit, copy)
             apply(copy, mutant)
-            outcome = run_suite(copy, timeout)
+            outcome = run_suite(copy)
             killed = outcome["exit_code"] != 0
             results.append({"id": mutant["id"], "file": mutant["file"],
                             "status": "killed" if killed else "survived",
@@ -121,17 +118,9 @@ def probe(rev: str, mutants: list, timeout: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision whose tree is probed")
-    parser.add_argument("--only", nargs="+", metavar="ID", help="probe these mutants only")
     parser.add_argument("--out", default=str(ROOT / "tools" / "mutation_record.json"))
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
     args = parser.parse_args(argv)
-    mutants = load_table()
-    if args.only:
-        unknown = set(args.only) - {m["id"] for m in mutants}
-        if unknown:
-            parser.error(f"unknown mutant ids: {sorted(unknown)}")
-        mutants = [m for m in mutants if m["id"] in args.only]
-    record = probe(args.rev, mutants, args.timeout)
+    record = probe(args.rev, json.loads(TABLE.read_text(encoding="utf-8")))
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"survivors: {record['survivors']}")
     return 0
