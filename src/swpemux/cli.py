@@ -342,34 +342,24 @@ def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """Herald probability versus mode count; the multiplexing gain.
 
     The endpoints default to 10^9 trials, where the ratio's standard error
-    (below 0.02) is small against the [18.5, 19.0] window. Each row evaluates
-    the law once (engine.analytic_p_s at its m), and its exact probability is
-    the parameter of the row's one binomial herald draw
-    (engine.herald_fraction), whatever the trial count. Each m draws from its
-    own seed, so the rows' errors are independent. A run whose m = 1 row drew
-    no heralds has no ratio (NaN) and fails the ratio check.
+    (below 0.02) is small against the [18.5, 19.0] window. One
+    engine.herald_fractions call draws every row's heralds, one binomial each
+    whatever the trial count, from its own seed, so the rows' errors are
+    independent. A run whose m = 1 row drew no heralds has no ratio (NaN) and
+    fails the ratio check.
     """
     endpoint_trials = 1_000_000_000 if trials is None else trials
     sweep_trials = min(endpoint_trials, 1_000_000)
-    rows = []
-    estimates = {}
-    for m in range(1, config.m + 1):
-        n = endpoint_trials if m in (1, config.m) else sweep_trials
-        law = engine.analytic_p_s(config, m)
-        p_hat = engine.herald_fraction(law.exact, n, _row_seed(seed, m))
-        rows.append(
-            {"m": m, "trials": n, "p_s_hat": p_hat, "p_s_exact": law.exact,
-             "p_s_linear": law.linear}
-        )
-        estimates[m] = (p_hat, n, law.exact)
-    ratio = estimates[config.m][0] / estimates[1][0] if estimates[1][0] > 0.0 else math.nan
+    ms = range(1, config.m + 1)
+    counts = [endpoint_trials if m in (1, config.m) else sweep_trials for m in ms]
+    draws = engine.herald_fractions(config, ms, counts, [_row_seed(seed, m) for m in ms])
+    rows = [{"m": m, "trials": n, "p_s_hat": p_hat, "p_s_exact": exact, "p_s_linear": linear}
+            for m, n, (p_hat, exact, linear) in zip(ms, counts, draws)]
+    ratio = draws[-1][0] / draws[0][0] if draws[0][0] > 0.0 else math.nan
     checks = [_check("p_s_ratio_m19_vs_m1", ratio, 18.5, 19.0)]
-    for m in (1, config.m):
-        p_hat, n, p_true = estimates[m]
-        se = (p_true * (1 - p_true) / n) ** 0.5
-        checks.append(
-            _check(f"p_s_hat_m{m}_within_4se", p_hat, p_true - 4 * se, p_true + 4 * se)
-        )
+    for m, (p_hat, p_true, _) in ((1, draws[0]), (config.m, draws[-1])):
+        width = 4 * (p_true * (1 - p_true) / endpoint_trials) ** 0.5  # four standard errors
+        checks.append(_check(f"p_s_hat_m{m}_within_4se", p_hat, p_true - width, p_true + width))
     return rows, checks
 
 

@@ -20,9 +20,8 @@ multinomial given it. run_batch draws those aggregates for n trains, once
 per setting pair, at a cost that does not grow with n; run_coincidence_batch
 draws heralded coincidences from the stacked pair tables alone. Both build a
 CoincidenceTable from its pairs and (P, 7) count array and check each row
-against the one row rule, _check_counts. herald_fraction makes run_batch's
-first draw, one herald count, from the herald probability (analytic_p_s)
-alone.
+against the one row rule, _check_counts. herald_fractions makes run_batch's
+first draw, one herald count, for every row of a herald sweep at once.
 
 Randomness comes from counter-mode Philox streams keyed by
 (seed, domain, setting index). Each setting pair draws from its own stream in
@@ -82,17 +81,14 @@ def derive_stream(seed: int, domain: int, setting_index: int) -> np.random.Gener
 _THREAD = threading.local()
 
 
-def _setting_streams(seed: int, domain: int, count: int):
-    """Yield derive_stream(seed, domain, s) for s = 0, ..., count - 1.
-
-    The calling thread's Philox generator is re-keyed for each s by setting
-    its state to counter 0, the key words (seed, domain | s << 4) and an
-    empty buffer, the state a fresh Philox(key=...) starts in; building a
-    Philox costs about ten times as much, most of it an unused seed sequence.
-    Each item is the thread's one Generator, valid until the thread re-keys
-    it. The state setter copies the dicts' values and keeps no reference.
-    """
-    _stream_key(seed, domain, count - 1)  # checks every key of the batch at once
+def _setting_streams(seeds: Sequence[int], domain: int, count: int):
+    """Yield derive_stream(seed, domain, s) for each seed and s < count in turn,
+    after checking every key. Each item is the thread's one Generator, valid
+    until the next item: a state write re-keys it (counter 0, key words (seed,
+    domain | s << 4), empty buffer) at a tenth of the cost of a new Philox, most
+    of which is an unused seed sequence. The state setter keeps no reference."""
+    for seed in seeds:  # each seed's last key checks every key of its batch
+        _stream_key(seed, domain, count - 1)
     if not hasattr(_THREAD, "parts"):
         bit_generator = np.random.Philox(key=0)
         counter_and_key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
@@ -100,10 +96,11 @@ def _setting_streams(seed: int, domain: int, count: int):
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         _THREAD.parts = (bit_generator, np.random.Generator(bit_generator), counter_and_key, state)
     bit_generator, gen, counter_and_key, state = _THREAD.parts
-    for s in range(count):
-        counter_and_key["key"] = (seed, domain | s << 4)
-        bit_generator.state = state
-        yield gen
+    for seed in seeds:
+        for s in range(count):
+            counter_and_key["key"] = (seed, domain | s << 4)
+            bit_generator.state = state
+            yield gen
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +425,7 @@ def run_batch(plan: RunPlan) -> BatchResult:
     histogram = np.zeros(plan.config.m, dtype=np.int64)
     rows, coincidences = [], []
     n_heralds = n_dark = 0
-    streams = _setting_streams(plan.seed, _DOMAIN_TRIALS, len(pairs))
+    streams = _setting_streams((plan.seed,), _DOMAIN_TRIALS, len(pairs))
     for pair, gen in zip(pairs, streams):
         law = outcome_law(plan.config, plan.tau, pair)
         heralds = int(gen.binomial(n, law.p_herald))
@@ -462,14 +459,22 @@ def run_batch(plan: RunPlan) -> BatchResult:
     )
 
 
-def herald_fraction(p_herald: float, n_trials: int, seed: int) -> float:
-    """Binomial(n_trials, p_herald) / n_trials, drawn from derive_stream(seed,
-    trials domain, 0): run_batch's first draw, so with p_herald =
-    analytic_p_s(config).exact it is a one-pair plan's p_s_hat, bitwise.
-    n_trials is checked as RunPlan checks it, before any draw."""
-    n = _check_draw_count("n_trials", n_trials)
-    gen = next(_setting_streams(seed, _DOMAIN_TRIALS, 1))
-    return int(gen.binomial(n, p_herald)) / n
+def herald_fractions(config: ExperimentConfig, ms: Sequence[int], trials: Sequence[int],
+                     seeds: Sequence[int]) -> list:
+    """(p_s_hat, *analytic_p_s(config, m)) of each row (m, n_trials, seed):
+    p_s_hat is run_batch's first draw, bitwise a one-pair plan's p_s_hat at
+    config.replace(m=m). Each distinct count, each m and each seed is checked
+    as RunPlan, analytic_p_s and derive_stream check it, before any draw."""
+    counts = {(type(n), n): n for n in trials}  # with its type, so True is not 1
+    counts = {key: _check_draw_count("n_trials", n) for key, n in counts.items()}
+    a = _trial_law(config, 1)[0]  # the bin-click probability, whatever m is
+    rows = []
+    for m, n, _ in zip(ms, trials, seeds, strict=True):
+        m = as_count("m", m)
+        rows.append((counts[type(n), n], first_success_probability(a, m), m * a))
+    streams = _setting_streams(seeds, _DOMAIN_TRIALS, 1)
+    return [(int(gen.binomial(n, exact)) / n, exact, linear)
+            for (n, exact, linear), gen in zip(rows, streams)]
 
 
 def run_coincidence_batch(
@@ -499,7 +504,7 @@ def run_coincidence_batch(
         raise ValueError("need at least one analyzer setting pair")
     probabilities = _pair_tables(config, tau, settings)
     rows = []
-    streams = _setting_streams(seed, _DOMAIN_COINCIDENCE, len(settings))
+    streams = _setting_streams((seed,), _DOMAIN_COINCIDENCE, len(settings))
     for s, gen in enumerate(streams):
         c11, c12, c21, c22 = gen.multinomial(n_coincidences, probabilities[s]).tolist()
         row = (c11, c12, c21, c22, c11 + c12, c21 + c22, n_coincidences)

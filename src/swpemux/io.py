@@ -4,9 +4,9 @@ All writers produce deterministic bytes for deterministic inputs: fixed
 column order, sorted JSON keys, shortest-round-trip float formatting and a
 plain \\n line terminator. Every emitted format parses back through the
 matching reader in this module. JSON text is util.json_dumps's (json.dumps
-with indent=2 and sorted keys, from json's C encoder). Every file is written
-by util.atomic_write_text and read by util.read_text, which reads CRLF and a
-lone CR as LF.
+with indent=2 and sorted keys; one C encoder call per list of flat records,
+such as a batch's rows). util.atomic_write_text writes every file and
+util.read_text reads it, reading CRLF and a lone CR as LF.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .engine import COUNT_COLUMNS, BatchResult, CoincidenceTable, SettingPair
+from .engine import COUNT_COLUMNS, BatchResult, CoincidenceTable, SettingPair, _check_counts
 from .util import as_number, atomic_write_text, json_dumps, read_text
 
 COINCIDENCE_COLUMNS = ("setting_s", "setting_a", *COUNT_COLUMNS)
@@ -71,17 +71,16 @@ def parse_coincidence_csv(text: str) -> CoincidenceTable:
             raise ValueError(f"line {line_number}: expected {len(COINCIDENCE_COLUMNS)} fields")
         try:
             pairs.append(SettingPair.from_tokens(fields[0], fields[1]))
+            try:
+                counts.append([int(v) for v in fields[2:]])
+                float(max(counts[-1], key=abs))  # the estimators read each count as a float
+            except (ValueError, OverflowError) as exc:
+                raise ValueError("counts must be float-range integers") from exc
+            _check_counts(*counts[-1])
         except ValueError as exc:
             raise ValueError(f"line {line_number}: {exc}") from exc
-        try:
-            counts.append([int(v) for v in fields[2:]])
-            float(max(counts[-1], key=abs))  # the estimators read each count as a float
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"line {line_number}: counts must be float-range integers") from exc
     # exact Python ints, however large
-    table = CoincidenceTable(pairs, np.array(counts, dtype=object).reshape(-1, 7))
-    table.validate()
-    return table
+    return CoincidenceTable(pairs, np.array(counts, dtype=object).reshape(-1, 7))
 
 
 def read_coincidence_csv(path: str) -> CoincidenceTable:

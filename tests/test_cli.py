@@ -415,18 +415,19 @@ class TestReproduce:
         assert payload["passed"] is False
 
     def test_fig2_rows_draw_from_distinct_seeds(self, tmp_path, monkeypatch):
-        seeds = []
-        herald_fraction = engine.herald_fraction
+        calls = []
+        herald_fractions = engine.herald_fractions
 
-        def recording_herald_fraction(p_herald, n_trials, seed):
-            seeds.append(seed)
-            return herald_fraction(p_herald, n_trials, seed)
+        def recording_herald_fractions(config, ms, trials, seeds):
+            calls.append(list(seeds))
+            return herald_fractions(config, ms, trials, seeds)
 
-        monkeypatch.setattr(engine, "herald_fraction", recording_herald_fraction)
+        monkeypatch.setattr(engine, "herald_fractions", recording_herald_fractions)
         run_cli("reproduce", "--figure", "fig2", "--out", str(tmp_path / "fig2.json"),
                 "--trials", "20000")
-        assert len(seeds) == CFG.m
-        assert len(set(seeds)) == CFG.m
+        assert len(calls) == 1
+        assert len(calls[0]) == CFG.m
+        assert len(set(calls[0])) == CFG.m
 
     def test_fig2_rows_build_no_config_or_plan(self, tmp_path, monkeypatch):
         # a row is one law evaluation, one re-key and one binomial
@@ -435,18 +436,30 @@ class TestReproduce:
 
         monkeypatch.setattr(ExperimentConfig, "replace", not_built)
         monkeypatch.setattr(engine.RunPlan, "__new__", not_built)
-        rekeys = []
-        setting_streams = engine._setting_streams
+        next(engine._setting_streams((0,), 0, 1))  # builds the thread's generator
+        bit_generator, *parts = engine._THREAD.parts
+        keys = []
 
-        def counting_setting_streams(seed, domain, count):
-            rekeys.append(count)
-            return setting_streams(seed, domain, count)
+        class RecordingBitGenerator:
+            """Records the key of each state write before passing it on."""
 
-        monkeypatch.setattr(engine, "_setting_streams", counting_setting_streams)
+            @property
+            def state(self):
+                return bit_generator.state
+
+            @state.setter
+            def state(self, value):
+                keys.append(value["state"]["key"])
+                bit_generator.state = value
+
+        monkeypatch.setattr(engine._THREAD, "parts", (RecordingBitGenerator(), *parts))
         out = tmp_path / "fig2.json"
         run_cli("reproduce", "--figure", "fig2", "--out", str(out), "--trials", "20000")
         assert out.exists()
-        assert rekeys == [1] * CFG.m
+        # one re-key per row, in the trials domain, each to its own seed
+        assert len(keys) == CFG.m
+        assert len({seed for seed, _ in keys}) == CFG.m
+        assert {domain for _, domain in keys} == {0}
 
     def test_fig2_without_m1_heralds_fails_cleanly(self, tmp_path):
         # at 100 trials the m = 1 row draws no heralds, so there is no ratio
@@ -597,7 +610,13 @@ class TestExitCodes:
         ("bell --counts", ",".join(COINCIDENCE_COLUMNS) + "\n0.0,22.5,1,0,0,0,1,0,1\n"
                           "foo,22.5,1,0,0,0,1,0,1\n",
          "line 3: cannot parse analyzer setting token 'foo'"),
-    ], ids=["decay-value", "bell-setting"])
+        ("bell --counts", ",".join(COINCIDENCE_COLUMNS) + "\n0.0,22.5,1,0,0,0,1,0,1\n"
+                          "0.0,67.5,-1,0,0,0,1,0,10\n",
+         "line 3: coincidence counts must be non-negative"),
+        ("bell --counts", ",".join(COINCIDENCE_COLUMNS) + "\n0.0,22.5,1,0,0,0,1,0,1\n"
+                          "0.0,67.5,5,0,0,0,1,0,10\n",
+         "line 3: D1 coincidences exceed D1 herald singles"),
+    ], ids=["decay-value", "bell-setting", "bell-negative-count", "bell-d1-coincidences"])
     def test_bad_value_names_its_line(self, tmp_path, capsys, option, text, message):
         path = tmp_path / "in.csv"
         path.write_text(text)

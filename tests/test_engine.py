@@ -101,24 +101,24 @@ class TestStreamsAgainstFreshPhilox:
                 gen.integers(0, 2**62, size=2).tolist(),
             )
 
-        streams = list(map(draws, _setting_streams(seed, domain, 13)))
+        streams = list(map(draws, _setting_streams((seed,), domain, 13)))
         assert streams == [draws(derive_stream(seed, domain, s)) for s in range(13)]
 
     @pytest.mark.parametrize("seed, domain, field", [(-1, 0, "seed"), (2**64, 0, "seed"),
                                                      (0, 16, "domain")])
     def test_first_stream_checks_seed_and_domain(self, seed, domain, field):
         with pytest.raises(ValueError, match=f"{field} must lie in"):
-            next(_setting_streams(seed, domain, 3))
+            next(_setting_streams((seed,), domain, 3))
 
     def test_first_stream_checks_the_last_setting_index(self):
         # checked once per batch, before any pair draws
         message = re.escape("setting index must lie in [0, 2^20), got 1048576")
         with pytest.raises(ValueError, match=message):
-            next(_setting_streams(0, 0, 2**20 + 1))
+            next(_setting_streams((0,), 0, 2**20 + 1))
 
     @pytest.mark.parametrize("seed, domain", [(2**64 - 1, 15), (0, 0), (61, 1)])
     def test_key_words_are_the_stream_key(self, seed, domain):
-        for s, gen in enumerate(_setting_streams(seed, domain, 13)):
+        for s, gen in enumerate(_setting_streams((seed,), domain, 13)):
             key = engine._stream_key(seed, domain, s)
             words = gen.bit_generator.state["state"]["key"].tolist()
             assert words == [key & (2**64 - 1), key >> 64]
@@ -611,17 +611,45 @@ class TestRunPlan:
 
 
 class TestHeraldFraction:
+    @pytest.fixture
+    def streams_made(self, monkeypatch):
+        """The streams _setting_streams hands out; its key checks still run."""
+        made = []
+        setting_streams = engine._setting_streams
+
+        def recording(*args):
+            for gen in setting_streams(*args):
+                made.append(gen)
+                yield gen
+
+        monkeypatch.setattr(engine, "_setting_streams", recording)
+        return made
+
     @pytest.mark.parametrize("n", [0, -1, 2**63, 2.5, True, "12"])
-    def test_trial_count_is_checked_as_run_plan_checks_it(self, monkeypatch, n):
+    def test_trial_count_is_checked_as_run_plan_checks_it(self, streams_made, n):
         with pytest.raises(ValueError) as plan_error:
             RunPlan(CFG, 0.7, (HV_PAIR,), n, 1)
+        # the bad count last, after a valid count that equals it, and first
+        for trials in ([1, 10, n], [n, 10, 1]):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(plan_error.value))}$"):
+                engine.herald_fractions(CFG, [1, 2, 3], trials, [1, 2, 3])
+        assert streams_made == []
 
-        def no_draws(*args):
-            raise AssertionError("a rejected count must not reach the draws")
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_is_checked_as_derive_stream_checks_it(self, streams_made, seed):
+        with pytest.raises(ValueError) as stream_error:
+            derive_stream(seed, 0, 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(stream_error.value))}$"):
+            engine.herald_fractions(CFG, [1, 2], [10, 10], [1, seed])
+        assert streams_made == []
 
-        monkeypatch.setattr(engine, "_setting_streams", no_draws)
-        with pytest.raises(ValueError, match=re.escape(str(plan_error.value))):
-            engine.herald_fraction(0.5, n, 1)
+    @pytest.mark.parametrize("m", [0, 2.5, True])
+    def test_mode_count_is_checked_as_analytic_p_s_checks_it(self, streams_made, m):
+        with pytest.raises(ValueError) as law_error:
+            analytic_p_s(CFG, m)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(law_error.value))}$"):
+            engine.herald_fractions(CFG, [1, m], [10, 10], [1, 2])
+        assert streams_made == []
 
 
 class TestRunBatch:

@@ -1,6 +1,6 @@
 """Property tests: physical projection, tomography inversion, config JSON
 and its rejection of non-finite values, the outcome law, the validity of
-sampled rows, the herald-only sampler against run_batch, the coincidence CSV
+sampled rows, the batched herald sampler against run_batch, the coincidence CSV
 round trip, the closed forms of the Werner pair state and the indented JSON
 text against json.dumps.
 
@@ -11,6 +11,7 @@ import atexit
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -35,7 +36,7 @@ from swpemux.engine import (
     _check_counts,
     analytic_p_s,
     effective_pair_state,
-    herald_fraction,
+    herald_fractions,
     outcome_law,
     run_batch,
     run_coincidence_batch,
@@ -164,50 +165,27 @@ def test_outcome_law_is_a_distribution(config, tau, pair):
 @given(
     configs,
     storage_times,
-    st.lists(setting_pairs, min_size=1, max_size=13),
-    st.integers(1, 2**62),
-    st.integers(0, 2**64 - 1),
+    setting_pairs,
+    st.lists(st.tuples(st.integers(1, 64), st.integers(1, 2**40), st.integers(0, 2**64 - 1)),
+             min_size=1, max_size=6),
 )
-def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
-    """Both samplers return one valid row per setting pair, for any valid
-    input: run_coincidence_batch checks its whole count array at once, so
-    this pins that check to the row rule, _check_counts, row by row."""
-    coincidences = run_coincidence_batch(config, tau, pairs, n, seed)
-    batch = run_batch(RunPlan(config, tau, pairs, n, seed))
-    for table in (coincidences, batch.table):
-        assert list(table.pairs) == pairs
-        for row in table.counts.tolist():
-            _check_counts(*row)
-            assert row[6] == n
-    assert all(sum(row[:4]) == n for row in coincidences.counts.tolist())
-
-
-@PROPERTY
-@given(
-    configs,
-    storage_times,
-    st.lists(setting_pairs, min_size=1, max_size=13),
-    st.integers(1, 2**40),
-    st.integers(0, 2**64 - 1),
-)
-@example(ExperimentConfig(dark_rate=3e-3), 0.7, [HV_PAIR], 50_000, 2**64 - 1)
-@example(ExperimentConfig(eta_d=0.0), 0.7, [HV_PAIR], 2**40, 0)  # a = 0: no heralds
-@example(ExperimentConfig(dark_rate=1.0), 0.7, [HV_PAIR] * 13, 2**40, 1)  # a = 1: all herald
-def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pairs, n, seed):
-    """fig2 reads p_s_hat from herald_fraction at analytic_p_s's exact value:
-    the herald count must be the very draw run_batch makes first for pair 0,
-    so the float is the same bits, and analytic_p_s at each m must be the
-    p_herald that outcome_law gives run_batch at that m."""
-    batch = run_batch(RunPlan(config, tau, pairs, n, seed))
-    fraction = herald_fraction(analytic_p_s(config).exact, n, seed)
-    if len(pairs) == 1:
-        assert fraction.hex() == batch.p_s_hat.hex()
-    else:
-        n_d1, n_d2 = batch.table.counts[0, 4:6].tolist()
-        assert fraction.hex() == ((n_d1 + n_d2) / n).hex()
-    for m in range(1, config.m + 1):
-        law = outcome_law(config.replace(m=m), tau, pairs[0])
-        assert analytic_p_s(config, m).exact.hex() == law.p_herald.hex()
+@example(ExperimentConfig(dark_rate=3e-3), 0.7, HV_PAIR,
+         [(1, 50_000, 2**64 - 1), (19, 50_000, 0), (7, 1, 5)])
+@example(ExperimentConfig(eta_d=0.0), 0.7, HV_PAIR, [(19, 2**40, 0)])  # a = 0: no heralds
+@example(ExperimentConfig(dark_rate=1.0), 0.7, HV_PAIR, [(1, 2**40, 1), (7, 2**40, 1)])  # a = 1
+def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, rows):
+    """fig2 draws every row in one herald_fractions call: each row's p_s_hat
+    must be the very draw run_batch makes first for a one-pair plan at that
+    row's m and seed, so the float is the same bits, and its exact and linear
+    values must be analytic_p_s at that m."""
+    ms, trials, seeds = zip(*rows)
+    fractions = herald_fractions(config, ms, trials, seeds)
+    assert len(fractions) == len(rows)
+    for (m, n, seed), (p_s_hat, exact, linear) in zip(rows, fractions):
+        batch = run_batch(RunPlan(config.replace(m=m), tau, (pair,), n, seed))
+        assert p_s_hat.hex() == batch.p_s_hat.hex()
+        law = analytic_p_s(config, m)
+        assert (exact.hex(), linear.hex()) == (law.exact.hex(), law.linear.hex())
 
 
 analyzers = st.one_of(
@@ -266,8 +244,16 @@ _json_scalars = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70, -(2**70), True, False, None]),
     st.floats(), st.floats().map(np.float64), st.integers(), _json_strings,
 )
+# a flat record is a non-empty dict, list or tuple of scalars; json_dumps
+# writes a list of them with one encoder call
+_flat_records = st.one_of(
+    st.dictionaries(_json_strings, _json_scalars, min_size=1, max_size=4),
+    st.lists(_json_scalars, min_size=1, max_size=4),
+    st.lists(_json_scalars, min_size=1, max_size=3).map(tuple),
+)
+_record_lists = st.lists(_flat_records, min_size=2, max_size=5)
 json_payloads = st.recursive(
-    _json_scalars,
+    st.one_of(_json_scalars, _record_lists),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -281,5 +267,22 @@ json_payloads = st.recursive(
 @given(json_payloads)
 @example({"data": [{"m": 1, "p": 0.5}, {}, []], "passed": False, "\n[": ({"x": ()},)})
 @example([[[]], {"a": {"b": {"c": [math.nan, -0.0, np.float64(1e300)]}}}])
+@example([{"b": 1, "a": 2.5}, {"c": None}])  # dict records
+@example([[1, "x"], [True], [math.inf, -0.0, np.float64(0.1)]])  # list records
+@example(((1, 2), (3,), (None, "y")))  # tuple records in a tuple
+@example([{"a": 1}, [2, 3], (4,), {"b": [], "c": 5}, ("z",)])  # mixed, one not flat
+@example([{"a": 1}, {}, {"b": 2}])  # an empty record among non-empty ones
+@example([{"a": 1}, {"b": (2, 3)}])  # a record holding a container is not flat
+@example([[1], (), [2]])
+@example({"x": [[{"y": [{"a": 1}, {"b": 2}]}, [[1, 2], [3, 4]]]]})  # record lists 3+ deep
+@example([{"s": "},\n  {", "t": "],\n    ["}, ["},\n      {", "{[]}"], {"\n},": "\n"}])
+@example([{"a": 1}, {"b": {1, 2}}])  # a record holding a set
+@example([[1], [np.int64(3)]])  # a record holding a numpy integer
 def test_json_dumps_is_indented_json_dumps_bytewise(payload):
-    assert json_dumps(payload) == json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            json_dumps(payload)
+    else:
+        assert json_dumps(payload) == expected
