@@ -83,10 +83,10 @@ _THREAD = threading.local()
 
 def _setting_streams(seeds: Sequence[int], domain: int, count: int):
     """Yield derive_stream(seed, domain, s) for each seed and s < count in turn,
-    after checking every key. Each item is the thread's one Generator, valid
-    until the next item: a state write re-keys it (counter 0, key words (seed,
-    domain | s << 4), empty buffer) at a tenth of the cost of a new Philox, most
-    of which is an unused seed sequence. The state setter keeps no reference."""
+    checking every key before the first. Each item is the thread's one
+    Generator, valid until the next: a state write re-keys it (counter 0, key
+    words (seed, domain | s << 4), empty buffer) at a tenth of the cost of a
+    new Philox, most of it an unused seed sequence. The setter keeps no reference."""
     for seed in seeds:  # each seed's last key checks every key of its batch
         _stream_key(seed, domain, count - 1)
     if not hasattr(_THREAD, "parts"):
