@@ -110,6 +110,15 @@ class TestStreamsAgainstFreshPhilox:
         with pytest.raises(ValueError, match=f"{field} must lie in"):
             next(_setting_streams((seed,), domain, 3))
 
+    def test_several_seeds_yield_their_streams_in_turn(self):
+        seeds = (5, 2**64 - 1, 0)
+        draws = [gen.random(2).tobytes() for gen in _setting_streams(seeds, 1, 3)]
+        assert draws == [derive_stream(seed, 1, s).random(2).tobytes()
+                         for seed in seeds for s in range(3)]
+        # a bad later seed is found before the first stream
+        with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2^64), got -1")):
+            next(_setting_streams((0, -1), 0, 1))
+
     def test_first_stream_checks_the_last_setting_index(self):
         # checked once per batch, before any pair draws
         message = re.escape("setting index must lie in [0, 2^20), got 1048576")

@@ -165,6 +165,28 @@ def test_outcome_law_is_a_distribution(config, tau, pair):
 @given(
     configs,
     storage_times,
+    st.lists(setting_pairs, min_size=1, max_size=13),
+    st.integers(1, 2**62),
+    st.integers(0, 2**64 - 1),
+)
+def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
+    """Both samplers return one valid row per setting pair, for any valid
+    input: run_coincidence_batch checks its whole count array at once, so
+    this pins that check to the row rule, _check_counts, row by row."""
+    coincidences = run_coincidence_batch(config, tau, pairs, n, seed)
+    batch = run_batch(RunPlan(config, tau, pairs, n, seed))
+    for table in (coincidences, batch.table):
+        assert list(table.pairs) == pairs
+        for row in table.counts.tolist():
+            _check_counts(*row)
+            assert row[6] == n
+    assert all(sum(row[:4]) == n for row in coincidences.counts.tolist())
+
+
+@PROPERTY
+@given(
+    configs,
+    storage_times,
     setting_pairs,
     st.lists(st.tuples(st.integers(1, 64), st.integers(1, 2**40), st.integers(0, 2**64 - 1)),
              min_size=1, max_size=6),
@@ -177,7 +199,8 @@ def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, rows):
     """fig2 draws every row in one herald_fractions call: each row's p_s_hat
     must be the very draw run_batch makes first for a one-pair plan at that
     row's m and seed, so the float is the same bits, and its exact and linear
-    values must be analytic_p_s at that m."""
+    values must be analytic_p_s at that m, whose exact value is the p_herald
+    that outcome_law gives run_batch there."""
     ms, trials, seeds = zip(*rows)
     fractions = herald_fractions(config, ms, trials, seeds)
     assert len(fractions) == len(rows)
@@ -186,6 +209,7 @@ def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, rows):
         assert p_s_hat.hex() == batch.p_s_hat.hex()
         law = analytic_p_s(config, m)
         assert (exact.hex(), linear.hex()) == (law.exact.hex(), law.linear.hex())
+        assert exact.hex() == outcome_law(config.replace(m=m), tau, pair).p_herald.hex()
 
 
 analyzers = st.one_of(
