@@ -268,12 +268,17 @@ _json_scalars = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70, -(2**70), True, False, None]),
     st.floats(), st.floats().map(np.float64), st.integers(), _json_strings,
 )
-# a flat record is a non-empty dict, list or tuple of scalars; json_dumps
-# writes a list of them with one encoder call
+# a flat record is a non-empty dict, list or tuple of str, int, float, bool or
+# None values; json_dumps writes a list of them with one encoder call (a numpy
+# float among the values sends the list down the recursion instead)
+_record_values = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70, True, False, None]),
+    st.floats(), st.integers(), _json_strings,
+)
 _flat_records = st.one_of(
-    st.dictionaries(_json_strings, _json_scalars, min_size=1, max_size=4),
-    st.lists(_json_scalars, min_size=1, max_size=4),
-    st.lists(_json_scalars, min_size=1, max_size=3).map(tuple),
+    st.dictionaries(_json_strings, _record_values, min_size=1, max_size=4),
+    st.lists(_record_values, min_size=1, max_size=4),
+    st.lists(_record_values, min_size=1, max_size=3).map(tuple),
 )
 _record_lists = st.lists(_flat_records, min_size=2, max_size=5)
 json_payloads = st.recursive(
