@@ -9,7 +9,9 @@ compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
 main reuses one argument parser per process: build_parser builds it on the
 first call and returns the same object afterwards, so repeated in-process
 calls (tests, the benchmark, library scripts) pay only for parsing. An argv
-that starts with a subcommand is parsed by that subcommand's parser alone.
+that starts with a subcommand is parsed by that subcommand's parser alone,
+and read straight from its option table when it is nothing but valid
+"--option value" pairs (_parse_store_options).
 """
 from __future__ import annotations
 
@@ -166,13 +168,8 @@ def _parsers() -> tuple:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     tau = config.tau_ref if args.tau is None else args.tau
-    plan = RunPlan(
-        config=config,
-        tau=tau,
-        settings=_setting_pairs(args.settings),
-        n_trials=args.trials,
-        seed=args.seed,
-    )
+    plan = RunPlan(config=config, tau=tau, settings=_setting_pairs(args.settings),
+                   n_trials=args.trials, seed=args.seed)
     result = engine.run_batch(plan)
     if args.fmt == "csv":
         io.write_coincidence_csv(result.table, args.out)
@@ -215,9 +212,8 @@ def _cmd_tomo(args) -> int:
     physical = analysis.project_physical(raw)
     violations = validate_density(physical)
     if violations:
-        raise ComparisonFailure(
-            "reconstruction produced an unphysical state: " + "; ".join(violations)
-        )
+        raise ComparisonFailure("reconstruction produced an unphysical state: "
+                                + "; ".join(violations))
     target = bell_state(config.theta)
     payload = {
         "rho_raw": _rho_payload(raw),
@@ -248,17 +244,14 @@ def _cmd_pmc(args) -> int:
         rows = [geo.write_angles, *scan.residuals.tolist()]
         atomic_write_text(args.out, io.csv_text(rows))
     else:
-        io.write_json(
-            {
-                "write_angles": list(geo.write_angles),
-                "stokes_angle": geo.stokes_angle,
-                "tolerance": scan.tolerance,
-                "residuals": [[float(v) for v in row] for row in scan.residuals],
-                "cross_directional_pairs": [list(p) for p in scan.cross_directional_pairs],
-                "cross_directional_fraction": scan.cross_directional_fraction,
-            },
-            args.out,
-        )
+        io.write_json({
+            "write_angles": list(geo.write_angles),
+            "stokes_angle": geo.stokes_angle,
+            "tolerance": scan.tolerance,
+            "residuals": [[float(v) for v in row] for row in scan.residuals],
+            "cross_directional_pairs": [list(p) for p in scan.cross_directional_pairs],
+            "cross_directional_fraction": scan.cross_directional_fraction,
+        }, args.out)
     return EXIT_OK
 
 
@@ -316,13 +309,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _check(name: str, value: float, low: float, high: float) -> dict:
-    return {
-        "name": name,
-        "value": float(value),
-        "low": float(low),
-        "high": float(high),
-        "passed": bool(low <= value <= high),
-    }
+    return {"name": name, "value": float(value), "low": float(low), "high": float(high),
+            "passed": bool(low <= value <= high)}
 
 
 def _row_seed(seed: int, k: int) -> int:
@@ -472,13 +460,40 @@ _COMMANDS = {
 }
 
 
+def _parse_store_options(parser: argparse.ArgumentParser, tokens: Sequence[str]):
+    """parser.parse_args(tokens) if the tokens are "--option value" pairs of
+    one-value store options, each value converts, is among its choices and
+    does not start with "-", and every required option is given; otherwise
+    None, for argparse to parse with its own errors, help and abbreviations."""
+    args = argparse.Namespace(**{action.dest: action.default for action in parser._actions
+                                 if action.default is not argparse.SUPPRESS})
+    required = {action for action in parser._actions if action.required}
+    pairs = iter(tokens)
+    for option, value in zip(pairs, pairs):
+        action = parser._option_string_actions.get(option)
+        if type(action) is not argparse._StoreAction or action.nargs is not None \
+                or value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+        required.discard(action)
+    return None if required or len(tokens) % 2 else args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, subparsers = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in subparsers:
-        args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _parse_store_options(subparsers[argv[0]], argv[1:])
+        if args is None:
+            args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     else:
         args = parser.parse_args(argv)
@@ -487,10 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"thread count must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ComparisonFailure as exc:

@@ -463,15 +463,13 @@ def herald_fractions(config: ExperimentConfig, ms: Sequence[int], trials: Sequen
                      seeds: Sequence[int]) -> list:
     """(p_s_hat, *analytic_p_s(config, m)) of each row (m, n_trials, seed):
     p_s_hat is run_batch's first draw, bitwise a one-pair plan's p_s_hat at
-    config.replace(m=m). Each distinct count, each m and each seed is checked
-    as RunPlan, analytic_p_s and derive_stream check it, before any draw."""
-    counts = {(type(n), n): n for n in trials}  # with its type, so True is not 1
-    counts = {key: _check_draw_count("n_trials", n) for key, n in counts.items()}
+    config.replace(m=m). Each count, each m and each seed is checked as
+    RunPlan, analytic_p_s and derive_stream check it, before any draw."""
     a = _trial_law(config, 1)[0]  # the bin-click probability, whatever m is
     rows = []
     for m, n, _ in zip(ms, trials, seeds, strict=True):
-        m = as_count("m", m)
-        rows.append((counts[type(n), n], first_success_probability(a, m), m * a))
+        n, m = _check_draw_count("n_trials", n), as_count("m", m)
+        rows.append((n, first_success_probability(a, m), m * a))
     streams = _setting_streams(seeds, _DOMAIN_TRIALS, 1)
     return [(int(gen.binomial(n, exact)) / n, exact, linear)
             for (n, exact, linear), gen in zip(rows, streams)]

@@ -4,9 +4,9 @@ All writers produce deterministic bytes for deterministic inputs: fixed
 column order, sorted JSON keys, shortest-round-trip float formatting and a
 plain \\n line terminator. Every emitted format parses back through the
 matching reader in this module. JSON text is util.json_dumps's (json.dumps
-with indent=2 and sorted keys; one C encoder call per list of flat records,
-such as a batch's rows). util.atomic_write_text writes every file and
-util.read_text reads it, reading CRLF and a lone CR as LF.
+with indent=2 and sorted keys, from json's C encoder). Every file is written
+by util.atomic_write_text and read by util.read_text, which reads CRLF and a
+lone CR as LF.
 """
 from __future__ import annotations
 

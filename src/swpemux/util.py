@@ -1,6 +1,6 @@
-"""Small shared helpers: the base of the checked records, the JSON text (json's
-C encoder, one call per container of scalars or list of flat records), the
-atomic write (os calls) of every output file and the read of every input."""
+"""Small shared helpers used across the package, including the base of the
+checked records, the JSON text (json's C encoder), the atomic write (os
+calls) of every output file and the read of every input file."""
 from __future__ import annotations
 
 import collections
@@ -124,22 +124,11 @@ def _flat_encoder(level: int):
                           ": ", ",\n" + "  " * level, True, False, True)
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})  # exact types of record values
-
-
 def _json_text(o, level: int, open_ids: set) -> str:
     is_dict = isinstance(o, dict)
     values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
     if not any(isinstance(v, (dict, list, tuple)) for v in values):
         text = "".join(_flat_encoder(level + 1)(o, 0))  # a scalar, or a container of scalars
-    elif not is_dict and all(isinstance(r, (dict, list, tuple)) and r and _SCALARS.issuperset(
-            map(type, r.values() if isinstance(r, dict) else r)) for r in values):
-        # one C call; strings escape every control character, so only boundaries match
-        outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-        text = "".join(_flat_encoder(level + 2)(o, 0))
-        for end, start in ("}{", "}[", "]{", "]["):
-            text = text.replace(f"{end},{inner}{start}", f"{outer}{end},{outer}{start}{inner}")
-        text = text[:2] + inner + text[2:-2] + outer + text[-2:]
     elif id(o) in open_ids:
         raise ValueError("Circular reference detected")
     else:
@@ -158,6 +147,5 @@ def _json_text(o, level: int, open_ids: set) -> str:
 
 def json_dumps(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\\n",
-    byte for byte and with the same errors, from json's C encoder; a list of
-    flat records (non-empty dicts, lists or tuples of scalars) is one call."""
+    byte for byte and with the same errors, from json's C encoder."""
     return _json_text(payload, 0, set()) + "\n"

@@ -6,6 +6,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swpemux import cli, engine, geometry
 from swpemux.analysis import CANONICAL_BELL, tomography_setting_pairs
@@ -746,6 +748,90 @@ class TestSharedParser:
         assert run_cli("bell", "--counts", str(first), "--out", str(tmp_path / "s.json")) == EXIT_OK
         assert run_cli("simulate", "--out", str(second)) == EXIT_OK
         assert second.read_bytes() == first.read_bytes()
+
+
+SUBPARSERS = cli._parsers()[1]
+# option values of every kind: valid and invalid choices, numbers in the forms
+# int and float read, the empty string, and values that start with "-"
+OPTION_VALUES = ["fig2", "fig9", "json", "csv", "bell", "hv", "out.json", "", "3", "2.5",
+                 "nan", "1_0", "0x10", "-1", "-x", "--", "--out"]
+
+
+def _option_tokens(parser, *, valid: bool) -> list:
+    """--option value for each required option, or each store option when
+    valid is False, with a value its action accepts."""
+    tokens = []
+    for action in parser._actions:
+        if action.option_strings and action.nargs is None and (action.required or not valid):
+            value = action.choices[-1] if action.choices else "3" if action.type else "x.out"
+            tokens += [action.option_strings[-1], value]
+    return tokens
+
+
+def _accepted_values(parser, option):
+    """Values that option's action accepts, some of them starting with "-"."""
+    action = parser._option_string_actions.get(option)
+    if action is None or action.choices:
+        return st.sampled_from(action.choices if action else OPTION_VALUES)
+    if action.type is int:
+        return st.integers(-10, 10**20).map(str)
+    if action.type is float:
+        return st.floats().map(repr)
+    return st.sampled_from(["out.json", "", "a b", "x=y", "fig2"])
+
+
+class TestStoreOptionParse:
+    """cli._parse_store_options reads an argv of plain "--option value" pairs
+    from a subcommand parser's option table: it gives argparse's namespace
+    or None, which leaves the argv to argparse."""
+
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
+    @pytest.mark.parametrize("every_option", [False, True])
+    def test_plain_pairs_give_argparse_namespace(self, command, every_option):
+        parser = SUBPARSERS[command]
+        tokens = _option_tokens(parser, valid=not every_option)
+        args = cli._parse_store_options(parser, tokens)
+        assert args is not None
+        assert vars(args) == vars(parser.parse_args(tokens))
+
+    def test_benchmark_argv_is_read_from_the_table(self, tmp_path):
+        tokens = ["--figure", "fig2", "--threads", "1", "--seed", "12", "--config",
+                  str(tmp_path / "c.json"), "--out", str(tmp_path / "f.json"), "--trials", "50000"]
+        args = cli._parse_store_options(SUBPARSERS["reproduce"], tokens)
+        assert vars(args) == vars(SUBPARSERS["reproduce"].parse_args(tokens))
+
+    @pytest.mark.parametrize("tokens", [
+        ["--figure", "fig9", "--out", "o"],  # not a choice
+        ["--out", "o"],  # a required option missing
+        ["--figure", "fig2", "--out", "o", "--seed", "x"],  # not an int
+        ["--figure", "fig2", "--out", "-o"],  # a value starting with "-"
+        ["--figure", "fig2", "--out", "o", "--seed", "-5"],
+        ["--figure", "fig2", "--out"],  # no value
+        ["--fig", "fig2", "--out", "o"],  # an abbreviation
+        ["--figure=fig2", "--out", "o"],
+        ["--figure", "fig2", "--out", "o", "extra"],
+        ["--figure", "fig2", "--out", "o", "-h"],
+    ])
+    def test_other_argvs_are_left_to_argparse(self, tokens):
+        assert cli._parse_store_options(SUBPARSERS["reproduce"], tokens) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_result_is_argparse_namespace_or_none(self, data):
+        command = data.draw(st.sampled_from(sorted(SUBPARSERS)))
+        parser = SUBPARSERS[command]
+        tokens = list(data.draw(st.sampled_from([()] + [_option_tokens(parser, valid=True)] * 3)))
+        options = sorted(parser._option_string_actions)
+        for _ in range(data.draw(st.integers(0, 4))):
+            option = data.draw(st.sampled_from(options + ["--fig", "--out=o", "--nope", "x"]))
+            tokens += [option, data.draw(st.one_of(_accepted_values(parser, option),
+                                                   st.sampled_from(OPTION_VALUES)))]
+        if tokens and data.draw(st.integers(0, 3)) == 0:
+            tokens.pop()  # an option without its value, or a stray value
+        args = cli._parse_store_options(parser, tokens)
+        if args is not None:
+            # repr, so that a NaN value compares equal to itself
+            assert repr(vars(args)) == repr(vars(parser.parse_args(tokens)))
 
 
 # (argv, exit code, sha256 prefix of stdout, sha256 prefix of stderr), recorded

@@ -268,9 +268,8 @@ _json_scalars = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70, -(2**70), True, False, None]),
     st.floats(), st.floats().map(np.float64), st.integers(), _json_strings,
 )
-# a flat record is a non-empty dict, list or tuple of str, int, float, bool or
-# None values; json_dumps writes a list of them with one encoder call (a numpy
-# float among the values sends the list down the recursion instead)
+# lists of two or more flat records (non-empty dicts, lists or tuples of
+# scalars), the shape of every record list the CLI writes
 _record_values = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**70, True, False, None]),
     st.floats(), st.integers(), _json_strings,
