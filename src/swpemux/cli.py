@@ -168,8 +168,13 @@ def _parsers() -> tuple:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     tau = config.tau_ref if args.tau is None else args.tau
-    plan = RunPlan(config=config, tau=tau, settings=_setting_pairs(args.settings),
-                   n_trials=args.trials, seed=args.seed)
+    plan = RunPlan(
+        config=config,
+        tau=tau,
+        settings=_setting_pairs(args.settings),
+        n_trials=args.trials,
+        seed=args.seed,
+    )
     result = engine.run_batch(plan)
     if args.fmt == "csv":
         io.write_coincidence_csv(result.table, args.out)
@@ -212,8 +217,9 @@ def _cmd_tomo(args) -> int:
     physical = analysis.project_physical(raw)
     violations = validate_density(physical)
     if violations:
-        raise ComparisonFailure("reconstruction produced an unphysical state: "
-                                + "; ".join(violations))
+        raise ComparisonFailure(
+            "reconstruction produced an unphysical state: " + "; ".join(violations)
+        )
     target = bell_state(config.theta)
     payload = {
         "rho_raw": _rho_payload(raw),
@@ -244,14 +250,17 @@ def _cmd_pmc(args) -> int:
         rows = [geo.write_angles, *scan.residuals.tolist()]
         atomic_write_text(args.out, io.csv_text(rows))
     else:
-        io.write_json({
-            "write_angles": list(geo.write_angles),
-            "stokes_angle": geo.stokes_angle,
-            "tolerance": scan.tolerance,
-            "residuals": [[float(v) for v in row] for row in scan.residuals],
-            "cross_directional_pairs": [list(p) for p in scan.cross_directional_pairs],
-            "cross_directional_fraction": scan.cross_directional_fraction,
-        }, args.out)
+        io.write_json(
+            {
+                "write_angles": list(geo.write_angles),
+                "stokes_angle": geo.stokes_angle,
+                "tolerance": scan.tolerance,
+                "residuals": [[float(v) for v in row] for row in scan.residuals],
+                "cross_directional_pairs": [list(p) for p in scan.cross_directional_pairs],
+                "cross_directional_fraction": scan.cross_directional_fraction,
+            },
+            args.out,
+        )
     return EXIT_OK
 
 
@@ -309,8 +318,13 @@ def _cmd_calibrate(args) -> int:
 
 
 def _check(name: str, value: float, low: float, high: float) -> dict:
-    return {"name": name, "value": float(value), "low": float(low), "high": float(high),
-            "passed": bool(low <= value <= high)}
+    return {
+        "name": name,
+        "value": float(value),
+        "low": float(low),
+        "high": float(high),
+        "passed": bool(low <= value <= high),
+    }
 
 
 def _row_seed(seed: int, k: int) -> int:
@@ -502,7 +516,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"thread count must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ComparisonFailure as exc:

@@ -634,7 +634,7 @@ class TestHeraldFraction:
         monkeypatch.setattr(engine, "_setting_streams", recording)
         return made
 
-    @pytest.mark.parametrize("n", [0, -1, 2**63, 2.5, True, "12"])
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 2.5, True, "12", [5]])
     def test_trial_count_is_checked_as_run_plan_checks_it(self, streams_made, n):
         with pytest.raises(ValueError) as plan_error:
             RunPlan(CFG, 0.7, (HV_PAIR,), n, 1)
