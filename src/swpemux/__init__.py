@@ -15,6 +15,7 @@ The package is organized around a handful of layers:
   residuals.
 * :mod:`swpemux.link` - elementary-link timing and feed-forward retry
   statistics.
+* :mod:`swpemux.figures` - the published-figure presets and their checks.
 * :mod:`swpemux.cli` - the ``swpemux`` command line tool.
 """
 from .analysis import (

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: simulate, bell, tomo, decay, pmc, link, calibrate, reproduce.
+Subcommands: simulate, bell, tomo, decay, pmc, link, calibrate, reproduce;
+reproduce runs one preset of figures.FIGURES and writes its rows and checks.
 Every output file is written atomically (temp file + rename) and is
 byte-for-byte reproducible for a given seed; --threads is accepted for
 compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
@@ -17,16 +18,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import analysis, engine, geometry, io, link
+from . import analysis, engine, figures, geometry, io, link
 from .config import ExperimentConfig
 from .engine import RunPlan
-from .states import BASIS, _eigvalsh, bell_state, validate_density
+from .states import _eigvalsh, bell_state, validate_density
 from .util import atomic_write_text
 
 # Fixed documented default seed; pass --seed to change it.
@@ -150,7 +148,7 @@ def _parsers() -> tuple:
     p.add_argument("--out", metavar="PATH", required=True)
 
     p = sub.add_parser("reproduce", help="rerun a published-figure preset and check it")
-    p.add_argument("--figure", choices=("fig2", "fig3", "fig4", "fig5"), required=True)
+    p.add_argument("--figure", choices=tuple(figures.FIGURES), required=True)
     p.add_argument("--out", metavar="PATH", required=True)
     p.add_argument("--config", metavar="PATH")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -202,14 +200,6 @@ def _cmd_bell(args) -> int:
     return EXIT_OK
 
 
-def _rho_payload(rho: np.ndarray) -> dict:
-    return {
-        "basis": list(BASIS),
-        "re": [[float(v) for v in row] for row in rho.real],
-        "im": [[float(v) for v in row] for row in rho.imag],
-    }
-
-
 def _cmd_tomo(args) -> int:
     config = _load_config(args.config)
     table = io.read_coincidence_csv(args.counts)
@@ -222,8 +212,8 @@ def _cmd_tomo(args) -> int:
         )
     target = bell_state(config.theta)
     payload = {
-        "rho_raw": _rho_payload(raw),
-        "rho": _rho_payload(physical),
+        "rho_raw": io.rho_payload(raw),
+        "rho": io.rho_payload(physical),
         "eigenvalues": [float(v) for v in _eigvalsh(physical)],
         "fidelity_vs_target": analysis.fidelity(physical, target),
         "target_theta": config.theta,
@@ -313,143 +303,12 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# figure reproduction presets
-
-
-def _check(name: str, value: float, low: float, high: float) -> dict:
-    return {
-        "name": name,
-        "value": float(value),
-        "low": float(low),
-        "high": float(high),
-        "passed": bool(low <= value <= high),
-    }
-
-
-def _row_seed(seed: int, k: int) -> int:
-    """Seed of a figure's k-th row: seed + k, wrapped into [0, 2^64) so that
-    every valid seed gives every row its own stream."""
-    return (seed + k) % (1 << 64)
-
-
-def _simulated_s(config, tau, n_coincidences, seed) -> tuple:
-    table = engine.run_coincidence_batch(
-        config, tau, analysis.CANONICAL_BELL.setting_pairs(), n_coincidences, seed
-    )
-    return analysis.bell_s(table)
-
-
-def _reproduce_fig2(config: ExperimentConfig, seed: int, trials: Optional[int]):
-    """Herald probability versus mode count; the multiplexing gain.
-
-    The endpoints default to 10^9 trials, where the ratio's standard error
-    (below 0.02) is small against the [18.5, 19.0] window. One
-    engine.herald_fractions call draws every row's heralds, one binomial each
-    whatever the trial count, from its own seed, so the rows' errors are
-    independent. A run whose m = 1 row drew no heralds has no ratio (NaN) and
-    fails the ratio check.
-    """
-    endpoint_trials = 1_000_000_000 if trials is None else trials
-    sweep_trials = min(endpoint_trials, 1_000_000)
-    ms = range(1, config.m + 1)
-    counts = [endpoint_trials if m in (1, config.m) else sweep_trials for m in ms]
-    draws = engine.herald_fractions(config, ms, counts, [_row_seed(seed, m) for m in ms])
-    rows = [{"m": m, "trials": n, "p_s_hat": p_hat, "p_s_exact": exact, "p_s_linear": linear}
-            for m, n, (p_hat, exact, linear) in zip(ms, counts, draws)]
-    ratio = draws[-1][0] / draws[0][0] if draws[0][0] > 0.0 else math.nan
-    checks = [_check("p_s_ratio_m19_vs_m1", ratio, 18.5, 19.0)]
-    for m, (p_hat, p_true, _) in ((1, draws[0]), (config.m, draws[-1])):
-        width = 4 * (p_true * (1 - p_true) / endpoint_trials) ** 0.5  # four standard errors
-        checks.append(_check(f"p_s_hat_m{m}_within_4se", p_hat, p_true - width, p_true + width))
-    return rows, checks
-
-
-def _reproduce_fig3(config: ExperimentConfig, seed: int, trials: Optional[int]):
-    """CHSH decay with storage time, plus the fitted memory lifetime."""
-    n = 1_000_000 if trials is None else trials
-    tau_grid = (0.7, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    rows = []
-    points = []
-    for index, tau in enumerate(tau_grid):
-        s_value, s_error = _simulated_s(config, tau, n, _row_seed(seed, index))
-        rows.append({"tau": tau, "s": s_value, "s_err": s_error})
-        points.append((tau, s_value, s_error))
-    fit = analysis.fit_decay(points)
-    checks = [
-        _check("s_at_0p7us", rows[0]["s"], 2.25, 2.35),
-        _check("s_at_30us", rows[-1]["s"], 1.98, 2.08),
-        _check("lifetime_chsh_us", fit.lifetime_chsh, 25.0, 40.0),
-    ]
-    return rows + [{"fit": fit.to_dict()}], checks
-
-
-def _reproduce_fig4(config: ExperimentConfig, seed: int, trials: Optional[int]):
-    """Tomography of the calibrated multiplexed state and its fidelity."""
-    n = 100_000 if trials is None else trials
-    table = engine.run_coincidence_batch(
-        config, config.tau_ref, analysis.tomography_setting_pairs(), n, seed
-    )
-    raw = analysis.tomo_reconstruct(table)
-    physical = analysis.project_physical(raw)
-    fid = analysis.fidelity(physical, bell_state(config.theta))
-    rows = [{"rho": _rho_payload(physical), "fidelity": fid, "samples_per_basis": n}]
-    checks = [_check("tomography_fidelity", fid, 0.84, 0.88)]
-    return rows, checks
-
-
-def _reproduce_fig5(config: ExperimentConfig, seed: int, trials: Optional[int]):
-    """CHSH and coincidence probability versus mode count."""
-    n = 1_000_000 if trials is None else trials
-    rows = []
-    s_values = {}
-    for m in range(1, config.m + 1):
-        cfg_m = config.replace(m=m)
-        s_value, s_error = _simulated_s(cfg_m, config.tau_ref, n, _row_seed(seed, m))
-        p_sas = engine.analytic_p_sas(cfg_m)
-        rows.append(
-            {
-                "m": m,
-                "s": s_value,
-                "s_err": s_error,
-                "p_sas_exact": p_sas.exact,
-                "p_sas_linear": p_sas.linear,
-            }
-        )
-        s_values[m] = s_value
-    curve = np.array([row["p_sas_exact"] for row in rows])
-    design = np.column_stack([np.arange(1, config.m + 1), np.ones(config.m)])
-    coefficients, *_ = np.linalg.lstsq(design, curve, rcond=None)
-    fitted = design @ coefficients
-    r_squared = 1.0 - ((curve - fitted) ** 2).sum() / ((curve - curve.mean()) ** 2).sum()
-
-    monotone = all(
-        s_values[m] <= s_values[m - 1] + 1e-9 for m in range(2, config.m + 1)
-    )
-    checks = [
-        _check("s_m1", s_values[1], 2.60, 2.70),
-        _check("s_m19", s_values[config.m], 2.25, 2.35),
-        _check("s_monotone_nonincreasing", 1.0 if monotone else 0.0, 1.0, 1.0),
-        _check("p_sas_ratio", rows[-1]["p_sas_exact"] / rows[0]["p_sas_exact"], 17.6, 19.0),
-        _check("p_sas_linearity_r2", r_squared, 0.999, 1.0),
-    ]
-    return rows, checks
-
-
-_FIGURES = {
-    "fig2": _reproduce_fig2,
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-    "fig5": _reproduce_fig5,
-}
-
-
 def _cmd_reproduce(args) -> int:
     # every figure's seed range, checked before any row seed wraps it
     if not 0 <= args.seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
     config = _load_config(args.config)
-    rows, checks = _FIGURES[args.figure](config, args.seed, args.trials)
+    rows, checks = figures.FIGURES[args.figure](config, args.seed, args.trials)
     passed = all(c["passed"] for c in checks)
     io.write_json(
         {"figure": args.figure, "seed": args.seed, "data": rows, "checks": checks,

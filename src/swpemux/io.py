@@ -19,6 +19,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .engine import COUNT_COLUMNS, BatchResult, CoincidenceTable, SettingPair, _check_counts
+from .states import BASIS
 from .util import as_number, atomic_write_text, json_dumps, read_text
 
 COINCIDENCE_COLUMNS = ("setting_s", "setting_a", *COUNT_COLUMNS)
@@ -113,6 +114,15 @@ def batch_result_to_dict(result: BatchResult) -> dict:
 
 def write_batch_json(result: BatchResult, path: str) -> None:
     write_json(batch_result_to_dict(result), path)
+
+
+def rho_payload(rho: np.ndarray) -> dict:
+    """A density matrix as JSON: its basis order and its real and imaginary parts."""
+    return {
+        "basis": list(BASIS),
+        "re": [[float(v) for v in row] for row in rho.real],
+        "im": [[float(v) for v in row] for row in rho.imag],
+    }
 
 
 def read_decay_points(path: str) -> list:

@@ -1,4 +1,5 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
+import ast
 import csv
 import hashlib
 import json
@@ -9,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swpemux import cli, engine, geometry
-from swpemux.analysis import CANONICAL_BELL, tomography_setting_pairs
+from swpemux import cli, engine, figures, geometry
+from swpemux.analysis import (
+    CANONICAL_BELL, project_physical, tomo_reconstruct, tomography_setting_pairs,
+)
 from swpemux.cli import DEFAULT_SEED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from swpemux.config import ExperimentConfig
 from swpemux.engine import run_coincidence_batch
 from swpemux.geometry import MAX_BEAMS
-from swpemux.io import COINCIDENCE_COLUMNS, read_coincidence_csv, write_coincidence_csv
+from swpemux.io import (
+    COINCIDENCE_COLUMNS, read_coincidence_csv, rho_payload, write_coincidence_csv,
+)
 
 CFG = ExperimentConfig()
 
@@ -416,6 +421,18 @@ class TestReproduce:
         payload = load(out)
         assert payload["passed"] is False
 
+    def test_tomography_samples_at_the_configured_tau_ref(self, tmp_path):
+        # away from the default 0.7 us, where any other storage time changes the state
+        config = ExperimentConfig(tau_ref=30.0)
+        config.save(str(tmp_path / "cfg.json"))
+        out = str(tmp_path / "fig4.json")
+        run_cli("reproduce", "--figure", "fig4", "--out", out,
+                "--config", str(tmp_path / "cfg.json"), "--trials", "30000")
+        table = run_coincidence_batch(config, 30.0, tomography_setting_pairs(), 30000,
+                                      DEFAULT_SEED)
+        rho = project_physical(tomo_reconstruct(table))
+        assert load(out)["data"][0]["rho"] == rho_payload(rho)
+
     def test_fig2_rows_draw_from_distinct_seeds(self, tmp_path, monkeypatch):
         calls = []
         herald_fractions = engine.herald_fractions
@@ -482,7 +499,7 @@ class TestReproduce:
             m = config.m - 1 if config.m == 5 else config.m
             return 2.65 - 0.01 * m + (rise if config.m == 5 else 0.0), 0.001
 
-        monkeypatch.setattr(cli, "_simulated_s", falling_s)
+        monkeypatch.setattr(figures, "_simulated_s", falling_s)
         out = str(tmp_path / "fig5.json")
         run_cli("reproduce", "--figure", "fig5", "--out", out, "--trials", "100")
         checks = {check["name"]: check for check in load(out)["checks"]}
@@ -881,3 +898,39 @@ def test_parser_outcome_is_pinned(tmp_path, capsys, monkeypatch, argv, code, std
 
 def test_default_seed_is_stable_constant():
     assert DEFAULT_SEED == 1905
+
+
+def _imported_names(tree) -> set:
+    """Every dotted part of every module and name that tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+class TestFigureLayering:
+    """The figure presets live in figures.py, which the CLI imports and which
+    never imports the CLI; cli.py only parses, reads the configuration and
+    writes the payload."""
+
+    def test_cli_defines_no_figure_code(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        figure_code = {"_check", "_row_seed", "_simulated_s", "_rho_payload",
+                       *(build.__name__ for build in figures.FIGURES.values())}
+        assert sorted(name for name in defined if name.startswith("_reproduce_")) == []
+        assert sorted(defined & figure_code) == []
+
+    def test_figures_does_not_import_cli(self):
+        tree = ast.parse(Path(figures.__file__).read_text(encoding="utf-8"))
+        assert "cli" not in _imported_names(tree)
+
+    def test_figure_choices_are_the_registry(self):
+        action = SUBPARSERS["reproduce"]._option_string_actions["--figure"]
+        assert action.choices == tuple(figures.FIGURES) == ("fig2", "fig3", "fig4", "fig5")
+        assert "--figure {fig2,fig3,fig4,fig5}" in SUBPARSERS["reproduce"].format_usage()

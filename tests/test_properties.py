@@ -1,5 +1,6 @@
 """Property tests: physical projection, tomography inversion, config JSON
-and its rejection of non-finite values, the outcome law, the validity of
+and its rejection of non-finite values, the outcome law and its agreement
+with the enumerated bin-by-bin law of short trains, the validity of
 sampled rows, the batched herald sampler against run_batch, the coincidence CSV
 round trip, the closed forms of the Werner pair state and the indented JSON
 text against json.dumps.
@@ -46,7 +47,7 @@ from swpemux.io import read_coincidence_csv, write_coincidence_csv
 from swpemux.states import MeasurementSetting, bell_state
 from swpemux.util import first_success_probability, json_dumps
 
-from oracles import exact_coincidence_table
+from oracles import enumerated_law, exact_coincidence_table
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -159,6 +160,38 @@ def test_outcome_law_is_a_distribution(config, tau, pair):
     for probabilities in (law.cells, law.bins):
         assert np.all(probabilities >= 0.0)
         assert abs(probabilities.sum() - 1.0) < 1e-12
+
+
+# trains short enough to enumerate, dark counts included; storage times and
+# decay constants stay where the visibility needs no overflow guard
+short_train_configs = st.builds(
+    ExperimentConfig,
+    m=st.integers(1, 4),
+    chi=st.floats(1e-6, 0.5),
+    theta=st.floats(0.0, 90.0),
+    eta_d=st.floats(1e-3, 1.0),
+    eta_as=_probability(),
+    gamma=_probability(),
+    v1=_probability(exclude_min=True),
+    beta=st.floats(0.0, 10.0),
+    tau_c=st.floats(1.0, 1e3) | st.just(float("inf")),
+    tau_ref=st.floats(0.0, 10.0),
+    dark_rate=st.just(0.0) | _probability(),
+)
+
+
+@PROPERTY
+@given(short_train_configs, st.floats(0.0, 100.0), setting_pairs)
+@example(ExperimentConfig(m=1), 0.7, HV_PAIR)
+@example(ExperimentConfig(m=2, dark_rate=3e-3), 0.0, CANONICAL_BELL.setting_pairs()[1])
+@example(ExperimentConfig(m=3, dark_rate=0.3), 30.0, tomography_setting_pairs()[5])
+@example(ExperimentConfig(m=4, dark_rate=1.0), 0.7, HV_PAIR)  # a = 1: bin 0 always heralds
+def test_outcome_law_is_the_enumerated_law(config, tau, pair):
+    p_herald, cells, bins = enumerated_law(config, tau, pair)
+    law = outcome_law(config, tau, pair)
+    assert abs(law.p_herald - p_herald) <= 1e-12
+    np.testing.assert_allclose(law.cells, cells, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(law.bins, bins, rtol=0.0, atol=1e-12)
 
 
 @PROPERTY
