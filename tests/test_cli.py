@@ -422,7 +422,7 @@ class TestReproduce:
         assert payload["passed"] is False
 
     def test_tomography_samples_at_the_configured_tau_ref(self, tmp_path):
-        # away from the default 0.7 us, where any other storage time changes the state
+        # a tau_ref away from the default 0.7 us: sampling at any other time changes the state
         config = ExperimentConfig(tau_ref=30.0)
         config.save(str(tmp_path / "cfg.json"))
         out = str(tmp_path / "fig4.json")
