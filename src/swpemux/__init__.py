@@ -40,14 +40,12 @@ from .engine import (
     BatchResult,
     CoincidenceRow,
     CoincidenceTable,
-    OutcomeLaw,
     RunPlan,
     SettingPair,
     analytic_p_s,
     analytic_p_sas,
     derive_stream,
     effective_pair_state,
-    outcome_law,
     run_batch,
     run_coincidence_batch,
     visibility,
@@ -96,7 +94,6 @@ __all__ = [
     "HV_PAIR",
     "LinkConfig",
     "MeasurementSetting",
-    "OutcomeLaw",
     "RunPlan",
     "ScanResult",
     "SettingPair",
@@ -118,7 +115,6 @@ __all__ = [
     "fidelity",
     "fit_decay",
     "joint_probabilities",
-    "outcome_law",
     "p_link_multiplexed",
     "pmc_residual",
     "project_physical",

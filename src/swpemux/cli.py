@@ -10,9 +10,9 @@ compatibility, must be at least 1 and has no effect. Exit codes: 0 success,
 main reuses one argument parser per process: build_parser builds it on the
 first call and returns the same object afterwards, so repeated in-process
 calls (tests, the benchmark, library scripts) pay only for parsing. An argv
-that starts with a subcommand is parsed by that subcommand's parser alone,
-and read straight from its option table when it is nothing but valid
-"--option value" pairs (_parse_store_options).
+that is a subcommand and nothing but valid "--option value" pairs is read
+straight from that subcommand's option table (_parse_store_options); every
+other argv is parsed by argparse.
 """
 from __future__ import annotations
 
@@ -337,7 +337,8 @@ def _parse_store_options(parser: argparse.ArgumentParser, tokens: Sequence[str])
     """parser.parse_args(tokens) if the tokens are "--option value" pairs of
     one-value store options, each value converts, is among its choices and
     does not start with "-", and every required option is given; otherwise
-    None, for argparse to parse with its own errors, help and abbreviations."""
+    None, and main parses the whole argv with argparse, with its own errors,
+    help and abbreviations."""
     args = argparse.Namespace(**{action.dest: action.default for action in parser._actions
                                  if action.default is not argparse.SUPPRESS})
     required = {action for action in parser._actions if action.required}
@@ -361,15 +362,13 @@ def _parse_store_options(parser: argparse.ArgumentParser, tokens: Sequence[str])
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, subparsers = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     if argv and argv[0] in subparsers:
         args = _parse_store_options(subparsers[argv[0]], argv[1:])
-        if args is None:
-            args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-    else:
+    if args is None:
         args = parser.parse_args(argv)
+    else:
+        args.command = argv[0]
     try:
         # --threads changes nothing, but a count below 1 is still bad input
         if getattr(args, "threads", 1) < 1:

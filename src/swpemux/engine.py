@@ -13,9 +13,9 @@ so a setting pair's joint table is V J_pure(theta, pair) + (1 - V)/4. The
 pair, over J_pure memoized per pair tuple) is the one source of
 P(D_i, T_j) for both samplers.
 
-Trials are i.i.d., so one closed-form law per setting pair (outcome_law)
-gives the exact distribution of everything run_batch reports: the herald
-count is binomial, and the outcome cells and the herald-bin histogram are
+Trials are i.i.d., so one closed-form law per batch (_batch_law) gives the
+exact distribution of everything run_batch reports: the herald count is
+binomial, and the outcome cells and the herald-bin histogram are
 multinomial given it. run_batch draws those aggregates for n trains, once
 per setting pair, at a cost that does not grow with n; run_coincidence_batch
 draws heralded coincidences from the stacked pair tables alone. Both build a
@@ -176,7 +176,7 @@ def analytic_p_s(config: ExperimentConfig, m: Optional[int] = None) -> Probabili
     approximation m a for reporting; a is the dark-inclusive probability that
     a bin clicks (chi eta_d when dark_rate is 0). An explicit m must be an
     integer of at least 1; the exact value is bitwise the p_herald of
-    outcome_law for config.replace(m=m)."""
+    _batch_law for config.replace(m=m)."""
     m = config.m if m is None else as_count("m", m)
     a, p_herald = _trial_law(config, m)[:2]
     return ProbabilityPair(p_herald, m * a)
@@ -339,16 +339,6 @@ class BatchResult(NamedTuple):
 # sampling
 
 
-class OutcomeLaw(NamedTuple):
-    """Exact law of one write train for one analyzer setting pair: everything
-    run_batch samples from. Both arrays are shared by every caller and
-    read-only."""
-
-    p_herald: float        # P(some bin clicks) = 1 - (1 - a)^m
-    cells: np.ndarray      # P(cell | herald), {real, dark} x {D1, D2} x {T1, T2, no click}
-    bins: np.ndarray       # P(herald in bin k | herald), proportional to (1 - a)^k
-
-
 @functools.lru_cache(maxsize=1024)
 def _pure_tables(theta: float, pairs: tuple[SettingPair, ...]) -> np.ndarray:
     """Joint tables of the pure pair state bell_state(theta), one setting
@@ -378,39 +368,41 @@ def _pair_tables(
 
 
 @functools.lru_cache(maxsize=256)
-def outcome_law(config: ExperimentConfig, tau: float, pair: SettingPair) -> OutcomeLaw:
-    """The per-trial outcome law at storage time tau for one setting pair.
-
-    A real herald lands on (D_i, T_j) with the pair table's probability
-    (_pair_tables) when it reads out, with probability gamma eta_as, and on
-    D_i with the table's row sum when it does not. A dark herald lands on D1
-    or D2 with probability 1/2 each (one detector alone, or both and a fair
-    coin) and reads out an unpolarized background click. Memoized per
-    (config, tau, pair), so repeated batches do not rebuild it; the cache is
-    bounded because sweeps visit arbitrary storage times.
-    """
-    table = _pair_tables(config, tau, (pair,)).reshape(2, 2)
+def _batch_law(config: ExperimentConfig, tau: float, pairs: tuple[SettingPair, ...]) -> tuple:
+    """(p_herald, cells, bins): the exact law of one write train at storage
+    time tau, everything run_batch samples from, with one row of cells per
+    setting pair. cells[s] is P(cell | herald) over {real, dark} x {D1, D2} x
+    {T1, T2, no click}: a real herald lands on (D_i, T_j) with pair s's table
+    probability (_pair_tables) when it reads out, with probability gamma
+    eta_as, and on D_i with the table's row sum when it does not; a dark
+    herald lands on D1 or D2 with probability 1/2 each (one detector alone,
+    or both and a fair coin) and reads out an unpolarized background click.
+    bins[k] = P(herald in bin k | herald) is proportional to (1 - a)^k.
+    cells[s] is bitwise the law of (pairs[s],) alone. Memoized per (config,
+    tau, pairs) and bounded, as sweeps visit arbitrary storage times; the
+    arrays are shared by every caller and read-only."""
+    tables = _pair_tables(config, tau, pairs).reshape(-1, 2, 2)
     a, p_herald, p_real, p_read, p_bg = _trial_law(config, config.m)
-    cells = np.empty((2, 2, 3))
-    cells[0, :, :2] = p_real * p_read * table
-    cells[0, :, 2] = p_real * (1.0 - p_read) * table.sum(axis=1)
-    cells[1, :] = (1.0 - p_real) * 0.5 * np.array([0.5 * p_bg, 0.5 * p_bg, 1.0 - p_bg])
+    cells = np.empty((len(pairs), 2, 2, 3))
+    cells[:, 0, :, :2] = p_real * p_read * tables
+    cells[:, 0, :, 2] = p_real * (1.0 - p_read) * tables.sum(axis=2)
+    cells[:, 1, :] = (1.0 - p_real) * 0.5 * np.array([0.5 * p_bg, 0.5 * p_bg, 1.0 - p_bg])
     bins = (1.0 - a) ** np.arange(config.m)
     bins /= bins.sum()
     cells.flags.writeable = False
     bins.flags.writeable = False
-    return OutcomeLaw(p_herald, cells, bins)
+    return p_herald, cells, bins
 
 
 def run_batch(plan: RunPlan) -> BatchResult:
     """Run n_trials write trains per analyzer setting pair.
 
-    The aggregates are drawn from the exact outcome law instead of simulating
-    every bin. Setting pair s draws from derive_stream(seed, trials domain,
+    The aggregates are drawn from the batch's exact outcome law, read once
+    (_batch_law), instead of simulating every bin. Setting pair s draws from derive_stream(seed, trials domain,
     s), through the thread's generator re-keyed per pair, in the fixed order
     of the reproducibility contract: the herald count ~ Binomial(n_trials,
-    p_herald), then the (2, 2, 3) outcome cells ~ Multinomial(heralds,
-    cells), then the herald-bin histogram ~ Multinomial(heralds, bins). The
+    p_herald), then its (2, 2, 3) outcome cells ~ Multinomial(heralds,
+    cells[s]), then the herald-bin histogram ~ Multinomial(heralds, bins). The
     cells, summed over real and dark heralds, form row s of the table's
     count array; the counts and totals are Python integers until that array
     is built. The cost per pair is O(m), whatever n_trials is, and the
@@ -425,14 +417,14 @@ def run_batch(plan: RunPlan) -> BatchResult:
     histogram = np.zeros(plan.config.m, dtype=np.int64)
     rows, coincidences = [], []
     n_heralds = n_dark = 0
+    p_herald, cells, bins = _batch_law(plan.config, plan.tau, pairs)
     streams = _setting_streams((plan.seed,), _DOMAIN_TRIALS, len(pairs))
-    for pair, gen in zip(pairs, streams):
-        law = outcome_law(plan.config, plan.tau, pair)
-        heralds = int(gen.binomial(n, law.p_herald))
+    for pair_cells, gen in zip(cells, streams):
+        heralds = int(gen.binomial(n, p_herald))
         # {real, dark} x {D1, D2} x {T1, T2, no readout}, as Python ints
         (r11, r12, r10, r21, r22, r20,
-         k11, k12, k10, k21, k22, k20) = gen.multinomial(heralds, law.cells.ravel()).tolist()
-        histogram += gen.multinomial(heralds, law.bins)
+         k11, k12, k10, k21, k22, k20) = gen.multinomial(heralds, pair_cells.ravel()).tolist()
+        histogram += gen.multinomial(heralds, bins)
         row = [r11 + k11, r12 + k12, r21 + k21, r22 + k22,
                r11 + r12 + r10 + k11 + k12 + k10, r21 + r22 + r20 + k21 + k22 + k20, n]
         rows.append(row)
@@ -486,7 +478,7 @@ def run_coincidence_batch(
 
     This draws from the conditional law of run_batch given a real herald and
     a successful readout, the stacked pair tables P(D_i, T_j) that
-    outcome_law also reads, as one multinomial per pair into the table's
+    _batch_law also reads, as one multinomial per pair into the table's
     count array. Use it where published statistics are quoted per heralded
     coincidence; the full per-trial engine would need about
     1/(p_s gamma eta_as) trials per coincidence to reach the same counts.

@@ -68,7 +68,7 @@ def enumerated_law(config, tau: float, pair) -> tuple:
     out an unpolarized background click with probability
     min(1, dark_rate + beta (m - 1) chi gamma eta_as). cells is P(cell |
     herald) over {real, dark} x {D1, D2} x {T1, T2, no click} and bins is
-    P(herald in bin k | herald), like engine.OutcomeLaw.
+    P(herald in bin k | herald), like one pair's row of engine._batch_law.
     """
     q, d, m = config.chi * config.eta_d, config.dark_rate, config.m
     v = config.v1 / (1.0 + config.beta * (m - 1) * config.chi)

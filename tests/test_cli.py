@@ -505,6 +505,28 @@ class TestReproduce:
         checks = {check["name"]: check for check in load(out)["checks"]}
         assert checks["s_monotone_nonincreasing"]["passed"] is monotone
 
+    @pytest.mark.parametrize("changes, nan_checks", [
+        ({"gamma": 0.0}, ("p_sas_ratio", "p_sas_linearity_r2")),  # p_sas is 0 at every m
+        ({"eta_as": 0.0}, ("p_sas_ratio", "p_sas_linearity_r2")),
+        ({"m": 1}, ("p_sas_linearity_r2",)),  # a one-point curve has no spread
+    ])
+    def test_fig5_without_a_p_sas_curve_fails_cleanly(self, tmp_path, capsys, changes,
+                                                       nan_checks):
+        # no ratio or no r^2 is NaN, with no numpy warning: the checks fail,
+        # the file is written and the run exits 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(changes))
+        out = str(tmp_path / "fig5.json")
+        code = run_cli("reproduce", "--figure", "fig5", "--config", str(config), "--out", out,
+                       "--trials", "1000")
+        assert code == EXIT_RUNTIME
+        checks = {check["name"]: check for check in load(out)["checks"]}
+        for name in nan_checks:
+            assert math.isnan(checks[name]["value"]) and checks[name]["passed"] is False
+        err = capsys.readouterr().err
+        assert err.startswith("failure: reproduction checks failed: ")
+        assert all(name in err for name in nan_checks)
+
     @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig5"])
     def test_largest_seed_is_accepted(self, tmp_path, figure):
         # per-row seeds seed + k wrap around instead of leaving [0, 2^64)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swpemux.config import ExperimentConfig
-from swpemux.engine import HV_PAIR, outcome_law
+from swpemux.engine import HV_PAIR, _batch_law
 
 
 def test_defaults():
@@ -119,10 +119,10 @@ class TestReplace:
 
     def test_outcome_law_memo_is_hit(self):
         cfg = ExperimentConfig(m=5, chi=0.0123)
-        law = outcome_law(cfg, 0.7, HV_PAIR)
-        hits = outcome_law.cache_info().hits
-        assert outcome_law(cfg.replace(m=cfg.m), 0.7, HV_PAIR) is law
-        assert outcome_law.cache_info().hits == hits + 1
+        law = _batch_law(cfg, 0.7, (HV_PAIR,))
+        hits = _batch_law.cache_info().hits
+        assert _batch_law(cfg.replace(m=cfg.m), 0.7, (HV_PAIR,)) is law
+        assert _batch_law.cache_info().hits == hits + 1
 
 
 class TestFromDict:

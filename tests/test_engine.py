@@ -16,6 +16,7 @@ from swpemux.engine import (
     CoincidenceTable,
     RunPlan,
     SettingPair,
+    _batch_law,
     _check_counts,
     _pair_tables,
     _pure_tables,
@@ -24,7 +25,6 @@ from swpemux.engine import (
     analytic_p_sas,
     derive_stream,
     effective_pair_state,
-    outcome_law,
     run_batch,
     run_coincidence_batch,
     visibility,
@@ -38,7 +38,7 @@ from swpemux.analysis import (
 from swpemux.io import coincidence_table_to_csv, parse_coincidence_csv
 from swpemux.util import first_success_probability
 
-from oracles import exact_coincidence_table
+from oracles import enumerated_law, exact_coincidence_table
 
 CFG = ExperimentConfig()
 
@@ -189,11 +189,11 @@ class TestStreamsAgainstFreshPhilox:
         histogram = np.zeros(config.m, dtype=np.int64)
         n_dark = 0
         for s, (pair, row) in enumerate(zip(pairs, result.table.counts.tolist())):
-            law = outcome_law(config, tau, pair)
+            p_herald, cells, bins = _batch_law(config, tau, (pair,))
             gen = fresh_stream(seed, 0, s)
-            heralds = gen.binomial(n, law.p_herald)
-            cells = gen.multinomial(heralds, law.cells.ravel()).reshape(2, 2, 3)
-            histogram += gen.multinomial(heralds, law.bins)
+            heralds = gen.binomial(n, p_herald)
+            cells = gen.multinomial(heralds, cells[0].ravel()).reshape(2, 2, 3)
+            histogram += gen.multinomial(heralds, bins)
             n_dark += int(cells[1].sum())
             by_detector = cells.sum(axis=0)
             assert row[:4] == by_detector[:, :2].ravel().tolist()
@@ -254,7 +254,7 @@ def test_law_tables_leave_the_config_mode_count_unchecked(monkeypatch):
     monkeypatch.setattr(engine, "as_count", no_check)
     pair = CANONICAL_BELL.setting_pairs()[2]
     assert _pair_tables(CFG, 0.123, (pair,)).shape == (1, 4)
-    assert outcome_law(CFG, 0.123, pair).p_herald == analytic_p_s(CFG).exact
+    assert _batch_law(CFG, 0.123, (pair,))[0] == analytic_p_s(CFG).exact
     assert visibility(CFG, tau=0.123) == v
 
 
@@ -306,31 +306,52 @@ class TestAnalyticProbabilities:
 
 
 class TestOutcomeLaw:
+    """The one outcome law of a batch, _batch_law: (p_herald, cells, bins)
+    with one (2, 2, 3) cell row per setting pair."""
+
+    PAIRS = CANONICAL_BELL.setting_pairs() + tomography_setting_pairs()
+
     @pytest.mark.parametrize("dark_rate", [0.0, 3e-3, 1.0])
     def test_normalized(self, dark_rate):
-        law = outcome_law(CFG.replace(dark_rate=dark_rate), 0.7, CANONICAL_BELL.setting_pairs()[1])
-        assert law.cells.shape == (2, 2, 3)
-        assert np.all(law.cells >= 0.0)
-        assert law.cells.sum() == pytest.approx(1.0, abs=1e-15)
-        assert law.bins.shape == (CFG.m,)
-        assert law.bins.sum() == pytest.approx(1.0, abs=1e-15)
+        pair = CANONICAL_BELL.setting_pairs()[1]
+        _, cells, bins = _batch_law(CFG.replace(dark_rate=dark_rate), 0.7, (pair,))
+        assert cells.shape == (1, 2, 2, 3)
+        assert np.all(cells >= 0.0)
+        assert cells.sum() == pytest.approx(1.0, abs=1e-15)
+        assert bins.shape == (CFG.m,)
+        assert bins.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_memoized_and_read_only(self):
-        pair = CANONICAL_BELL.setting_pairs()[2]
-        law = outcome_law(CFG, 1.5, pair)
-        assert outcome_law(CFG.replace(), 1.5, pair) is law
-        for table in (law.cells, law.bins):
+        pairs = tuple(CANONICAL_BELL.setting_pairs())
+        law = _batch_law(CFG, 1.5, pairs)
+        assert _batch_law(CFG.replace(), 1.5, pairs) is law
+        for table in law[1:]:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table.flat[0] = 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 19])
+    def test_stacked_rows_are_the_one_pair_laws(self, m):
+        """Bitwise: row s of a batch's law is the law of pairs[s] alone, so a
+        pair's draws never depend on which pairs share its batch."""
+        for dark_rate in (0.0, 3e-3, 0.3):
+            config = CFG.replace(m=m, dark_rate=dark_rate)
+            for tau in (0.0, 0.7, 13.3, 30.0):
+                p_herald, cells, bins = _batch_law(config, tau, self.PAIRS)
+                assert cells.shape == (len(self.PAIRS), 2, 2, 3)
+                for s, pair in enumerate(self.PAIRS):
+                    one_herald, one_cells, one_bins = _batch_law(config, tau, (pair,))
+                    assert one_herald.hex() == p_herald.hex()
+                    assert one_cells[0].tobytes() == cells[s].tobytes()
+                    assert one_bins.tobytes() == bins.tobytes()
 
     def test_no_click_possible(self):
         # a = 0 (no detection, no dark counts): the chi eta_d / a share must
         # not divide by zero
         cfg = CFG.replace(eta_d=0.0)
-        law = outcome_law(cfg, 0.7, HV_PAIR)
-        assert law.p_herald == 0.0
-        assert np.all(np.isfinite(law.cells)) and np.all(np.isfinite(law.bins))
+        p_herald, cells, bins = _batch_law(cfg, 0.7, (HV_PAIR,))
+        assert p_herald == 0.0
+        assert np.all(np.isfinite(cells)) and np.all(np.isfinite(bins))
         result = run_batch(RunPlan(cfg, 0.7, (HV_PAIR,), 100_000, 3))
         assert result.n_heralds == 0 and result.n_coincidences == 0
         assert result.herald_bin_histogram.sum() == 0
@@ -357,7 +378,7 @@ class TestOutcomeLaw:
 
 
 class TestPairTable:
-    PAIRS = CANONICAL_BELL.setting_pairs() + tomography_setting_pairs()
+    PAIRS = TestOutcomeLaw.PAIRS
 
     def test_pure_table_is_memoized_and_read_only(self):
         pairs = (SettingPair(MeasurementSetting.linear(22.5), MeasurementSetting.circular_l()),)
@@ -375,7 +396,7 @@ class TestPairTable:
     def test_matches_werner_state_and_old_per_port_law(self):
         """Over the m = 1..19, tau = 0..30 grid and the 13 Bell and
         tomography pairs: the affine table equals the normalized joint table
-        of the Werner state, and outcome_law's real-herald cells equal the
+        of the Werner state, and _batch_law's real-herald cells equal the
         per-port split of that table."""
         tables, joints, cells, per_port = [], [], [], []
         for m in range(1, 20):
@@ -385,10 +406,10 @@ class TestPairTable:
             for tau in np.arange(31.0):
                 rho = effective_pair_state(config, m, tau)
                 tables.extend(_pair_tables(config, tau, self.PAIRS).reshape(-1, 2, 2))
+                cells.extend(_batch_law(config, tau, self.PAIRS)[1][:, 0])
                 for pair in self.PAIRS:
                     joint = joint_probabilities(rho, pair.stokes, pair.anti_stokes)
                     joints.append(joint / joint.sum())
-                    cells.append(outcome_law(config, tau, pair).cells[0])
                     p_det = joint.sum(axis=1)
                     p_d1 = p_det[0] / p_det.sum()
                     for i, p_port in enumerate((p_d1, 1.0 - p_d1)):
@@ -484,7 +505,7 @@ def _simulate_trains(gen, n, config, params):
 
 def _kernel_counts(config, pair, n, seed):
     """Aggregates of n trains simulated bin by bin by the test kernel, with
-    readout parameters that never pass through outcome_law. Returns the
+    readout parameters that never pass through _batch_law. Returns the
     counts (no herald, D1T1, D1T2, D2T1, D2T2, D1 without readout click,
     D2 without readout click, dark heralds) and the herald-bin histogram."""
     params = _readout_parameters(config, 0.7, pair)
@@ -535,8 +556,6 @@ def _assert_same_law(counts, histogram, kernel, kernel_hist):
     assert _homogeneity_pvalue(histogram, kernel_hist) > 1e-3
 
 
-# index in the _kernel_counts vector of a heralded record's
-# (herald detector, readout detector); None is no readout click
 class TestLawAgainstKernel:
     @pytest.mark.parametrize(
         "changes, pair",
@@ -559,6 +578,87 @@ class TestLawAgainstKernel:
         _assert_same_law(batch, batch_hist, kernel, kernel_hist)
         if cfg.dark_rate > 0.0:
             assert batch[7] > 0 and kernel[7] > 0
+
+
+def _ks_uniform(pvalues):
+    """KS p-value that the p-values are uniform on [0, 1]."""
+    return stats.kstest(pvalues, "uniform").pvalue
+
+
+def _z_pvalues(fractions, n, p):
+    """Two-sided normal p-values of binomial fractions of n trials with mean p."""
+    z = (np.asarray(fractions) - p) / math.sqrt(p * (1.0 - p) / n)
+    return 2.0 * stats.norm.sf(np.abs(z))
+
+
+def _chi2_pvalues(counts, probabilities):
+    """Chi-square p-values of count rows, each against its total times the
+    probabilities."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum(axis=1, keepdims=True) * probabilities
+    return stats.chi2.sf(((counts - expected) ** 2 / expected).sum(axis=1), counts.shape[1] - 1)
+
+
+class TestSamplersAtHugeCounts:
+    """The samplers against the enumerated law (tests/oracles.py) alone, at
+    trial counts where the normal and chi-square approximations hold and a
+    relative error near 1/sqrt(n p) shows. Over fixed seeds the p-values of
+    each statistic must look uniform: its KS p-value stays above KS_FLOOR.
+    The seeds are fixed, so each KS p-value is a fixed number."""
+
+    SEEDS = range(300)
+    KS_FLOOR = 1e-3
+    # short trains with dark counts, two setting pairs per batch
+    CASES = {
+        "m2-dark": (CFG.replace(m=2, dark_rate=3e-3), 0.7,
+                    (CANONICAL_BELL.setting_pairs()[1], tomography_setting_pairs()[2])),
+        "m4-dark-dominated": (CFG.replace(m=4, dark_rate=0.3), 30.0,
+                              (tomography_setting_pairs()[5], HV_PAIR)),
+    }
+
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_batch(self, case, n):
+        config, tau, pairs = self.CASES[case]
+        heralds, histograms, cells = [[] for _ in pairs], [], [[] for _ in pairs]
+        for seed in self.SEEDS:
+            result = run_batch(RunPlan(config, tau, pairs, n, seed))
+            histograms.append(result.herald_bin_histogram)
+            for s, (c11, c12, c21, c22, n1, n2, _) in enumerate(result.table.counts.tolist()):
+                heralds[s].append((n1 + n2) / n)
+                cells[s].append([c11, c12, n1 - c11 - c12, c21, c22, n2 - c21 - c22])
+        for s, pair in enumerate(pairs):
+            p_herald, law_cells, bins = enumerated_law(config, tau, pair)
+            assert _ks_uniform(_z_pvalues(heralds[s], n, p_herald)) > self.KS_FLOOR
+            # (D, T) cells summed over real and dark heralds, given the heralds
+            by_port = law_cells.sum(axis=0).ravel()
+            assert _ks_uniform(_chi2_pvalues(cells[s], by_port)) > self.KS_FLOOR
+        # the histogram sums both pairs' heralds, which share one bin law
+        assert _ks_uniform(_chi2_pvalues(histograms, bins)) > self.KS_FLOOR
+
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    @pytest.mark.parametrize("case", CASES)
+    def test_herald_fractions(self, case, n):
+        config, tau, pairs = self.CASES[case]
+        ms = [1 + seed % 4 for seed in self.SEEDS]
+        # seeds of their own: run_batch's first draw at seed s is this draw
+        seeds = [len(self.SEEDS) + seed for seed in self.SEEDS]
+        fractions = engine.herald_fractions(config, ms, [n] * len(ms), seeds)
+        p_heralds = {m: enumerated_law(config.replace(m=m), tau, pairs[0])[0] for m in set(ms)}
+        pvalues = [_z_pvalues(p_hat, n, p_heralds[m]) for m, (p_hat, _, _) in zip(ms, fractions)]
+        assert _ks_uniform(pvalues) > self.KS_FLOOR
+
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_coincidence_batch(self, case, n):
+        config, tau, pairs = self.CASES[case]
+        counts = np.array([run_coincidence_batch(config, tau, pairs, n, seed).counts[:, :4]
+                           for seed in self.SEEDS])
+        for s, pair in enumerate(pairs):
+            # the enumerated table given a real herald and a readout
+            real_read = enumerated_law(config, tau, pair)[1][0, :, :2].ravel()
+            assert _ks_uniform(_chi2_pvalues(counts[:, s], real_read / real_read.sum())) \
+                > self.KS_FLOOR
 
 
 class TestSettingPair:

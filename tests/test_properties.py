@@ -34,11 +34,11 @@ from swpemux.engine import (
     HV_PAIR,
     RunPlan,
     SettingPair,
+    _batch_law,
     _check_counts,
     analytic_p_s,
     effective_pair_state,
     herald_fractions,
-    outcome_law,
     run_batch,
     run_coincidence_batch,
     visibility,
@@ -155,9 +155,9 @@ setting_pairs = st.sampled_from(CANONICAL_BELL.setting_pairs() + tomography_sett
 @example(ExperimentConfig(dark_rate=1.0), 0.7, tomography_setting_pairs()[4])  # a = 1
 @example(ExperimentConfig(m=1, v1=1.0, tau_ref=5.0), 0.0, tomography_setting_pairs()[0])  # V = 1
 def test_outcome_law_is_a_distribution(config, tau, pair):
-    law = outcome_law(config, tau, pair)
-    assert 0.0 <= law.p_herald <= 1.0
-    for probabilities in (law.cells, law.bins):
+    p_herald, cells, bins = _batch_law(config, tau, (pair,))
+    assert 0.0 <= p_herald <= 1.0
+    for probabilities in (cells[0], bins):
         assert np.all(probabilities >= 0.0)
         assert abs(probabilities.sum() - 1.0) < 1e-12
 
@@ -188,10 +188,10 @@ short_train_configs = st.builds(
 @example(ExperimentConfig(m=4, dark_rate=1.0), 0.7, HV_PAIR)  # a = 1: bin 0 always heralds
 def test_outcome_law_is_the_enumerated_law(config, tau, pair):
     p_herald, cells, bins = enumerated_law(config, tau, pair)
-    law = outcome_law(config, tau, pair)
-    assert abs(law.p_herald - p_herald) <= 1e-12
-    np.testing.assert_allclose(law.cells, cells, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(law.bins, bins, rtol=0.0, atol=1e-12)
+    law_herald, law_cells, law_bins = _batch_law(config, tau, (pair,))
+    assert abs(law_herald - p_herald) <= 1e-12
+    np.testing.assert_allclose(law_cells[0], cells, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(law_bins, bins, rtol=0.0, atol=1e-12)
 
 
 @PROPERTY
@@ -233,7 +233,7 @@ def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, rows):
     must be the very draw run_batch makes first for a one-pair plan at that
     row's m and seed, so the float is the same bits, and its exact and linear
     values must be analytic_p_s at that m, whose exact value is the p_herald
-    that outcome_law gives run_batch there."""
+    that _batch_law gives run_batch there."""
     ms, trials, seeds = zip(*rows)
     fractions = herald_fractions(config, ms, trials, seeds)
     assert len(fractions) == len(rows)
@@ -242,7 +242,7 @@ def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, rows):
         assert p_s_hat.hex() == batch.p_s_hat.hex()
         law = analytic_p_s(config, m)
         assert (exact.hex(), linear.hex()) == (law.exact.hex(), law.linear.hex())
-        assert exact.hex() == outcome_law(config.replace(m=m), tau, pair).p_herald.hex()
+        assert exact.hex() == _batch_law(config.replace(m=m), tau, (pair,))[0].hex()
 
 
 analyzers = st.one_of(

@@ -43,12 +43,12 @@ EXPORTED = [
     "BASIS", "BatchResult", "BeamGeometry", "BellSettings", "CANONICAL_BELL",
     "CoincidenceRow", "CoincidenceTable", "DecayFit", "EntanglementTimeReport",
     "ExperimentConfig", "FeedbackConfig", "FeedbackReport", "HV_PAIR", "LinkConfig",
-    "MeasurementSetting", "OutcomeLaw", "RunPlan", "ScanResult", "SettingPair",
+    "MeasurementSetting", "RunPlan", "ScanResult", "SettingPair",
     "TSIRELSON_BOUND", "analytic_bell_s", "analytic_correlation", "analytic_p_s",
     "analytic_p_sas", "avg_entanglement_time", "bell_s", "bell_state",
     "calibrate_visibility", "communication_time", "correlation_e", "derive_stream",
     "effective_pair_state", "fan_angles", "feedback_success", "fidelity", "fit_decay",
-    "joint_probabilities", "outcome_law", "p_link_multiplexed", "pmc_residual",
+    "joint_probabilities", "p_link_multiplexed", "pmc_residual",
     "project_physical", "run_batch", "run_coincidence_batch", "scan_geometry",
     "tomo_reconstruct", "tomography_setting_pairs", "validate_density", "visibility",
     "werner_state",
