@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,23 @@ class TestDecay:
         payload = load(out)
         assert payload["tau_c"] == pytest.approx(234.63777275600924, rel=1e-12)
         assert payload["lifetime_chsh"] == pytest.approx(33.49343087496093, rel=1e-12)
+
+    def test_fig3_endpoints_with_errors(self, tmp_path):
+        # the fit of fig3's endpoints with errors, as recorded before the
+        # decay fit was taken about the weighted mean storage time
+        points = tmp_path / "pts.csv"
+        points.write_text("tau,s,s_err\n0.7,2.30,0.01\n30.0,2.03,0.01\n")
+        out = str(tmp_path / "fit.json")
+        assert run_cli("decay", "--points", str(points), "--out", out) == EXIT_OK
+        payload = load(out)
+        assert payload["tau_ref"] == 0.7
+        assert payload["tau_c"] == pytest.approx(234.6377727560092, rel=1e-12)
+        assert payload["v_ref"] == pytest.approx(0.8131727983645295, rel=1e-12)
+        assert payload["lifetime_chsh"] == pytest.approx(33.49343087496093, rel=1e-12)
+        np.testing.assert_allclose(payload["covariance"], [
+            [1.8903591682419665e-05, 6.451737775569852e-07],
+            [6.451737775569851e-07, 5.0286124938669264e-08],
+        ], rtol=1e-12, atol=0.0)
 
     def test_single_point_is_usage_error(self, tmp_path):
         points = tmp_path / "pts.csv"
@@ -526,6 +544,32 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert err.startswith("failure: reproduction checks failed: ")
         assert all(name in err for name in nan_checks)
+
+    def test_fig3_rows_and_fit_are_pinned(self, tmp_path):
+        # fig3 at the default seed, as recorded before the decay fit was taken
+        # about the weighted mean storage time: the rows exactly, the fit to
+        # 1e-12 relative
+        out = str(tmp_path / "fig3.json")
+        assert run_cli("reproduce", "--figure", "fig3", "--out", out) == EXIT_OK
+        *rows, last = load(out)["data"]
+        assert rows == [
+            {"s": 2.299586, "s_err": 0.0016364520681853166, "tau": 0.7},
+            {"s": 2.255706, "s_err": 0.0016516485126018793, "tau": 5.0},
+            {"s": 2.210304, "s_err": 0.0016669246315487692, "tau": 10.0},
+            {"s": 2.1637180000000003, "s_err": 0.0016821356251824641, "tau": 15.0},
+            {"s": 2.120362, "s_err": 0.0016958814457608763, "tau": 20.0},
+            {"s": 2.072076, "s_err": 0.0017107369773732024, "tau": 25.0},
+            {"s": 2.027308, "s_err": 0.0017240934640395803, "tau": 30.0},
+        ]
+        fit = last["fit"]
+        assert fit["tau_ref"] == 0.7
+        assert fit["tau_c"] == pytest.approx(234.17480280072877, rel=1e-12)
+        assert fit["v_ref"] == pytest.approx(0.8129522700219223, rel=1e-12)
+        assert fit["lifetime_chsh"] == pytest.approx(33.36520966183476, rel=1e-12)
+        np.testing.assert_allclose(fit["covariance"], [
+            [2.423566116060098e-07, 1.1837197155405976e-08],
+            [1.1837197155405972e-08, 8.945612772031944e-10],
+        ], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig5"])
     def test_largest_seed_is_accepted(self, tmp_path, figure):
