@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -281,13 +282,15 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
     """Weighted least squares fit of S(tau) = 2 sqrt 2 v_ref exp(-(tau - tau_ref)/tau_c).
 
     points is an iterable of (tau, S) or (tau, S, S_error) tuples, all with or
-    all without errors; the fit runs on ln S, so errors propagate as
-    S_error/S. Two points determine the model exactly (the fit degenerates to
-    interpolation and the covariance is zero). Data at or above the quantum
+    all without errors. The fit is a closed-form straight line in ln S (errors
+    propagate as S_error/S) about the weighted mean storage time, moved to
+    tau_ref, by default the earliest storage time. Two points determine the
+    model exactly (the covariance is then zero). Data at or above the quantum
     bound, or that do not decay, produce a warning rather than a failure; a
-    non-decaying fit pins tau_c to +inf. A NaN or infinite tau, S, S_error
-    or tau_ref is a ValueError that names it, and so is a finite tau_ref so
-    far from the storage times that the normal matrix, the solution or the
+    non-decaying fit pins tau_c to +inf. A NaN or infinite tau, S, S_error or
+    tau_ref is a ValueError that names it; so is a total weight or weighted
+    spread of the storage times that is 0 or not finite, and a tau_ref so far
+    from the storage times that v_ref is not a finite normal float or the
     covariance is not finite.
     """
     data = [tuple(p) for p in points]
@@ -315,43 +318,44 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
             "will not be meaningful",
             stacklevel=2,
         )
-    if with_errors:
-        if np.any(errors <= 0):
-            raise ValueError("S errors must be positive")
-        weights = (s_values / errors) ** 2
-    else:
-        weights = np.ones_like(s_values)
+    if with_errors and np.any(errors <= 0):
+        raise ValueError("S errors must be positive")
+    # Python floats overflow to inf and underflow to 0 without a warning
+    weights = ([(s / e) * (s / e) for s, e in zip(s_values.tolist(), errors.tolist())]
+               if with_errors else [1.0] * len(data))
 
     if tau_ref is None:
         tau_ref = float(taus.min())
     elif not math.isfinite(tau_ref):
         raise ValueError(f"tau_ref must be finite, got {tau_ref}")
-    y = np.log(s_values / TSIRELSON_BOUND)
-    # parameters: y = a - b (tau - tau_ref) with a = ln v_ref, b = 1/tau_c
-    design = np.column_stack([np.ones_like(taus), -(taus - tau_ref)])
-    too_far = f"tau_ref = {tau_ref} is too far from the storage times for a finite decay fit"
-    with np.errstate(over="ignore", invalid="ignore"):
-        normal = design.T @ (weights[:, None] * design)
-        rhs = design.T @ (weights * y)
-    if not np.all(np.isfinite(normal)):
-        raise ValueError(too_far)
-    try:
-        a, b = np.linalg.solve(normal, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("decay fit is singular (degenerate storage times)") from exc
-
-    covariance = np.linalg.inv(normal)
+    # y = a - b (tau - tau_ref) with a = ln v_ref and b = 1/tau_c, fitted as a
+    # line about the weighted mean storage time c
+    y = np.log(s_values / TSIRELSON_BOUND).tolist()
+    total = sum(weights)
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"total weight {total} of the points is not positive and finite")
+    c = sum(w * t for w, t in zip(weights, taus.tolist())) / total
+    dt = [t - c for t in taus.tolist()]
+    spread = sum(w * d * d for w, d in zip(weights, dt))
+    if not 0.0 < spread < math.inf:
+        raise ValueError(f"weighted storage-time spread {spread} is not positive and finite")
+    y_mean = sum(w * v for w, v in zip(weights, y)) / total
+    b = -sum(w * d * (v - y_mean) for w, d, v in zip(weights, dt, y)) / spread
+    shift = tau_ref - c
+    a = y_mean - b * shift
+    scale, dof = 1.0, len(data) - 2
     if not with_errors:
-        dof = len(data) - 2
-        if dof > 0:
-            residuals = y - design @ np.array([a, b])
-            covariance = covariance * float((weights * residuals**2).sum() / dof)
-        else:
-            covariance = np.zeros((2, 2))
-    if not (math.isfinite(a) and math.isfinite(b) and np.all(np.isfinite(covariance))):
-        raise ValueError(too_far)
+        residuals = [v - y_mean + b * d for v, d in zip(y, dt)]
+        scale = sum(w * r * r for w, r in zip(weights, residuals)) / dof if dof else 0.0
+    cross = -scale * shift / spread
+    covariance = np.array([[scale * (1.0 / total + shift * shift / spread), cross],
+                           [cross, scale / spread]]) if scale else np.zeros((2, 2))
+    # exp(a) overflows exactly when a exceeds the log of the largest float
+    v_ref = math.exp(a) if a <= math.log(sys.float_info.max) else math.inf
+    if not (sys.float_info.min <= v_ref < math.inf and np.isfinite(covariance).all()):
+        raise ValueError(f"tau_ref = {tau_ref} is too far from the storage times "
+                         "for a finite decay fit")
 
-    v_ref = float(math.exp(a))
     if b <= 0.0:
         warnings.warn(
             "fitted S does not decay with storage time; coherence time pinned to +inf",
@@ -359,7 +363,7 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
         )
         tau_c = math.inf
     else:
-        tau_c = 1.0 / float(b)
+        tau_c = 1.0 / b
 
     s_ref = TSIRELSON_BOUND * v_ref
     if math.isinf(tau_c):

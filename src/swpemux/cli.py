@@ -58,20 +58,6 @@ def _setting_pairs(kind: str) -> tuple:
     raise ValueError(f"unknown settings preset {kind!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, trials: Optional[int] = None) -> None:
-    parser.add_argument("--config", metavar="PATH", help="experiment configuration JSON")
-    parser.add_argument("--out", metavar="PATH", required=True, help="output file")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"RNG seed (default {DEFAULT_SEED})")
-    if trials is not None:
-        parser.add_argument("--trials", type=int, default=trials,
-                            help=f"trials or samples per setting pair (default {trials})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        dest="fmt", help="output format")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The swpemux argument parser, built once per process.
 
@@ -93,7 +79,16 @@ def _parsers() -> tuple:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run trial batches and emit coincidence counts")
-    _add_common(p, trials=100_000)
+    p.add_argument("--config", metavar="PATH", help="experiment configuration JSON")
+    p.add_argument("--out", metavar="PATH", required=True, help="output file")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"RNG seed (default {DEFAULT_SEED})")
+    p.add_argument("--trials", type=int, default=100_000,
+                   help="trials or samples per setting pair (default 100000)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   dest="fmt", help="output format")
     p.add_argument("--tau", type=float, default=None,
                    help="storage time in microseconds (default: config tau_ref)")
     p.add_argument("--settings", choices=("bell", "tomo", "hv"), default="bell",

@@ -565,6 +565,22 @@ class TestFitDecay:
             with pytest.raises(ValueError, match="tau_ref"):
                 fit_decay(points, tau_ref=tau_ref)
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0.0, 2.30), (1e-300, 2.03)], "storage-time spread 0.0"),
+        ([(0.0, 2.30, 0.01), (1e-300, 2.03, 0.01)], "storage-time spread 0.0"),
+        ([(-1e308, 2.30), (1e308, 2.03)], "storage-time spread inf"),
+        ([(0.7, 2.30, 1e200), (30.0, 2.03, 1e200)], "total weight 0.0"),
+        ([(0.7, 2.30, 1e-200), (30.0, 2.03, 1e-200)], "total weight inf"),
+    ], ids=["times-0-and-1e-300", "times-0-and-1e-300-errors", "times-overflow",
+            "errors-1e200", "errors-1e-200"])
+    def test_underflowing_or_overflowing_sums_rejected(self, points, message):
+        # the spread of the storage times or the total weight is 0 or inf:
+        # a ValueError that says so, never a ZeroDivisionError or a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{message} (of the points )?is not positive and finite"):
+                fit_decay(points)
+
     def test_to_dict_round_trip_fields(self):
         fit = fit_decay([(0.7, 2.30), (30.0, 2.03)])
         payload = fit.to_dict()

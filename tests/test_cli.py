@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,15 +214,22 @@ class TestDecay:
         assert not out.exists()
 
     def test_overflowing_tau_ref_is_usage_error(self, tmp_path, capsys):
+        # v_ref = exp(a) overflows at -1e6 and underflows at 1e6 and 1e10; the
+        # normal equations once overflowed, hit a math domain error or read
+        # as singular there
         points = tmp_path / "pts.csv"
         points.write_text("tau,s\n0.7,2.30\n30.0,2.03\n")
         out = tmp_path / "x.json"
-        assert run_cli(
-            "decay", "--points", str(points), "--out", str(out), "--tau-ref", "1e300"
-        ) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "tau_ref" in err and "Warning" not in err
-        assert not out.exists()
+        for tau_ref in ("1e300", "-1e6", "1e6", "1e10"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(
+                    "decay", "--points", str(points), "--out", str(out), f"--tau-ref={tau_ref}"
+                ) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == (f"error: tau_ref = {float(tau_ref)} is too far from the storage "
+                           "times for a finite decay fit\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("name, text, message", [
         ("pts.json", "[1, 2]", "each decay point must be an object, got 1"),

@@ -14,6 +14,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from swpemux.analysis import (
     CANONICAL_BELL,
+    TSIRELSON_BOUND,
     analytic_bell_s,
     fidelity,
+    fit_decay,
     project_physical,
     tomo_reconstruct,
     tomography_setting_pairs,
@@ -285,6 +288,42 @@ def test_werner_witnesses_scale_with_visibility(config, tau):
     pure = bell_state(config.theta)
     assert abs(analytic_bell_s(rho) - v * analytic_bell_s(pure)) < 1e-12
     assert abs(fidelity(rho, pure) - (1.0 + 3.0 * v) / 4.0) < 1e-12
+
+
+@st.composite
+def decay_curves(draw):
+    """(storage times, tau_c, v at tau = 0, relative S errors or None): 2 to 8
+    distinct storage times in [0, 100], half a microsecond apart at least."""
+    taus = [k / 2 for k in draw(st.lists(st.integers(0, 200), min_size=2, max_size=8,
+                                         unique=True))]
+    tau_c, v0 = draw(st.floats(5.0, 2000.0)), draw(st.floats(0.72, 0.99))
+    errors = draw(st.none() | st.lists(st.floats(1e-3, 0.1), min_size=len(taus),
+                                       max_size=len(taus)))
+    return taus, tau_c, v0, errors
+
+
+@PROPERTY
+@given(decay_curves(), st.floats(allow_nan=False, allow_infinity=False))
+@example(([0.7, 30.0], 234.6, 0.81, [0.004, 0.005]), 1e50)  # once a spurious "does not decay"
+@example(([0.7, 15.0, 30.0], 234.6, 0.81, None), 1e10)  # once read as singular
+@example(([0.7, 30.0], 234.6, 0.81, None), -1e6)  # once an OverflowError
+def test_decay_fit_recovers_exact_curves_or_names_tau_ref(curve, tau_ref):
+    taus, tau_c, v0, errors = curve
+    s_values = [TSIRELSON_BOUND * v0 * math.exp(-tau / tau_c) for tau in taus]
+    points = (list(zip(taus, s_values)) if errors is None else
+              [(tau, s, s * e) for tau, s, e in zip(taus, s_values, errors)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = fit_decay(points, tau_ref=tau_ref)
+        except ValueError as exc:
+            assert "tau_ref" in str(exc)
+            return
+    assert fit.tau_c == pytest.approx(tau_c, rel=1e-9)
+    assert fit.v_ref == pytest.approx(math.exp(math.log(v0) - tau_ref / tau_c), rel=1e-9)
+    (c00, c01), (c10, c11) = fit.covariance.tolist()
+    assert c00 >= 0.0 and c11 >= 0.0 and c01 == c10
+    assert c00 * c11 >= c01 * c01 * (1.0 - 1e-12)
 
 
 @PROPERTY
