@@ -310,7 +310,7 @@ def fit_decay(points: Iterable, tau_ref: Optional[float] = None) -> DecayFit:
             raise ValueError(f"{name} must be finite, got {values.tolist()}")
     if len(set(taus.tolist())) < 2:
         raise ValueError("fit_decay needs at least two distinct storage times")
-    if np.any(s_values <= 0):
+    if np.any(s_values / TSIRELSON_BOUND <= 0):  # a ratio that underflows has no log
         raise ValueError("S values must be positive to fit in log space")
     if np.any(s_values >= TSIRELSON_BOUND):
         warnings.warn(

@@ -533,8 +533,12 @@ class TestFitDecay:
         assert math.isinf(fit.tau_c)
 
     def test_nonpositive_s_rejected(self):
-        with pytest.raises(ValueError):
-            fit_decay([(0.7, 2.30), (30.0, -1.0)])
+        # S / 2 sqrt 2 underflows to 0 at 5e-324, so its log would be -inf
+        for s in (-1.0, 0.0, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="S values must be positive"):
+                    fit_decay([(0.7, 2.30), (30.0, s)])
 
     @pytest.mark.parametrize("points, name", [
         ([(0.7, math.nan), (5.0, 2.0)], "S values"),
