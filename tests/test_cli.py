@@ -214,9 +214,8 @@ class TestDecay:
         assert not out.exists()
 
     def test_overflowing_tau_ref_is_usage_error(self, tmp_path, capsys):
-        # v_ref = exp(a) overflows at -1e6 and underflows at 1e6 and 1e10; the
-        # normal equations once overflowed, hit a math domain error or read
-        # as singular there
+        # v_ref = exp(a) overflows at -1e6 and underflows at 1e6 and 1e10:
+        # each is refused by name, with no traceback or warning
         points = tmp_path / "pts.csv"
         points.write_text("tau,s\n0.7,2.30\n30.0,2.03\n")
         out = tmp_path / "x.json"
