@@ -552,6 +552,27 @@ class TestReproduce:
         assert err.startswith("failure: reproduction checks failed: ")
         assert all(name in err for name in nan_checks)
 
+    def test_fig2_endpoints_and_checks_are_pinned(self, tmp_path):
+        # fig2 at the default seed, as recorded before every row drew the
+        # endpoints' trial count: the m = 1 and m = 19 rows and every check
+        out = str(tmp_path / "fig2.json")
+        assert run_cli("reproduce", "--figure", "fig2", "--out", out) == EXIT_OK
+        payload = load(out)
+        assert [payload["data"][0], payload["data"][-1]] == [
+            {"m": 1, "p_s_exact": 0.001, "p_s_hat": 0.00099961, "p_s_linear": 0.001,
+             "trials": 1_000_000_000},
+            {"m": 19, "p_s_exact": 0.01882996513560092, "p_s_hat": 0.018835297,
+             "p_s_linear": 0.019, "trials": 1_000_000_000},
+        ]
+        assert payload["checks"] == [
+            {"high": 19.0, "low": 18.5, "name": "p_s_ratio_m19_vs_m1", "passed": True,
+             "value": 18.8426456317964},
+            {"high": 0.0010039979994997499, "low": 0.0009960020005002502,
+             "name": "p_s_hat_m1_within_4se", "passed": True, "value": 0.00099961},
+            {"high": 0.018847158342421566, "low": 0.018812771928780274,
+             "name": "p_s_hat_m19_within_4se", "passed": True, "value": 0.018835297},
+        ]
+
     def test_fig3_rows_and_fit_are_pinned(self, tmp_path):
         # fig3 at the default seed, as recorded before the decay fit was taken
         # about the weighted mean storage time: the rows exactly, the fit to

@@ -776,6 +776,18 @@ class TestRunBatch:
         se = math.sqrt(p * (1.0 - p) / plan.n_trials)
         assert abs(result.p_sas_hat - p) < 4.0 * se
 
+    @pytest.mark.parametrize("dark_rate, kind, p_sas_hat", [
+        (0.0, "bell", 0.002835375), (0.0, "hv", 0.002787),
+        (3e-3, "bell", 0.005460375), (3e-3, "hv", 0.0054795),
+    ])
+    def test_coincidence_probability_is_pinned(self, dark_rate, kind, p_sas_hat):
+        # recorded before p_sas_hat was pooled over every setting pair: a
+        # bell plan already pooled its four pairs, and an hv plan has one
+        pairs = CANONICAL_BELL.setting_pairs() if kind == "bell" else (HV_PAIR,)
+        config = CFG.replace(dark_rate=dark_rate)
+        result = run_batch(RunPlan(config, 0.7, pairs, 2_000_000, 515))
+        assert result.p_sas_hat == p_sas_hat
+
     def test_herald_bin_histogram_geometric(self):
         # earlier bins herald first; conditional law is truncated geometric
         plan = RunPlan(CFG, 0.7, (HV_PAIR,), 3_000_000, 77)
