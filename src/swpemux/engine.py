@@ -408,15 +408,15 @@ def run_batch(plan: RunPlan) -> BatchResult:
     is built. The cost per pair is O(m), whatever n_trials is, and the
     result depends only on the plan.
 
-    p_s_hat is heralds/trials over the whole batch. p_sas_hat is
-    coincidences/trials restricted to H/V-basis setting pairs when the plan
-    contains any (readout success is polarization independent in this model,
-    so other pairs estimate the same number); otherwise all pairs count.
+    p_s_hat is heralds/trials and p_sas_hat coincidences/trials, both pooled
+    over every setting pair: the law gives every pair the same herald and
+    coincidence probabilities, since readout success does not depend on the
+    analyzer settings.
     """
     n, pairs = plan.n_trials, plan.settings
     histogram = np.zeros(plan.config.m, dtype=np.int64)
-    rows, coincidences = [], []
-    n_heralds = n_dark = 0
+    rows = []
+    n_heralds = n_dark = n_coincidences = 0
     p_herald, cells, bins = _batch_law(plan.config, plan.tau, pairs)
     streams = _setting_streams((plan.seed,), _DOMAIN_TRIALS, len(pairs))
     for pair_cells, gen in zip(cells, streams):
@@ -428,7 +428,7 @@ def run_batch(plan: RunPlan) -> BatchResult:
         row = [r11 + k11, r12 + k12, r21 + k21, r22 + k22,
                r11 + r12 + r10 + k11 + k12 + k10, r21 + r22 + r20 + k21 + k22 + k20, n]
         rows.append(row)
-        coincidences.append(row[0] + row[1] + row[2] + row[3])
+        n_coincidences += row[0] + row[1] + row[2] + row[3]
         n_heralds += row[4] + row[5]
         n_dark += k11 + k12 + k10 + k21 + k22 + k20
     # every count is at most n < 2^63
@@ -436,35 +436,36 @@ def run_batch(plan: RunPlan) -> BatchResult:
     table.validate()
 
     n_trials_total = n * len(pairs)
-    sas = [c for pair, c in zip(pairs, coincidences) if pair == HV_PAIR] or coincidences
     return BatchResult(
         table=table,
         herald_bin_histogram=histogram,
         n_trials_total=n_trials_total,
         n_heralds=n_heralds,
         n_dark_heralds=n_dark,
-        n_coincidences=sum(coincidences),
+        n_coincidences=n_coincidences,
         p_s_hat=n_heralds / n_trials_total,
-        p_sas_hat=sum(sas) / (n * len(sas)),
+        p_sas_hat=n_coincidences / n_trials_total,
         tau=plan.tau,
         seed=plan.seed,
     )
 
 
-def herald_fractions(config: ExperimentConfig, ms: Sequence[int], trials: Sequence[int],
+def herald_fractions(config: ExperimentConfig, ms: Sequence[int], n_trials: int,
                      seeds: Sequence[int]) -> list:
-    """(p_s_hat, *analytic_p_s(config, m)) of each row (m, n_trials, seed):
-    p_s_hat is run_batch's first draw, bitwise a one-pair plan's p_s_hat at
-    config.replace(m=m). Each count, each m and each seed is checked as
-    RunPlan, analytic_p_s and derive_stream check it, before any draw."""
+    """(p_s_hat, *analytic_p_s(config, m)) of each row (m, seed), every row
+    n_trials trains: p_s_hat is run_batch's first draw, bitwise a one-pair
+    plan's p_s_hat at config.replace(m=m). The count, each m and each seed
+    are checked as RunPlan, analytic_p_s and derive_stream check them, and ms
+    and seeds must have one length, before any draw."""
+    n = _check_draw_count("n_trials", n_trials)
     a = _trial_law(config, 1)[0]  # the bin-click probability, whatever m is
     rows = []
-    for m, n, _ in zip(ms, trials, seeds, strict=True):
-        n, m = _check_draw_count("n_trials", n), as_count("m", m)
-        rows.append((n, first_success_probability(a, m), m * a))
+    for m, _ in zip(ms, seeds, strict=True):
+        m = as_count("m", m)
+        rows.append((first_success_probability(a, m), m * a))
     streams = _setting_streams(seeds, _DOMAIN_TRIALS, 1)
     return [(int(gen.binomial(n, exact)) / n, exact, linear)
-            for (n, exact, linear), gen in zip(rows, streams)]
+            for (exact, linear), gen in zip(rows, streams)]
 
 
 def run_coincidence_batch(

@@ -45,24 +45,22 @@ def _simulated_s(config, tau, n_coincidences, seed) -> tuple:
 def herald_gain(config: ExperimentConfig, seed: int, trials: Optional[int]):
     """fig2: herald probability versus mode count; the multiplexing gain.
 
-    The endpoints default to 10^9 trials, where the ratio's standard error
-    (below 0.02) is small against the [18.5, 19.0] window. One
-    engine.herald_fractions call draws every row's heralds, one binomial each
-    whatever the trial count, from its own seed, so the rows' errors are
-    independent. A run whose m = 1 row drew no heralds has no ratio (NaN) and
-    fails the ratio check.
+    Every row draws the same count, 10^9 trials by default, where the
+    endpoints' ratio has a standard error below 0.02, small against the
+    [18.5, 19.0] window. One engine.herald_fractions call draws every row's
+    heralds, one binomial each whatever the count, from its own seed, so the
+    rows' errors are independent. A run whose m = 1 row drew no heralds has
+    no ratio (NaN) and fails the ratio check.
     """
-    endpoint_trials = 1_000_000_000 if trials is None else trials
-    sweep_trials = min(endpoint_trials, 1_000_000)
+    n = 1_000_000_000 if trials is None else trials
     ms = range(1, config.m + 1)
-    counts = [endpoint_trials if m in (1, config.m) else sweep_trials for m in ms]
-    draws = engine.herald_fractions(config, ms, counts, [_row_seed(seed, m) for m in ms])
+    draws = engine.herald_fractions(config, ms, n, [_row_seed(seed, m) for m in ms])
     rows = [{"m": m, "trials": n, "p_s_hat": p_hat, "p_s_exact": exact, "p_s_linear": linear}
-            for m, n, (p_hat, exact, linear) in zip(ms, counts, draws)]
+            for m, (p_hat, exact, linear) in zip(ms, draws)]
     ratio = draws[-1][0] / draws[0][0] if draws[0][0] > 0.0 else math.nan
     checks = [_check("p_s_ratio_m19_vs_m1", ratio, 18.5, 19.0)]
     for m, (p_hat, p_true, _) in ((1, draws[0]), (config.m, draws[-1])):
-        width = 4 * (p_true * (1 - p_true) / endpoint_trials) ** 0.5  # four standard errors
+        width = 4 * (p_true * (1 - p_true) / n) ** 0.5  # four standard errors
         checks.append(_check(f"p_s_hat_m{m}_within_4se", p_hat, p_true - width, p_true + width))
     return rows, checks
 

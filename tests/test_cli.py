@@ -462,16 +462,25 @@ class TestReproduce:
         calls = []
         herald_fractions = engine.herald_fractions
 
-        def recording_herald_fractions(config, ms, trials, seeds):
-            calls.append(list(seeds))
-            return herald_fractions(config, ms, trials, seeds)
+        def recording_herald_fractions(config, ms, n_trials, seeds):
+            calls.append((n_trials, list(seeds)))
+            return herald_fractions(config, ms, n_trials, seeds)
 
         monkeypatch.setattr(engine, "herald_fractions", recording_herald_fractions)
         run_cli("reproduce", "--figure", "fig2", "--out", str(tmp_path / "fig2.json"),
                 "--trials", "20000")
-        assert len(calls) == 1
-        assert len(calls[0]) == CFG.m
-        assert len(set(calls[0])) == CFG.m
+        [(n_trials, seeds)] = calls
+        assert n_trials == 20000
+        assert len(seeds) == len(set(seeds)) == CFG.m
+
+    @pytest.mark.parametrize("argv, n_trials", [([], 10**9), (["--trials", "2000000"], 2_000_000)],
+                             ids=["default", "trials-2000000"])
+    def test_fig2_rows_all_draw_the_endpoint_count(self, tmp_path, argv, n_trials):
+        out = str(tmp_path / "fig2.json")
+        run_cli("reproduce", "--figure", "fig2", "--out", out, *argv)
+        rows = load(out)["data"]
+        assert [row["m"] for row in rows] == list(range(1, CFG.m + 1))
+        assert all(row["trials"] == n_trials for row in rows)
 
     def test_fig2_rows_build_no_config_or_plan(self, tmp_path, monkeypatch):
         # a row is one law evaluation, one re-key and one binomial

@@ -643,7 +643,7 @@ class TestSamplersAtHugeCounts:
         ms = [1 + seed % 4 for seed in self.SEEDS]
         # seeds of their own: run_batch's first draw at seed s is this draw
         seeds = [len(self.SEEDS) + seed for seed in self.SEEDS]
-        fractions = engine.herald_fractions(config, ms, [n] * len(ms), seeds)
+        fractions = engine.herald_fractions(config, ms, n, seeds)
         p_heralds = {m: enumerated_law(config.replace(m=m), tau, pairs[0])[0] for m in set(ms)}
         pvalues = [_z_pvalues(p_hat, n, p_heralds[m]) for m, (p_hat, _, _) in zip(ms, fractions)]
         assert _ks_uniform(pvalues) > self.KS_FLOOR
@@ -738,10 +738,8 @@ class TestHeraldFraction:
     def test_trial_count_is_checked_as_run_plan_checks_it(self, streams_made, n):
         with pytest.raises(ValueError) as plan_error:
             RunPlan(CFG, 0.7, (HV_PAIR,), n, 1)
-        # the bad count last, after a valid count that equals it, and first
-        for trials in ([1, 10, n], [n, 10, 1]):
-            with pytest.raises(ValueError, match=f"^{re.escape(str(plan_error.value))}$"):
-                engine.herald_fractions(CFG, [1, 2, 3], trials, [1, 2, 3])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(plan_error.value))}$"):
+            engine.herald_fractions(CFG, [1, 2, 3], n, [1, 2, 3])
         assert streams_made == []
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -749,7 +747,7 @@ class TestHeraldFraction:
         with pytest.raises(ValueError) as stream_error:
             derive_stream(seed, 0, 0)
         with pytest.raises(ValueError, match=f"^{re.escape(str(stream_error.value))}$"):
-            engine.herald_fractions(CFG, [1, 2], [10, 10], [1, seed])
+            engine.herald_fractions(CFG, [1, 2], 10, [1, seed])
         assert streams_made == []
 
     @pytest.mark.parametrize("m", [0, 2.5, True])
@@ -757,7 +755,13 @@ class TestHeraldFraction:
         with pytest.raises(ValueError) as law_error:
             analytic_p_s(CFG, m)
         with pytest.raises(ValueError, match=f"^{re.escape(str(law_error.value))}$"):
-            engine.herald_fractions(CFG, [1, m], [10, 10], [1, 2])
+            engine.herald_fractions(CFG, [1, m], 10, [1, 2])
+        assert streams_made == []
+
+    @pytest.mark.parametrize("ms, seeds", [([1, 2, 3], [1, 2]), ([1, 2], [1, 2, 3]), ([], [1])])
+    def test_mode_and_seed_lists_must_match(self, streams_made, ms, seeds):
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+            engine.herald_fractions(CFG, ms, 10, seeds)
         assert streams_made == []
 
 
@@ -769,12 +773,24 @@ class TestRunBatch:
         se = math.sqrt(p * (1.0 - p) / plan.n_trials)
         assert abs(result.p_s_hat - p) < 4.0 * se
 
-    def test_coincidence_probability_within_4_se(self):
-        plan = RunPlan(CFG, 0.7, (HV_PAIR,), 2_000_000, 515)
+    @pytest.mark.parametrize("pairs", [(HV_PAIR,), tomography_setting_pairs()],
+                             ids=["hv", "tomo"])
+    def test_coincidence_probability_within_4_se(self, pairs):
+        # p_sas_hat pools every pair's trains, so its error is over n P trials
+        plan = RunPlan(CFG, 0.7, pairs, 2_000_000, 515)
         result = run_batch(plan)
         p = analytic_p_sas(CFG).exact
-        se = math.sqrt(p * (1.0 - p) / plan.n_trials)
+        se = math.sqrt(p * (1.0 - p) / (plan.n_trials * len(pairs)))
         assert abs(result.p_sas_hat - p) < 4.0 * se
+
+    @pytest.mark.parametrize("pairs", [CANONICAL_BELL.setting_pairs(), tomography_setting_pairs(),
+                                       (HV_PAIR,)], ids=["bell", "tomo", "hv"])
+    def test_rates_pool_every_setting_pair(self, pairs):
+        config = CFG.replace(dark_rate=3e-3)
+        result = run_batch(RunPlan(config, 0.7, pairs, 100_000, 61))
+        assert result.n_trials_total == 100_000 * len(pairs)
+        assert result.p_s_hat == result.n_heralds / result.n_trials_total
+        assert result.p_sas_hat == result.n_coincidences / result.n_trials_total
 
     @pytest.mark.parametrize("dark_rate, kind, p_sas_hat", [
         (0.0, "bell", 0.002835375), (0.0, "hv", 0.002787),

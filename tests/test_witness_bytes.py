@@ -14,8 +14,14 @@ eigen-solve went through one memoized helper. The fig3 digest was recorded
 again when the decay fit became a closed-form line about the weighted mean
 storage time, in place of the normal equations solved by LAPACK: that moved
 the last digit of its lifetime, tau_c, v_ref and two covariance entries, and
-tests/test_cli.py pins fig3's fit to the old values at 1e-12 relative. Those
-rewrites, and any later change that claims byte-identical output, must
+tests/test_cli.py pins fig3's fit to the old values at 1e-12 relative. The
+fig2 digest and its dark variant were recorded again when every fig2 row
+came to draw the endpoints' trial count, where the 17 middle rows had drawn
+at most 10^6: their p_s_hat and trials moved, and tests/test_cli.py pins
+the endpoint rows and checks, which did not. The tomo JSON digest under dark
+counts was recorded again when run_batch came to pool p_sas_hat over every
+setting pair, where it had read the H/V pair's row alone: that field alone
+moved. Those rewrites, and any later change that claims byte-identical output, must
 reproduce them bit for bit.
 The digests hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 (LAPACK
 included) on x86-64: eigh and the BLAS kernels OpenBLAS picks for the
@@ -34,7 +40,7 @@ from swpemux.config import ExperimentConfig
 from swpemux.states import bell_state, werner_state
 
 FIGURES = {
-    "fig2": "d61dfd5d6802d3f5216cfe5f31125a1b02d61a074c4934bf58052eb86bc6c4ef",
+    "fig2": "ffd0a896280bd82f11e77e5c75f069aba245f4fb26218961803c7bc8de87f2a0",
     "fig3": "7c9393f21a7ed9e5c0be3c562fb91d892e3b0682a11e7a30a928145598b182f8",
     "fig4": "9f3570cfa5c723e143eff16ff228cfaecb4b3ec1daf9e870632186c26338cac7",
     "fig5": "f2ea956a7163b1e408377e664d1f341e65769ec3ccc14f61dda1910a5d75f25d",
@@ -48,7 +54,7 @@ FIGURES = {
 # ratio window and exit 1
 FIG2_VARIANTS = {
     "dark": (
-        "0a1e597e8a38826b46832957a026c88008e9bd8e3c8805058358c2edb346f822",
+        "3c32a40bbf6bf69332067cd5688428551970d9a12695065f1debc5d54254ddd9",
         {"dark_rate": 3e-3}, [],
     ),
     "trials-50000": (
@@ -88,7 +94,7 @@ SIMULATE_DARK = {
     ("bell", "csv"): "538f0842d2615f5be25ea70444aa2f9fe6a4a15e16c7a3a24741f6b5da05f54f",
     ("bell", "json"): "8baebd2c801cabe342da43e968d5bf951ddc5d97428452ef101f83f58e1207b5",
     ("tomo", "csv"): "c391144f4ab561a82ec50a84fcb45034b627371eb9c40cabb16091e88fa89baf",
-    ("tomo", "json"): "ed685d68492cca40f3e7cf8af7daf4c053fa6a55c3f9f76cfce0aa8425652759",
+    ("tomo", "json"): "8f2810c9454f7772e277e270a631feb003685273cad9d849fef0bac9ec3bb48b",
 }
 # pmc and link outputs: the residual scan of the canonical 19-beam fan in both
 # formats, an explicit fan with a nonzero Stokes angle, and a link m grid
