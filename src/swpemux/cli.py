@@ -369,10 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"thread count must be at least 1, got {args.threads}")
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ComparisonFailure as exc:
