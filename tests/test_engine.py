@@ -760,7 +760,8 @@ class TestHeraldFraction:
 
     @pytest.mark.parametrize("ms, seeds", [([1, 2, 3], [1, 2]), ([1, 2], [1, 2, 3]), ([], [1])])
     def test_mode_and_seed_lists_must_match(self, streams_made, ms, seeds):
-        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+        message = r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"
+        with pytest.raises(ValueError, match=message):
             engine.herald_fractions(CFG, ms, 10, seeds)
         assert streams_made == []
 
