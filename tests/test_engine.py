@@ -774,15 +774,20 @@ class TestRunBatch:
         se = math.sqrt(p * (1.0 - p) / plan.n_trials)
         assert abs(result.p_s_hat - p) < 4.0 * se
 
-    @pytest.mark.parametrize("pairs", [(HV_PAIR,), tomography_setting_pairs()],
-                             ids=["hv", "tomo"])
-    def test_coincidence_probability_within_4_se(self, pairs):
+    @staticmethod
+    def _assert_p_sas_within_4_se(pairs):
         # p_sas_hat pools every pair's trains, so its error is over n P trials
         plan = RunPlan(CFG, 0.7, pairs, 2_000_000, 515)
         result = run_batch(plan)
         p = analytic_p_sas(CFG).exact
         se = math.sqrt(p * (1.0 - p) / (plan.n_trials * len(pairs)))
         assert abs(result.p_sas_hat - p) < 4.0 * se
+
+    def test_coincidence_probability_within_4_se(self):
+        self._assert_p_sas_within_4_se((HV_PAIR,))
+
+    def test_pooled_coincidence_probability_within_4_se(self):
+        self._assert_p_sas_within_4_se(tomography_setting_pairs())
 
     @pytest.mark.parametrize("pairs", [CANONICAL_BELL.setting_pairs(), tomography_setting_pairs(),
                                        (HV_PAIR,)], ids=["bell", "tomo", "hv"])
