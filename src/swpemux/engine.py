@@ -120,21 +120,17 @@ def _check_draw_count(name: str, count: int) -> int:
     return count
 
 
-def visibility(
-    config: ExperimentConfig, m: Optional[int] = None, tau: Optional[float] = None
-) -> float:
-    """Two-photon interference visibility of mode pairs in an m-bin train
-    after a storage time tau (microseconds).
+def visibility(config: ExperimentConfig, *, tau: Optional[float] = None) -> float:
+    """Two-photon interference visibility of mode pairs in a config.m-bin
+    train after a storage time tau (microseconds).
 
     The cross-mode background divides the single-mode visibility by
     1 + beta (m - 1) chi, and memory decay contributes
-    exp(-(tau - tau_ref)/tau_c). The result is clamped to [0, 1]. An explicit
-    m must be an integer of at least 1.
+    exp(-(tau - tau_ref)/tau_c). The result is clamped to [0, 1].
     """
-    m = config.m if m is None else as_count("m", m)
     tau = config.tau_ref if tau is None else tau
     _check_storage_time(tau)
-    base = config.v1 / (1.0 + config.beta * (m - 1) * config.chi)
+    base = config.v1 / (1.0 + config.beta * (config.m - 1) * config.chi)
     if base <= 0.0:  # the quotient can underflow to 0, where log would raise
         return 0.0
     exponent = -(tau - config.tau_ref) / config.tau_c
@@ -143,12 +139,10 @@ def visibility(
     return min(base * math.exp(exponent), 1.0)
 
 
-def effective_pair_state(
-    config: ExperimentConfig, m: Optional[int] = None, tau: Optional[float] = None
-) -> np.ndarray:
+def effective_pair_state(config: ExperimentConfig, *, tau: Optional[float] = None) -> np.ndarray:
     """Werner-form effective state of one heralded mode pair:
-    V(m, tau) rho_pair(theta) + (1 - V) I/4."""
-    return werner_state(config.theta, visibility(config, m, tau))
+    V(config.m, tau) rho_pair(theta) + (1 - V) I/4."""
+    return werner_state(config.theta, visibility(config, tau=tau))
 
 
 def _trial_law(config: ExperimentConfig, m: int) -> tuple:
@@ -171,26 +165,22 @@ def _trial_law(config: ExperimentConfig, m: int) -> tuple:
     return a, first_success_probability(a, m), p_real, p_read, p_background
 
 
-def analytic_p_s(config: ExperimentConfig, m: Optional[int] = None) -> ProbabilityPair:
-    """Per-train herald probability 1 - (1 - a)^m, with the linear
-    approximation m a for reporting; a is the dark-inclusive probability that
-    a bin clicks (chi eta_d when dark_rate is 0). An explicit m must be an
-    integer of at least 1; the exact value is bitwise the p_herald of
-    _batch_law for config.replace(m=m)."""
-    m = config.m if m is None else as_count("m", m)
-    a, p_herald = _trial_law(config, m)[:2]
-    return ProbabilityPair(p_herald, m * a)
+def analytic_p_s(config: ExperimentConfig) -> ProbabilityPair:
+    """Per-train herald probability 1 - (1 - a)^m at m = config.m, with the
+    linear approximation m a for reporting; a is the dark-inclusive
+    probability that a bin clicks (chi eta_d when dark_rate is 0). The exact
+    value is bitwise the p_herald of _batch_law."""
+    a, p_herald = _trial_law(config, config.m)[:2]
+    return ProbabilityPair(p_herald, config.m * a)
 
 
-def analytic_p_sas(config: ExperimentConfig, m: Optional[int] = None) -> ProbabilityPair:
-    """Per-train heralded coincidence probability: herald probability times
-    the readout click probability, gamma eta_as after a real herald and the
-    background probability after a dark one. An explicit m must be an integer
-    of at least 1."""
-    m = config.m if m is None else as_count("m", m)
-    a, p_herald, p_real, p_read, p_background = _trial_law(config, m)
+def analytic_p_sas(config: ExperimentConfig) -> ProbabilityPair:
+    """Per-train heralded coincidence probability at m = config.m: herald
+    probability times the readout click probability, gamma eta_as after a
+    real herald and the background probability after a dark one."""
+    a, p_herald, p_real, p_read, p_background = _trial_law(config, config.m)
     readout = p_real * p_read + (1.0 - p_real) * p_background
-    return ProbabilityPair(p_herald * readout, m * a * readout)
+    return ProbabilityPair(p_herald * readout, config.m * a * readout)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +440,23 @@ def run_batch(plan: RunPlan) -> BatchResult:
     )
 
 
-def herald_fractions(config: ExperimentConfig, ms: Sequence[int], n_trials: int,
-                     seeds: Sequence[int]) -> list:
-    """(p_s_hat, *analytic_p_s(config, m)) of each row (m, seed), every row
-    n_trials trains: p_s_hat is run_batch's first draw, bitwise a one-pair
-    plan's p_s_hat at config.replace(m=m). The count, each m and each seed
-    are checked as RunPlan, analytic_p_s and derive_stream check them, and ms
-    and seeds must have one length, before any draw."""
+def herald_fractions(config: ExperimentConfig, n_trials: int, seeds: Sequence[int]) -> list:
+    """(p_s_hat, *analytic_p_s(config.replace(m=m))) of each row m = 1 ...
+    config.m, every row n_trials trains from its own seed, seeds[m - 1]:
+    p_s_hat is run_batch's first draw, bitwise a one-pair plan's p_s_hat at
+    config.replace(m=m). The count and each seed are checked as RunPlan and
+    derive_stream check them, and seeds must hold config.m seeds, before any
+    draw."""
     n = _check_draw_count("n_trials", n_trials)
+    if len(seeds) != config.m:
+        raise ValueError(f"need one seed per mode count 1..{config.m}, got {len(seeds)}")
     a = _trial_law(config, 1)[0]  # the bin-click probability, whatever m is
-    rows = []
-    for m, _ in zip(ms, seeds, strict=True):
-        m = as_count("m", m)
-        rows.append((first_success_probability(a, m), m * a))
     streams = _setting_streams(seeds, _DOMAIN_TRIALS, 1)
-    return [(int(gen.binomial(n, exact)) / n, exact, linear)
-            for (exact, linear), gen in zip(rows, streams)]
+    rows = []
+    for m, gen in enumerate(streams, start=1):
+        exact = first_success_probability(a, m)
+        rows.append((int(gen.binomial(n, exact)) / n, exact, m * a))
+    return rows
 
 
 def run_coincidence_batch(

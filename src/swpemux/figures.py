@@ -53,10 +53,9 @@ def herald_gain(config: ExperimentConfig, seed: int, trials: Optional[int]):
     no ratio (NaN) and fails the ratio check.
     """
     n = 1_000_000_000 if trials is None else trials
-    ms = range(1, config.m + 1)
-    draws = engine.herald_fractions(config, ms, n, [_row_seed(seed, m) for m in ms])
+    draws = engine.herald_fractions(config, n, [_row_seed(seed, m) for m in range(1, config.m + 1)])
     rows = [{"m": m, "trials": n, "p_s_hat": p_hat, "p_s_exact": exact, "p_s_linear": linear}
-            for m, (p_hat, exact, linear) in zip(ms, draws)]
+            for m, (p_hat, exact, linear) in enumerate(draws, start=1)]
     ratio = draws[-1][0] / draws[0][0] if draws[0][0] > 0.0 else math.nan
     checks = [_check("p_s_ratio_m19_vs_m1", ratio, 18.5, 19.0)]
     for m, (p_hat, p_true, _) in ((1, draws[0]), (config.m, draws[-1])):

@@ -77,8 +77,6 @@ class EntanglementTimeReport(NamedTuple):
     Attempt cycles are paced by the signaling time L0/c; the write-train
     duration is three orders of magnitude shorter and is neglected. linear
     fields use the m p1 approximation, exact fields the geometric series.
-    overflowed flags averages that exceeded the floating point range (then
-    reported as +inf rather than raising).
     """
 
     communication_time_us: float
@@ -87,7 +85,6 @@ class EntanglementTimeReport(NamedTuple):
     t_multiplexed_exact_us: float
     speedup_linear: float
     speedup_exact: float
-    overflowed: bool
 
 
 def avg_entanglement_time(link: LinkConfig) -> EntanglementTimeReport:
@@ -98,9 +95,6 @@ def avg_entanglement_time(link: LinkConfig) -> EntanglementTimeReport:
     t_single = t_comm / link.p1
     t_multi_linear = t_comm / p_multi.linear
     t_multi_exact = t_comm / p_multi.exact if p_multi.exact > 0.0 else math.inf
-    overflowed = any(
-        math.isinf(t) for t in (t_single, t_multi_linear, t_multi_exact)
-    )
     return EntanglementTimeReport(
         communication_time_us=t_comm,
         t_single_us=t_single,
@@ -108,7 +102,6 @@ def avg_entanglement_time(link: LinkConfig) -> EntanglementTimeReport:
         t_multiplexed_exact_us=t_multi_exact,
         speedup_linear=float(link.m),
         speedup_exact=p_multi.exact / link.p1,
-        overflowed=overflowed,
     )
 
 

@@ -76,27 +76,31 @@ def first_success_probability(p: float, n: int) -> float:
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path as UTF-8 via a fresh .tmp.<random>~ file (mode 0o600)
     beside it and a rename, so readers never see a partially written file and
-    failed runs leave the old file intact."""
+    failed runs leave the old file intact. An OSError names path, not the
+    temporary file."""
     data = text.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     flags = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
              | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0))
-    while True:
-        tmp_path = os.path.join(directory, f".tmp.{os.urandom(4).hex()}~")
-        with contextlib.suppress(FileExistsError):
-            fd = os.open(tmp_path, flags, 0o600)
-            break
     try:
+        while True:
+            tmp_path = os.path.join(directory, f".tmp.{os.urandom(4).hex()}~")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp_path, flags, 0o600)
+                break
         try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_path)
-        raise
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp_path, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def read_text(path: str) -> str:

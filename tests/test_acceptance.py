@@ -90,10 +90,10 @@ def test_criterion_01_multiplexing_gain():
 
 def test_criterion_02_coincidence_gain_scaling():
     """Coincidence gain in [17.6, 19.0]; P_S,AS(m) linear with R^2 >= 0.999."""
-    ratio = analytic_p_sas(CFG).exact / analytic_p_sas(CFG, m=1).exact
+    ratio = analytic_p_sas(CFG).exact / analytic_p_sas(CFG.replace(m=1)).exact
     assert 17.6 <= ratio <= 19.0
 
-    curve = np.array([analytic_p_sas(CFG, m=m).exact for m in range(1, 20)])
+    curve = np.array([analytic_p_sas(CFG.replace(m=m)).exact for m in range(1, 20)])
     design = np.column_stack([np.arange(1, 20), np.ones(19)])
     coefficients, *_ = np.linalg.lstsq(design, curve, rcond=None)
     residual = curve - design @ coefficients

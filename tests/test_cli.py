@@ -462,9 +462,9 @@ class TestReproduce:
         calls = []
         herald_fractions = engine.herald_fractions
 
-        def recording_herald_fractions(config, ms, n_trials, seeds):
+        def recording_herald_fractions(config, n_trials, seeds):
             calls.append((n_trials, list(seeds)))
-            return herald_fractions(config, ms, n_trials, seeds)
+            return herald_fractions(config, n_trials, seeds)
 
         monkeypatch.setattr(engine, "herald_fractions", recording_herald_fractions)
         run_cli("reproduce", "--figure", "fig2", "--out", str(tmp_path / "fig2.json"),
@@ -472,6 +472,13 @@ class TestReproduce:
         [(n_trials, seeds)] = calls
         assert n_trials == 20000
         assert len(seeds) == len(set(seeds)) == CFG.m
+
+    def test_fig2_rows_are_the_law_at_each_mode_count(self):
+        rows, _ = figures.herald_gain(CFG, DEFAULT_SEED, 20000)
+        for row in rows:
+            law = engine.analytic_p_s(CFG.replace(m=row["m"]))
+            assert (row["p_s_exact"].hex(), row["p_s_linear"].hex()) == (
+                law.exact.hex(), law.linear.hex())
 
     @pytest.mark.parametrize("argv, n_trials", [([], 10**9), (["--trials", "2000000"], 2_000_000)],
                              ids=["default", "trials-2000000"])
@@ -681,6 +688,21 @@ class TestExitCodes:
         assert run_cli(*option.split(), str(path), "--out", str(out)) == code
         assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
         assert not out.exists()
+
+    # a failed write names --out, not the temporary file beside it, and leaves none behind
+    @pytest.mark.parametrize("argv, target, code, message", [
+        (["reproduce", "--figure", "fig2", "--trials", "1000"], "missing/f2.json", EXIT_USAGE,
+         "[Errno 2] No such file or directory: {path!r}"),
+        (["simulate", "--trials", "100"], "dir", EXIT_RUNTIME,
+         "[Errno 21] Is a directory: {path!r}"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_names_out(self, tmp_path, capsys, argv, target, code, message):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / target
+        assert run_cli(*argv, "--out", str(path)) == code
+        assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
+        for directory in (tmp_path, tmp_path / "dir"):
+            assert not list(directory.glob(".tmp.*~"))
 
     @pytest.mark.parametrize("option", ["decay --points", "calibrate --targets"])
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])

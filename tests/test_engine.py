@@ -171,7 +171,7 @@ class TestStreamsAgainstFreshPhilox:
     def test_coincidence_rows(self, plan, seed):
         pairs, n, tau = PLANS[plan], 50_000, 4.0
         table = run_coincidence_batch(CFG, tau, pairs, n, seed)
-        v = visibility(CFG, CFG.m, tau)
+        v = visibility(CFG, tau=tau)
         assert table.pairs == tuple(pairs)
         for s, pair in enumerate(pairs):
             # the Werner table in closed form: V J_pure + (1 - V)/4, normalized
@@ -217,7 +217,7 @@ class TestStorageTimeBoundary:
 class TestVisibility:
     def test_saturating_defaults(self):
         assert visibility(CFG) == pytest.approx(0.8126626192541198, rel=1e-14)
-        assert visibility(CFG, m=1) == pytest.approx(0.937, rel=1e-14)
+        assert visibility(CFG.replace(m=1)) == pytest.approx(0.937, rel=1e-14)
         assert visibility(CFG, tau=30.0) == pytest.approx(0.7174011656249258, rel=1e-14)
 
     def test_clamped_to_unit_interval(self):
@@ -237,11 +237,12 @@ class TestVisibility:
         assert visibility(cfg, tau=1e6) == visibility(cfg, tau=0.7)
 
 
-@pytest.mark.parametrize("m", [0, -1, 2.5, True])
-@pytest.mark.parametrize("law", [analytic_p_s, analytic_p_sas, visibility, effective_pair_state])
-def test_explicit_mode_count_is_checked(law, m):
-    with pytest.raises(ValueError, match=r"^m must be (at least 1|an integer), got"):
-        law(CFG, m)
+@pytest.mark.parametrize("law, tau", [(visibility, 5.0), (effective_pair_state, 0.7)])
+def test_storage_time_is_keyword_only(law, tau):
+    # a mode count reaches the law only through the config: a second
+    # positional argument, an old explicit m or a storage time, is refused
+    with pytest.raises(TypeError, match="positional argument"):
+        law(CFG, tau)
 
 
 def test_law_tables_leave_the_config_mode_count_unchecked(monkeypatch):
@@ -250,7 +251,7 @@ def test_law_tables_leave_the_config_mode_count_unchecked(monkeypatch):
     def no_check(*args):
         raise AssertionError("the law tables must not check a count")
 
-    v = visibility(CFG, CFG.m, 0.123)
+    v = visibility(CFG, tau=0.123)
     monkeypatch.setattr(engine, "as_count", no_check)
     pair = CANONICAL_BELL.setting_pairs()[2]
     assert _pair_tables(CFG, 0.123, (pair,)).shape == (1, 4)
@@ -270,10 +271,10 @@ class TestAnalyticProbabilities:
         pair = analytic_p_s(CFG)
         assert pair.exact == pytest.approx(0.018829965135600922, rel=1e-13)
         assert pair.linear == pytest.approx(0.019, rel=1e-14)
-        assert analytic_p_s(CFG, m=1).exact == pytest.approx(1e-3, rel=1e-14)
+        assert analytic_p_s(CFG.replace(m=1)).exact == pytest.approx(1e-3, rel=1e-14)
 
     def test_multiplexing_ratio(self):
-        ratio = analytic_p_s(CFG).exact / analytic_p_s(CFG, m=1).exact
+        ratio = analytic_p_s(CFG).exact / analytic_p_s(CFG.replace(m=1)).exact
         assert ratio == pytest.approx(18.829965135600922, rel=1e-12)
 
     def test_coincidence_probability(self):
@@ -281,17 +282,18 @@ class TestAnalyticProbabilities:
         assert pair.exact == pytest.approx(0.002824494770340138, rel=1e-13)
         assert pair.linear == pytest.approx(0.00285, rel=1e-13)
         # herald and coincidence gains are the same geometric factor
-        r_s = analytic_p_s(CFG).exact / analytic_p_s(CFG, m=1).exact
-        r_sas = analytic_p_sas(CFG).exact / analytic_p_sas(CFG, m=1).exact
+        r_s = analytic_p_s(CFG).exact / analytic_p_s(CFG.replace(m=1)).exact
+        r_sas = analytic_p_sas(CFG).exact / analytic_p_sas(CFG.replace(m=1)).exact
         assert r_sas == pytest.approx(r_s, rel=1e-12)
 
     def test_dark_free_values_are_the_geometric_series(self):
         # bitwise: the dark-inclusive law reduces to the dark-free one at d = 0
         p_bin = CFG.chi * CFG.eta_d
         for m in (1, 7, 19):
-            assert analytic_p_s(CFG, m).exact == first_success_probability(p_bin, m)
+            cfg = CFG.replace(m=m)
+            assert analytic_p_s(cfg).exact == first_success_probability(p_bin, m)
             readout = CFG.gamma * CFG.eta_as
-            assert analytic_p_sas(CFG, m).exact == first_success_probability(p_bin, m) * readout
+            assert analytic_p_sas(cfg).exact == first_success_probability(p_bin, m) * readout
 
     def test_dark_counts_included(self):
         cfg = CFG.replace(dark_rate=3e-3)
@@ -404,7 +406,7 @@ class TestPairTable:
             p_real = config.chi * config.eta_d / _click_probability(config)
             p_read = config.gamma * config.eta_as
             for tau in np.arange(31.0):
-                rho = effective_pair_state(config, m, tau)
+                rho = effective_pair_state(config, tau=tau)
                 tables.extend(_pair_tables(config, tau, self.PAIRS).reshape(-1, 2, 2))
                 cells.extend(_batch_law(config, tau, self.PAIRS)[1][:, 0])
                 for pair in self.PAIRS:
@@ -446,7 +448,7 @@ def _readout_parameters(config, tau, pair):
     built through np.kron. Returns P(D1 | real herald), (P(T1 | D1),
     P(T1 | D2)), the readout probability gamma eta_as after a real herald and
     the background click probability after a dark one."""
-    v = visibility(config, config.m, tau)
+    v = visibility(config, tau=tau)
     theta = math.radians(config.theta)
     psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
     rho = v * np.outer(psi, psi) + (1.0 - v) * np.eye(4) / 4.0
@@ -641,9 +643,11 @@ class TestSamplersAtHugeCounts:
     def test_herald_fractions(self, case, n):
         config, tau, pairs = self.CASES[case]
         ms = [1 + seed % 4 for seed in self.SEEDS]
-        # seeds of their own: run_batch's first draw at seed s is this draw
+        # seeds of their own: run_batch's first draw at seed s is this draw,
+        # row m of a sweep whose every row draws from that seed
         seeds = [len(self.SEEDS) + seed for seed in self.SEEDS]
-        fractions = engine.herald_fractions(config, ms, n, seeds)
+        fractions = [engine.herald_fractions(config.replace(m=m), n, [seed] * m)[-1]
+                     for m, seed in zip(ms, seeds)]
         p_heralds = {m: enumerated_law(config.replace(m=m), tau, pairs[0])[0] for m in set(ms)}
         pvalues = [_z_pvalues(p_hat, n, p_heralds[m]) for m, (p_hat, _, _) in zip(ms, fractions)]
         assert _ks_uniform(pvalues) > self.KS_FLOOR
@@ -739,7 +743,7 @@ class TestHeraldFraction:
         with pytest.raises(ValueError) as plan_error:
             RunPlan(CFG, 0.7, (HV_PAIR,), n, 1)
         with pytest.raises(ValueError, match=f"^{re.escape(str(plan_error.value))}$"):
-            engine.herald_fractions(CFG, [1, 2, 3], n, [1, 2, 3])
+            engine.herald_fractions(CFG.replace(m=3), n, [1, 2, 3])
         assert streams_made == []
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -747,22 +751,16 @@ class TestHeraldFraction:
         with pytest.raises(ValueError) as stream_error:
             derive_stream(seed, 0, 0)
         with pytest.raises(ValueError, match=f"^{re.escape(str(stream_error.value))}$"):
-            engine.herald_fractions(CFG, [1, 2], 10, [1, seed])
+            engine.herald_fractions(CFG.replace(m=2), 10, [1, seed])
         assert streams_made == []
 
-    @pytest.mark.parametrize("m", [0, 2.5, True])
-    def test_mode_count_is_checked_as_analytic_p_s_checks_it(self, streams_made, m):
-        with pytest.raises(ValueError) as law_error:
-            analytic_p_s(CFG, m)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(law_error.value))}$"):
-            engine.herald_fractions(CFG, [1, m], 10, [1, 2])
-        assert streams_made == []
-
-    @pytest.mark.parametrize("ms, seeds", [([1, 2, 3], [1, 2]), ([1, 2], [1, 2, 3]), ([], [1])])
+    @pytest.mark.parametrize("ms, seeds", [(range(1, 4), [1, 2]), (range(1, 3), [1, 2, 3]),
+                                           (range(1, 2), []), (range(1, 20), [1] * 20)])
     def test_mode_and_seed_lists_must_match(self, streams_made, ms, seeds):
-        message = r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"
-        with pytest.raises(ValueError, match=message):
-            engine.herald_fractions(CFG, ms, 10, seeds)
+        # the rows are m = 1 ... config.m, one seed each
+        message = re.escape(f"need one seed per mode count 1..{len(ms)}, got {len(seeds)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            engine.herald_fractions(CFG.replace(m=len(ms)), 10, seeds)
         assert streams_made == []
 
 

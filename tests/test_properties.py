@@ -225,28 +225,29 @@ def test_sampled_rows_pass_validate(config, tau, pairs, n, seed):
     storage_times,
     setting_pairs,
     st.integers(1, 2**40),
-    st.lists(st.tuples(st.integers(1, 64), st.integers(0, 2**64 - 1)), min_size=1, max_size=6),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
 )
-@example(ExperimentConfig(dark_rate=3e-3), 0.7, HV_PAIR, 50_000, [(1, 2**64 - 1), (19, 0), (7, 5)])
-@example(ExperimentConfig(dark_rate=3e-3), 0.7, HV_PAIR, 1, [(7, 5), (1, 0)])
-@example(ExperimentConfig(eta_d=0.0), 0.7, HV_PAIR, 2**40, [(19, 0)])  # a = 0: no heralds
-@example(ExperimentConfig(dark_rate=1.0), 0.7, HV_PAIR, 2**40, [(1, 1), (7, 1)])  # a = 1
-def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, n, rows):
-    """fig2 draws every row in one herald_fractions call, all at one trial
-    count: each row's p_s_hat must be the very draw run_batch makes first for
-    a one-pair plan at that count and the row's m and seed, so the float is
-    the same bits, and its exact and linear values must be analytic_p_s at
-    that m, whose exact value is the p_herald that _batch_law gives run_batch
-    there."""
-    ms, seeds = zip(*rows)
-    fractions = herald_fractions(config, ms, n, seeds)
-    assert len(fractions) == len(rows)
-    for (m, seed), (p_s_hat, exact, linear) in zip(rows, fractions):
-        batch = run_batch(RunPlan(config.replace(m=m), tau, (pair,), n, seed))
+@example(ExperimentConfig(dark_rate=3e-3), 0.7, HV_PAIR, 50_000, [2**64 - 1] + [0] * 17 + [5])
+@example(ExperimentConfig(dark_rate=3e-3), 0.7, HV_PAIR, 1, [5, 0])
+@example(ExperimentConfig(eta_d=0.0), 0.7, HV_PAIR, 2**40, [0] * 19)  # a = 0: no heralds
+@example(ExperimentConfig(dark_rate=1.0), 0.7, HV_PAIR, 2**40, [1] * 7)  # a = 1
+def test_herald_fraction_is_run_batch_p_s_hat_bitwise(config, tau, pair, n, seeds):
+    """fig2 draws every row m = 1 ... config.m in one herald_fractions call,
+    all at one trial count: each row's p_s_hat must be the very draw
+    run_batch makes first for a one-pair plan at that count and the row's m
+    and seed, so the float is the same bits, and its exact and linear values
+    must be analytic_p_s at that m, whose exact value is the p_herald that
+    _batch_law gives run_batch there."""
+    config = config.replace(m=len(seeds))
+    fractions = herald_fractions(config, n, seeds)
+    assert len(fractions) == len(seeds)
+    for m, seed, (p_s_hat, exact, linear) in zip(range(1, config.m + 1), seeds, fractions):
+        cfg_m = config.replace(m=m)
+        batch = run_batch(RunPlan(cfg_m, tau, (pair,), n, seed))
         assert p_s_hat.hex() == batch.p_s_hat.hex()
-        law = analytic_p_s(config, m)
+        law = analytic_p_s(cfg_m)
         assert (exact.hex(), linear.hex()) == (law.exact.hex(), law.linear.hex())
-        assert exact.hex() == _batch_law(config.replace(m=m), tau, (pair,))[0].hex()
+        assert exact.hex() == _batch_law(cfg_m, tau, (pair,))[0].hex()
 
 
 analyzers = st.one_of(

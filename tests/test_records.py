@@ -63,8 +63,7 @@ FIELDS = {
     ScanResult: ("residuals", "tolerance", "directional", "cross_directional_pairs",
                  "cross_directional_fraction"),
     EntanglementTimeReport: ("communication_time_us", "t_single_us", "t_multiplexed_linear_us",
-                             "t_multiplexed_exact_us", "speedup_linear", "speedup_exact",
-                             "overflowed"),
+                             "t_multiplexed_exact_us", "speedup_linear", "speedup_exact"),
     FeedbackReport: ("p_exact", "p_linear", "total_time_us", "n_deterministic"),
     ExperimentConfig: ("m", "chi", "theta", "eta_d", "eta_as", "gamma", "v1", "beta", "tau_c",
                        "tau_ref", "dark_rate"),
