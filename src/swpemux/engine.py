@@ -298,13 +298,6 @@ class CoincidenceTable:
             return NotImplemented
         return self.pairs == other.pairs and np.array_equal(self.counts, other.counts)
 
-    def validate(self) -> None:
-        """_check_counts of every row in order, on the counts as Python
-        numbers: raises the message of the first failing check of the
-        first failing row. An int64 herald sum cannot wrap here."""
-        for row in self.counts.tolist():
-            _check_counts(*row)
-
     def positions(self, pairs: Sequence[SettingPair]) -> np.ndarray:
         """Index of each pair's first row; KeyError names a missing pair."""
         return _positions(self.pairs, tuple(pairs))
@@ -394,8 +387,8 @@ def run_batch(plan: RunPlan) -> BatchResult:
     p_herald), then its (2, 2, 3) outcome cells ~ Multinomial(heralds,
     cells[s]), then the herald-bin histogram ~ Multinomial(heralds, bins). The
     cells, summed over real and dark heralds, form row s of the table's
-    count array; the counts and totals are Python integers until that array
-    is built. The cost per pair is O(m), whatever n_trials is, and the
+    count array, checked by _check_counts as it is built; the counts and
+    totals are Python integers until that array is built. The cost per pair is O(m), whatever n_trials is, and the
     result depends only on the plan.
 
     p_s_hat is heralds/trials and p_sas_hat coincidences/trials, both pooled
@@ -417,14 +410,13 @@ def run_batch(plan: RunPlan) -> BatchResult:
         histogram += gen.multinomial(heralds, bins)
         row = [r11 + k11, r12 + k12, r21 + k21, r22 + k22,
                r11 + r12 + r10 + k11 + k12 + k10, r21 + r22 + r20 + k21 + k22 + k20, n]
+        _check_counts(*row)
         rows.append(row)
         n_coincidences += row[0] + row[1] + row[2] + row[3]
         n_heralds += row[4] + row[5]
         n_dark += k11 + k12 + k10 + k21 + k22 + k20
     # every count is at most n < 2^63
     table = CoincidenceTable(pairs, np.array(rows, dtype=np.int64))
-    table.validate()
-
     n_trials_total = n * len(pairs)
     return BatchResult(
         table=table,

@@ -1,15 +1,15 @@
 """Small shared helpers used across the package, including the base of the
-checked records, the JSON text (json's C encoder), the atomic write (os
-calls) of every output file and the read of every input file."""
+checked records, the JSON text (json.dumps with indent=2 and sorted keys),
+the atomic write (os calls) of every output file and the read of every input
+file."""
 from __future__ import annotations
 
 import collections
 import contextlib
-import functools
+import json
 import math
 import operator
 import os
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 
@@ -120,36 +120,8 @@ def read_text(path: str) -> str:
     return b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(level: int):
-    # json's indenting encoder joins items at this level with this separator
-    # and writes scalars and keys as its C encoder does
-    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
-                          ": ", ",\n" + "  " * level, True, False, True)
-
-
-def _json_text(o, level: int, open_ids: set) -> str:
-    is_dict = isinstance(o, dict)
-    values = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
-        text = "".join(_flat_encoder(level + 1)(o, 0))  # a scalar, or a container of scalars
-    elif id(o) in open_ids:
-        raise ValueError("Circular reference detected")
-    else:
-        open_ids.add(id(o))
-        if is_dict:  # each key as json writes it, cut from the text of {key: 0}
-            items = ["".join(_flat_encoder(0)({key: 0}, 0))[1:-4] + ": "
-                     + _json_text(value, level + 1, open_ids) for key, value in sorted(o.items())]
-        else:
-            items = [_json_text(value, level + 1, open_ids) for value in o]
-        open_ids.remove(id(o))
-        text = ("{%s}" if is_dict else "[%s]") % (",\n" + "  " * (level + 1)).join(items)
-    if not values:
-        return text
-    return text[0] + "\n" + "  " * (level + 1) + text[1:-1] + "\n" + "  " * level + text[-1]
-
-
 def json_dumps(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\\n",
-    byte for byte and with the same errors, from json's C encoder."""
-    return _json_text(payload, 0, set()) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", the one place
+    that sets the text of every JSON output. NaN and infinities are written
+    as NaN, Infinity and -Infinity."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

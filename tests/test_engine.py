@@ -35,10 +35,9 @@ from swpemux.analysis import (
     correlation_e,
     tomography_setting_pairs,
 )
-from swpemux.io import coincidence_table_to_csv, parse_coincidence_csv
 from swpemux.util import first_success_probability
 
-from oracles import enumerated_law, exact_coincidence_table
+from oracles import enumerated_law
 
 CFG = ExperimentConfig()
 
@@ -357,7 +356,8 @@ class TestOutcomeLaw:
         result = run_batch(RunPlan(cfg, 0.7, (HV_PAIR,), 100_000, 3))
         assert result.n_heralds == 0 and result.n_coincidences == 0
         assert result.herald_bin_histogram.sum() == 0
-        result.table.validate()
+        for row in result.table.counts.tolist():
+            _check_counts(*row)
 
     def test_every_bin_clicks(self):
         # a = 1: every train heralds in its first bin; a real click wins it
@@ -376,7 +376,8 @@ class TestOutcomeLaw:
         p_read = cfg.gamma * cfg.eta_as
         se = math.sqrt(n_real * p_read * (1.0 - p_read))
         assert abs(real_coincidences - n_real * p_read) < 4.0 * se
-        result.table.validate()
+        for row in result.table.counts.tolist():
+            _check_counts(*row)
 
 
 class TestPairTable:
@@ -830,6 +831,32 @@ class TestRunBatch:
             assert row[6] == n
             _check_counts(*row)
 
+    # outcome cells r11 r12 r10 r21 r22 r20 k11 k12 k10 k21 k22 k20 of three pairs, n = 10
+    @pytest.mark.parametrize("cells, message", [
+        ([[1, 0, 4] + [0] * 9, [0, 0, 11] + [0] * 9, [-1] + [0] * 11],
+         "herald singles exceed the number of trials"),
+        ([[1, 0, 4] + [0] * 9, [-1] + [0] * 11, [0, 0, 11] + [0] * 9],
+         "coincidence counts must be non-negative"),
+        ([[1, 0, 4] + [0] * 9, [0] * 12, [0, 0, 6, 0, 0, 5] + [0] * 6],
+         "total heralds exceed the number of trials"),
+    ], ids=["singles-then-negative", "negative-then-singles", "last-row-totals"])
+    def test_first_failing_row_names_the_fault(self, monkeypatch, cells, message):
+        class Draws:
+            def __init__(self, cells):
+                self.cells = cells
+
+            def binomial(self, n, p):
+                return sum(self.cells)
+
+            def multinomial(self, n, p):
+                return np.array(self.cells if len(p) == 12 else [0] * len(p), dtype=np.int64)
+
+        monkeypatch.setattr(engine, "_setting_streams",
+                            lambda seeds, domain, count: map(Draws, cells))
+        plan = RunPlan(CFG, 0.7, CANONICAL_BELL.setting_pairs()[:3], 10, 6)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_batch(plan)
+
     def test_conditional_correlation_matches_state(self):
         pair = CANONICAL_BELL.setting_pairs()[0]
         plan = RunPlan(CFG, 0.7, (pair,), 2_500_000, 404)
@@ -881,77 +908,22 @@ def _message(check):
 
 
 def _row_message(table):
-    """What the row rule says of the table's rows in order: the reference."""
+    """What the row rule says of the table's rows in order."""
     def check():
         for row in table.counts.tolist():
             _check_counts(*row)
     return _message(check)
 
 
-def _probes(value, bound, kind):
-    """Values to put in one cell: around 0, around its bound and beyond."""
-    if kind == "float":
-        value, bound = float(value), float(bound)
-        up, down = math.nextafter(bound, math.inf), math.nextafter(bound, -math.inf)
-        return [-1e-300, -0.0, 0.0, value * 2.0, bound, up, down, 1.0, math.inf, math.nan]
-    value, bound = int(value), int(bound)
-    probes = [-1, 0, value - 1, value + 1, bound, bound + 1, 2 * bound]
-    if kind == "int64":
-        return [v for v in probes + [2**62 + 2**61, 2**63 - 1] if -2**63 <= v < 2**63]
-    return probes + [10**40]
-
-
 class TestVectorCheck:
-    """CoincidenceTable.validate against _check_counts of each row in order:
-    same verdict and same message, for tables that perturb one or two cells
-    of a valid int64, float or CSV-parsed (beyond int64) table."""
-
-    @staticmethod
-    def tables():
-        sampled = run_coincidence_batch(CFG, 4.0, PLANS["bell+tomo"], 10**6, 61)
-        batch = run_batch(RunPlan(CFG.replace(dark_rate=1e-2), 4.0, PLANS["tomo"], 10**9, 3))
-        rng = np.random.default_rng(17)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ g.conj().T
-        exact = exact_coincidence_table(rho / np.trace(rho).real, PLANS["bell+tomo"])
-        huge = np.array([[2**70 + s, 2**64, 3 * 2**63, 2**63, 2**71, 2**64 + 2**63 + s,
-                          2**72 + 7 * s] for s in range(len(PLANS["tomo"]))], dtype=object)
-        text = coincidence_table_to_csv(CoincidenceTable(PLANS["tomo"], huge))
-        parsed = parse_coincidence_csv(text)
-        return {"sampled": (sampled, "int64"), "batch": (batch.table, "int64"),
-                "exact": (exact, "float"), "csv": (parsed, "object")}
-
-    def test_same_verdict_and_message(self):
-        rng = np.random.default_rng(2718)
-        bounds = (4, 4, 5, 5, 6, 6, 6)
-        for name, (table, kind) in self.tables().items():
-            assert table.counts.dtype == {"int64": np.int64, "float": float, "object": object}[kind]
-            assert _row_message(table) is None and _message(table.validate) is None
-            seen = set()
-            rows, _ = table.counts.shape
-            for s in range(rows):
-                for j in range(7):
-                    for value in _probes(table.counts[s, j], table.counts[s, bounds[j]], kind):
-                        for second in (None, int(rng.integers(rows))):
-                            counts = table.counts.copy()
-                            counts[s, j] = value
-                            if second is not None:  # a second fault, maybe in an earlier row
-                                t = int(rng.integers(7))
-                                probes = _probes(counts[second, t], counts[second, bounds[t]], kind)
-                                counts[second, t] = probes[int(rng.integers(len(probes)))]
-                            perturbed = CoincidenceTable(table.pairs, counts)
-                            expected = _row_message(perturbed)
-                            assert _message(perturbed.validate) == expected, (name, s, j, value)
-                            seen.add(expected)
-            # every check of the row rule was exercised
-            assert len(seen) == 6, (name, seen)
+    """The row rule on a count array's rows read as Python numbers
+    (counts.tolist()), where a sum cannot wrap as it would in int64."""
 
     def test_int64_heralds_that_wrap_are_rejected(self):
         # n_d1 + n_d2 = 1.5 * 2^63 wraps in int64; each single fits the trials
         counts = np.array([[0, 0, 0, 0, 2**62 + 2**61, 2**62 + 2**61, 2**63 - 1]])
         table = CoincidenceTable((HV_PAIR,), counts)
         assert _row_message(table) == "total heralds exceed the number of trials"
-        assert _message(table.validate) == _row_message(table)
 
 
 @pytest.mark.parametrize("nan_column, negative_column",
@@ -962,7 +934,8 @@ def test_nan_does_not_hide_a_later_negative_count(nan_column, negative_column):
     row[nan_column], row[negative_column] = math.nan, -1.0
     table = CoincidenceTable((HV_PAIR,), np.array([row]))
     with pytest.raises(ValueError, match="coincidence counts must be non-negative"):
-        table.validate()
+        for counts in table.counts.tolist():
+            _check_counts(*counts)
     with pytest.raises(ValueError, match="coincidence counts must be non-negative"):
         _check_counts(*row)
 
