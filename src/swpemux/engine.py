@@ -388,8 +388,8 @@ def run_batch(plan: RunPlan) -> BatchResult:
     cells[s]), then the herald-bin histogram ~ Multinomial(heralds, bins). The
     cells, summed over real and dark heralds, form row s of the table's
     count array, checked by _check_counts as it is built; the counts and
-    totals are Python integers until that array is built. The cost per pair is O(m), whatever n_trials is, and the
-    result depends only on the plan.
+    totals are Python integers until that array is built. The cost per pair
+    is O(m), whatever n_trials is, and the result depends only on the plan.
 
     p_s_hat is heralds/trials and p_sas_hat coincidences/trials, both pooled
     over every setting pair: the law gives every pair the same herald and
